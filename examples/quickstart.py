@@ -10,16 +10,18 @@ latency.
 Run:  python examples/quickstart.py
 """
 
-from repro import CeioArchitecture, Testbed
+from repro import CeioArchitecture
 from repro.apps import EchoServer
 from repro.net import Flow, FlowKind, SaturatingSource
 from repro.sim.units import MS, US, to_mpps
+from repro.topo import Fabric, two_host
 
 
 def main() -> None:
-    # 1. A testbed = one simulated receiver host (NIC, PCIe, IIO, LLC,
-    #    DRAM, CPU cores) plus the 200 Gbps fabric and DCTCP senders.
-    bed = Testbed(seed=42)
+    # 1. The paper's two-server testbed: a client and one simulated
+    #    receiver host (NIC, PCIe, IIO, LLC, DRAM, CPU cores) behind a
+    #    200 Gbps ToR, with DCTCP senders. We drive the receiver's end.
+    bed = Fabric(two_host(), seed=42).endpoints["host"]
 
     # 2. Install the receive-side I/O architecture. Swap this single line
     #    for LegacyDdioArch / HostccArch / ShringArch to compare designs.

@@ -21,7 +21,7 @@ from .io_arch import (
     ShringArch,
     build_arch,
 )
-from .net import FabricConfig, Flow, FlowKind, Message, Testbed
+from .net import Flow, FlowKind, Message
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "Host", "HostConfig", "paper_testbed",
     "ARCHITECTURES", "build_arch",
     "LegacyDdioArch", "HostccArch", "MpqArch", "ShringArch",
-    "FabricConfig", "Flow", "FlowKind", "Message", "Testbed",
+    "Flow", "FlowKind", "Message",
     "__version__",
 ]

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..net import Flow, FlowKind, SaturatingSource, Testbed
+from ..net import Flow, FlowKind, SaturatingSource
+from ..topo import HostEndpoint
 
 __all__ = ["DperfClient"]
 
@@ -16,7 +17,7 @@ __all__ = ["DperfClient"]
 class DperfClient:
     """Drives one or more echo flows at saturation against a testbed."""
 
-    def __init__(self, testbed: Testbed, message_payload: int = 512,
+    def __init__(self, testbed: HostEndpoint, message_payload: int = 512,
                  outstanding: int = 64):
         self.testbed = testbed
         self.message_payload = message_payload

@@ -20,9 +20,10 @@ from ..frameworks.rdma import CompletionQueue, QpType, RdmaEndpoint
 from ..hw import HostConfig
 from ..io_arch import build_arch
 from ..io_arch.base import IOArchitecture
-from ..net import Flow, FlowKind, SaturatingSource, Testbed
+from ..net import Flow, FlowKind, SaturatingSource
 from ..sim.stats import Counter, Histogram
 from ..sim.units import MS, US, to_gbps
+from ..topo import Fabric, two_host
 
 __all__ = ["RdmaSink", "BwResult", "LatResult", "ib_write_bw",
            "ib_write_lat"]
@@ -114,7 +115,8 @@ def ib_write_bw(arch_name: str = "ceio", msg_size: int = 65536,
                 host_config: Optional[HostConfig] = None,
                 outstanding: int = 64, seed: int = 0) -> BwResult:
     """Single-flow RDMA write bandwidth (Figure 11)."""
-    bed = Testbed(host_config=host_config, seed=seed)
+    bed = Fabric(two_host(), host_config=host_config,
+                 seed=seed).endpoints["host"]
     arch = build_arch(arch_name, bed.host)
     bed.install_io_arch(arch)
     payload, count = _bw_batch(*_packets_for(msg_size))
@@ -149,7 +151,8 @@ def ib_write_lat(arch_name: str = "ceio", msg_size: int = 64,
     delivery+completion time plus the fixed reverse-path delay (perftest
     reports RTT/2 for write_lat; we report the same quantity).
     """
-    bed = Testbed(host_config=host_config, seed=seed)
+    bed = Fabric(two_host(), host_config=host_config,
+                 seed=seed).endpoints["host"]
     arch = build_arch(arch_name, bed.host)
     bed.install_io_arch(arch)
     payload, count = _packets_for(msg_size)

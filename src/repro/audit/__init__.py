@@ -8,8 +8,9 @@ Three pieces (see ``docs/AUDIT.md``):
 - :class:`~repro.audit.reconcile.Reconciler` / ``AuditReport`` — evaluates
   the equations at end-of-run (all accounts) or at periodic debug barriers
   (the ``barrier_safe`` subset) and emits structured who-owes-whom deltas.
-- :func:`~repro.audit.wiring.build_ledger` — walks a built testbed + I/O
-  architecture and registers the standard account set for every layer.
+- :func:`~repro.audit.wiring.build_fabric_ledger` — walks a compiled
+  fabric and its I/O architectures and registers the standard account
+  set for every layer.
 
 This module also hosts the *report collector*: a process-local mailbox
 that :meth:`Scenario.run_measure` drops each report summary into and that
@@ -25,9 +26,9 @@ from typing import Any, Dict, List, Optional
 from .ledger import Account, Ledger
 from .merge import merge_audit
 from .reconcile import AuditReport, Reconciler
-from .wiring import build_fabric_ledger, build_ledger
+from .wiring import build_fabric_ledger
 
-__all__ = ["Account", "AuditReport", "Ledger", "Reconciler", "build_ledger",
+__all__ = ["Account", "AuditReport", "Ledger", "Reconciler",
            "build_fabric_ledger", "merge_audit",
            "record_report", "drain_reports", "pending_report_count"]
 

@@ -1,11 +1,12 @@
-"""Wire a testbed's components into a conservation :class:`~.ledger.Ledger`.
+"""Wire a fabric's components into a conservation :class:`~.ledger.Ledger`.
 
-One function, :func:`build_ledger`, walks the fixed component graph of a
-:class:`repro.net.fabric.Testbed` — switch port, wire, NIC MAC, firmware
-handler, DMA engine, IIO buffer, memory controller, PCIe credits, on-NIC
-memory, LLC — and registers one balance equation per layer, then hands the
-ledger to the installed I/O architecture's ``audit_register`` hook for the
-architecture-specific equations (descriptor rings, shared-ring slots, CEIO
+One function, :func:`build_fabric_ledger`, walks the fixed component
+graph of every server host of a :class:`repro.topo.Fabric` — last-hop
+switch port, wire, NIC MAC, firmware handler, DMA engine, IIO buffer,
+memory controller, PCIe credits, on-NIC memory, LLC — and registers one
+balance equation per layer, then hands the ledger to the installed I/O
+architecture's ``audit_register`` hook for the architecture-specific
+equations (descriptor rings, shared-ring slots, CEIO
 credits / elastic buffers / phase barriers).
 
 Every source is read **lazily** at reconcile time: building the ledger
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
     from ..io_arch.base import IOArchitecture
     from ..net.link import SwitchPort
 
-__all__ = ["build_ledger", "build_fabric_ledger", "register_host_accounts"]
+__all__ = ["build_fabric_ledger", "register_host_accounts"]
 
 
 class _PrefixedLedger:
@@ -186,28 +187,12 @@ def register_host_accounts(ledger: Union[Ledger, _PrefixedLedger],
     arch.audit_register(ledger)
 
 
-def build_ledger(testbed, arch=None) -> Ledger:
-    """Build the cross-layer conservation ledger for ``testbed``.
-
-    ``arch`` defaults to the installed I/O architecture; pass one
-    explicitly only in unit tests that wire a bare testbed.
-    """
-    if arch is None:
-        arch = testbed.io_arch
-    if arch is None:
-        raise ValueError("testbed has no installed I/O architecture")
-    ledger = Ledger()
-    register_host_accounts(ledger, testbed.port, testbed.host, arch)
-    return ledger
-
-
 def build_fabric_ledger(fabric) -> Ledger:
     """One conservation ledger for a compiled :class:`repro.topo.Fabric`.
 
     Every endpoint (server host) contributes the standard per-host
-    account set under its name prefix — for a legacy-named two-host
-    fabric the prefix is empty, so the ledger is byte-identical to
-    :func:`build_ledger` on the historical ``Testbed``. Every interior
+    account set under its name prefix — empty for a ``two_host()``
+    fabric, whose ledger is the unprefixed single-host set. Every interior
     (switch-to-switch) egress additionally contributes a
     ``switch.<name>.port.<i>`` pair: the port equation (offered packets
     are dropped, queued, or transmitted) and the wire equation

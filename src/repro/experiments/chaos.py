@@ -118,7 +118,7 @@ def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "pre": pre.involved_mpps,
         "during": during.involved_mpps,
         "post": [m.involved_mpps for m in posts],
-        "dropped_writes": scenario.testbed.host.nic.dma.dropped_writes.value,
+        "dropped_writes": scenario.endpoint.host.nic.dma.dropped_writes.value,
         # Per-flow drops summed over every measured window — includes the
         # silently-lost DMA writes that baseline/shring/hostcc previously
         # failed to account into Measurement.dropped.

@@ -19,9 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..apps.erpc import ErpcConfig, ErpcServer
-from ..net import Flow, FlowKind, SaturatingSource, Testbed
+from ..net import Flow, FlowKind, SaturatingSource
 from ..io_arch import build_arch
 from ..sim.units import US
+from ..topo import Fabric, two_host
 from ..workloads import Scenario, ScenarioConfig, scaled_host_config
 from .report import ExperimentResult
 
@@ -33,7 +34,8 @@ DEFAULT_SEED = 37
 
 def _rpc_throughput(zero_copy: bool, quick: bool, seed: int) -> float:
     """Single CEIO server, 8 flows, with/without the zero-copy path."""
-    bed = Testbed(host_config=scaled_host_config(4), seed=seed)
+    bed = Fabric(two_host(), host_config=scaled_host_config(4),
+                 seed=seed).endpoints["host"]
     arch = build_arch("ceio", bed.host)
     bed.install_io_arch(arch)
     servers = []

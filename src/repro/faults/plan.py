@@ -77,9 +77,10 @@ class FaultSpec:
     params: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
     #: Target host for multi-host fabrics (:mod:`repro.topo`): the fault
     #: is injected at that server's endpoint. ``None`` — the only value
-    #: meaningful on the single-host ``Testbed`` — targets the fabric's
-    #: first (primary) server and keeps the canonical JSON byte-identical
-    #: to pre-multi-host plans, so historical cache keys never move.
+    #: meaningful on the single-host ``two_host()`` fabric — targets the
+    #: fabric's first (primary) server and keeps the canonical JSON
+    #: byte-identical to pre-multi-host plans, so historical cache keys
+    #: never move.
     host: Optional[str] = None
 
     def __post_init__(self):

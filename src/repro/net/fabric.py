@@ -1,141 +1,26 @@
-"""Two-server testbed wiring: senders -> switch -> receiver NIC, plus ACKs.
+"""The paper's testbed link: two directly-attached 200 Gbps servers
+through one ToR.
 
-The paper's testbed is two directly-attached 200 Gbps servers through a
-ToR. The forward path (client data toward the server under test) is the
-contended one; the reverse path carries only ACKs and small responses and
-is modelled as a fixed delay.
+These are the default attributes of every :class:`repro.topo.LinkSpec`,
+so :func:`repro.topo.two_host` compiles to the paper's testbed: the
+forward path (client data toward the server under test) is one
+contended ToR egress, and the reverse path carries only ACKs as a fixed
+delay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from ..hw import Host, HostConfig
-from ..sim import RngRegistry, Simulator
 from ..sim.units import US, gbps
-from .dctcp import DctcpConfig, DctcpSender
-from .link import SwitchPort
-from .packet import Flow, Packet
 
-__all__ = ["FabricConfig", "Testbed"]
+__all__ = ["DEFAULT_RATE", "DEFAULT_DELAY", "DEFAULT_BUFFER",
+           "DEFAULT_ECN_THRESHOLD"]
 
-
-@dataclass
-class FabricConfig:
-    #: Forward-path bandwidth, bytes/ns (200 Gbps).
-    rate: float = gbps(200)
-    #: One-way propagation+switching delay, ns (two directly-attached
-    #: servers through one ToR; calibrated against perftest's ~1.5 µs RTT).
-    one_way_delay: float = 0.6 * US
-    #: Switch egress buffer, bytes.
-    switch_buffer: int = 2_000_000
-    #: DCTCP marking threshold K, bytes.
-    ecn_threshold: int = 300_000
-    #: Reverse (ACK) path delay, ns. ``None`` keeps the historical
-    #: symmetric path (ACKs take ``one_way_delay``) bit for bit; set it
-    #: to model an asymmetric reverse path. Multi-link topologies
-    #: (:mod:`repro.topo`) carry this per link instead.
-    ack_delay: Optional[float] = None
-
-    @property
-    def reverse_delay(self) -> float:
-        """The effective ACK-path delay."""
-        return (self.one_way_delay if self.ack_delay is None
-                else self.ack_delay)
-
-
-class Testbed:
-    """Owns the simulator, the receiver host, the fabric, and the senders."""
-
-    def __init__(self, host_config: Optional[HostConfig] = None,
-                 fabric_config: Optional[FabricConfig] = None,
-                 dctcp_config: Optional[DctcpConfig] = None,
-                 seed: int = 0):
-        self.sim = Simulator()
-        self.rng = RngRegistry(seed)
-        self.host = Host(self.sim, host_config, rng=self.rng)
-        self.fabric_config = fabric_config or FabricConfig()
-        self.dctcp_config = dctcp_config or DctcpConfig()
-        self.port = SwitchPort(
-            self.sim,
-            rate=self.fabric_config.rate,
-            propagation=self.fabric_config.one_way_delay,
-            deliver=self._deliver,
-            buffer_bytes=self.fabric_config.switch_buffer,
-            ecn_threshold=self.fabric_config.ecn_threshold,
-            name="tor",
-        )
-        self.senders: Dict[int, DctcpSender] = {}
-        self.flows: List[Flow] = []
-        self.io_arch = None
-        #: The currently open MeasurementWindow, if any. Maintained by
-        #: :class:`repro.workloads.measure.MeasurementWindow` so late
-        #: flow registration can be caught (see :meth:`add_flow`).
-        self.active_window = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def install_io_arch(self, io_arch) -> None:
-        """Attach the receive-side I/O architecture to the host NIC."""
-        self.io_arch = io_arch
-        io_arch.ack = self.ack
-        self.host.nic.install_handler(io_arch)
-
-    def add_flow(self, flow: Flow, late_ok: bool = False) -> DctcpSender:
-        """Create the sender-side transport for ``flow`` and register it
-        with the installed I/O architecture.
-
-        Adding a flow while a :class:`MeasurementWindow` is open is an
-        error unless ``late_ok`` is set: the open window snapshotted its
-        counters at warm-up end, so a silently added flow would be
-        excluded from metrics (``finish()`` skips unmarked flows) even
-        though its packets land in every conservation account. Callers
-        that legitimately register mid-window (the §5 crash/restart
-        re-registration path) pass ``late_ok=True``; the flow is then
-        reported from its registration point onward.
-        """
-        if self.io_arch is None:
-            raise RuntimeError("install_io_arch() before add_flow()")
-        window = self.active_window
-        if window is not None and not late_ok:
-            raise RuntimeError(
-                f"add_flow({flow.name!r}) after measurement started at "
-                f"t={window.t_start:g} ns: the open MeasurementWindow "
-                "would silently exclude this flow from its metrics. Add "
-                "flows before the window opens, or pass late_ok=True — "
-                "the flow is then announced to the window via "
-                "note_new_flow() and measured from registration onward.")
-        sender = DctcpSender(self.sim, flow, self.port.send,
-                             self.dctcp_config)
-        self.senders[flow.flow_id] = sender
-        self.flows.append(flow)
-        self.io_arch.register_flow(flow)
-        if window is not None:
-            window.note_new_flow(flow)
-        return sender
-
-    # ------------------------------------------------------------------
-    # Data / ACK paths
-    # ------------------------------------------------------------------
-    def _deliver(self, packet: Packet) -> None:
-        packet.arrival_time = self.sim.now
-        self.host.nic.receive(packet)
-
-    def ack(self, packet: Packet, extra_mark: bool = False) -> None:
-        """ACK an accepted packet back to its sender after the reverse path.
-
-        ``extra_mark`` lets host-side controllers (HostCC, ShRing's ring
-        guard, CEIO's slow-path guard) assert congestion on top of any CE
-        mark the switch applied.
-        """
-        sender = self.senders.get(packet.flow.flow_id)
-        if sender is None:
-            return
-        marked = packet.ecn_marked or extra_mark
-        self.sim.call_later(self.fabric_config.reverse_delay,
-                            sender.on_ack, packet.seq, marked)
-
-    def run(self, until: float) -> None:
-        self.sim.run(until=until)
+#: Link bandwidth, bytes/ns (200 Gbps).
+DEFAULT_RATE = gbps(200)
+#: One-way propagation+switching delay, ns (calibrated against
+#: perftest's ~1.5 µs RTT).
+DEFAULT_DELAY = 0.6 * US
+#: Switch egress buffer, bytes.
+DEFAULT_BUFFER = 2_000_000
+#: DCTCP marking threshold K, bytes.
+DEFAULT_ECN_THRESHOLD = 300_000

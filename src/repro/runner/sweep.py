@@ -62,7 +62,7 @@ class Point:
     #: JSON-serialisable parameters; fully determine the computation
     #: together with ``seed``.
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: Testbed root seed (``None`` = the worker's own default).
+    #: The simulation's root seed (``None`` = the worker's own default).
     seed: Optional[int] = None
     #: Human-readable suffix for progress lines (not part of identity).
     label: str = ""

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from ..audit import record_report
 from ..topo.partition import ShardPlan
+from ..workloads.scenarios import AUDIT_BARRIER_NS
 from ..workloads.topo_scenario import TopoScenario
 
 __all__ = ["ShardKernel"]
@@ -50,7 +51,7 @@ class ShardKernel:
         self.sim = self.fabric.sim
         #: Messages emitted since the last :meth:`advance` drain.
         self.outbox: List[Tuple] = []
-        self._next_audit = float(TopoScenario.AUDIT_BARRIER_NS)
+        self._next_audit = float(AUDIT_BARRIER_NS)
         self.fabric.attach_channels(self._emit_packet, self._emit_ack)
 
     # -- channel emitters (installed on the scoped fabric) --------------
@@ -114,7 +115,7 @@ class ShardKernel:
         report = self.scenario.reconciler.check(now=now, barrier_only=True)
         if not report.ok:
             record_report(report)
-        step = float(TopoScenario.AUDIT_BARRIER_NS)
+        step = float(AUDIT_BARRIER_NS)
         self._next_audit = (now // step + 1.0) * step
 
     def open_windows(self) -> None:

@@ -5,12 +5,12 @@ attributes default to the paper's testbed values (200 Gbps, 0.6 µs,
 2 MB buffer, 300 KB ECN threshold) and can be overridden uniformly via
 keyword arguments.
 
-``two_host()`` reproduces the legacy :class:`repro.net.fabric.Testbed`
-wiring exactly — one client, one server named ``"host"``, one ToR whose
-server-facing egress is named ``"tor"``, a zero-delay client uplink so
-the forward path is a single 0.6 µs contended hop and the reverse path a
-single 0.6 µs fixed delay — and sets ``legacy_names`` so the compiled
-fabric keeps the historical RNG stream and audit account names.
+``two_host()`` is the paper's two-server testbed — one client, one
+server named ``"host"``, one ToR whose server-facing egress is named
+``"tor"``, a zero-delay client uplink so the forward path is a single
+0.6 µs contended hop and the reverse path a single 0.6 µs fixed delay —
+and sets ``legacy_names`` so the compiled fabric keeps the unprefixed
+RNG stream and audit account names every single-host experiment uses.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ def two_host(rate: float = DEFAULT_RATE, delay: float = DEFAULT_DELAY,
              ecn_threshold: int = DEFAULT_ECN_THRESHOLD) -> Topology:
     """The paper's testbed: ``client -> tor -> host``.
 
-    The client uplink carries zero delay (legacy senders inject straight
-    into the ToR egress queue); the server link carries the full one-way
-    delay and, when ``ack_delay`` is None, a symmetric reverse path —
-    bit-compatible with ``Testbed`` under ``FabricConfig`` defaults.
+    The client uplink carries zero delay (senders inject straight into
+    the ToR egress queue); the server link carries the full one-way
+    delay and, when ``ack_delay`` is None, a symmetric reverse path.
     """
     return Topology(
         hosts=[HostSpec("client"), HostSpec("host", server=True)],

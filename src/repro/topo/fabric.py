@@ -3,10 +3,10 @@
 One :class:`Fabric` owns one :class:`~repro.sim.Simulator` and one
 :class:`~repro.sim.RngRegistry` for the whole topology. Each *server*
 host becomes a :class:`HostEndpoint` — a full receiver stack (``Host``
-hardware model, I/O architecture, last-hop ``SwitchPort``) that presents
-the legacy ``Testbed`` surface (``sim`` / ``rng`` / ``host`` / ``port`` /
-``flows`` / ``install_io_arch`` / ``add_flow`` / ``ack``), so measurement
-windows, conservation ledgers, and fault controllers work per host
+hardware model, I/O architecture, last-hop ``SwitchPort``) with the
+surface measurement windows, conservation ledgers, and fault controllers
+work against (``sim`` / ``rng`` / ``host`` / ``port`` / ``flows`` /
+``install_io_arch`` / ``add_flow`` / ``ack``), so they work per host
 without modification. Each switch becomes a :class:`SwitchNode` with one
 ``SwitchPort`` per *used* egress; interior (switch-to-switch) hops count
 forwarded packets so ``switch.<name>.port.<i>`` conservation accounts
@@ -16,10 +16,10 @@ Determinism:
 
 - RNG streams are namespaced ``"<host>.<stream>"`` via :class:`HostRng`,
   so adding a host never perturbs another host's draws. Topologies built
-  by :func:`repro.topo.builders.two_host` keep the legacy *unprefixed*
-  names — that, plus identical construction order (Simulator, registry,
-  Host, then the single ToR port), is what makes the compiled two-host
-  fabric bit-identical to ``repro.net.fabric.Testbed``.
+  by :func:`repro.topo.builders.two_host` keep *unprefixed* names —
+  that, plus a fixed construction order (Simulator, registry, Host, then
+  the single ToR port), is what keeps every single-host golden digest
+  byte-identical.
 - Equal-cost multipath ties are broken by the fabric's own flow
   registration counter (``index % len(candidates)`` over name-sorted
   candidates), never by global flow ids, which depend on what ran
@@ -131,7 +131,7 @@ class SwitchNode:
 
 
 class HostEndpoint:
-    """One server host, presenting the legacy ``Testbed`` surface."""
+    """One server host: its hardware, I/O architecture and last-hop port."""
 
     def __init__(self, fabric: "Fabric", name: str, prefix: str,
                  host_config: Optional[HostConfig]):
@@ -151,12 +151,11 @@ class HostEndpoint:
         #: The open MeasurementWindow, if any (see workloads.measure).
         self.active_window = None
 
-    # -- legacy Testbed surface ----------------------------------------
+    # -- per-host surface -----------------------------------------------
     @property
     def senders(self) -> Dict[int, DctcpSender]:
         """The fabric-wide sender table (senders live host-side on the
-        *clients*; the shared dict keeps crash semantics identical to
-        the legacy testbed's)."""
+        *clients*; a crash pops the flow's sender from the shared dict)."""
         return self.fabric.senders
 
     def install_io_arch(self, io_arch) -> None:
@@ -179,7 +178,7 @@ class HostEndpoint:
     def ack(self, packet: Packet, extra_mark: bool = False) -> None:
         """ACK an accepted packet along the flow's reverse path (the sum
         of per-link ``ack_delay`` values, so asymmetric topologies are
-        expressible; symmetric defaults reproduce the legacy constant)."""
+        expressible; symmetric defaults give the testbed's one-way delay)."""
         self.fabric.ack(packet, extra_mark)
 
     def run(self, until: float) -> None:
@@ -270,8 +269,8 @@ class Fabric:
         #: Legacy-naming mode: unprefixed RNG streams and audit accounts
         #: (only a single-server ``two_host()`` topology qualifies).
         self.legacy = topology.legacy_names and len(servers) == 1
-        # Hosts first, then ports — the legacy Testbed construction order,
-        # which fixes process-creation order inside the kernel.
+        # Hosts first, then ports — this construction order fixes
+        # process-creation order inside the kernel.
         for spec in servers:
             if not self.is_local_host(spec.name):
                 continue

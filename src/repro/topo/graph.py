@@ -20,16 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.units import US, gbps
+from ..net.fabric import (DEFAULT_BUFFER, DEFAULT_DELAY,
+                          DEFAULT_ECN_THRESHOLD, DEFAULT_RATE)
 
 __all__ = ["HostSpec", "LinkSpec", "Topology"]
-
-#: Defaults mirror :class:`repro.net.fabric.FabricConfig` so a one-link
-#: topology behaves exactly like the legacy two-server testbed.
-DEFAULT_RATE = gbps(200)
-DEFAULT_DELAY = 0.6 * US
-DEFAULT_BUFFER = 2_000_000
-DEFAULT_ECN_THRESHOLD = 300_000
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,9 @@ class Topology:
       server host.
 
     ``legacy_names`` is set only by :func:`repro.topo.builders.two_host`:
-    it makes the compiled fabric reuse the legacy ``Testbed`` naming
-    (unprefixed RNG streams and audit accounts, port name from the link),
-    which is what keeps the two-host topology bit-compatible with the
-    historical single-pair testbed.
+    it makes the compiled fabric keep the single-host naming (unprefixed
+    RNG streams and audit accounts, port name from the link), which is
+    what keeps the paper-testbed goldens byte-identical.
     """
 
     def __init__(self, hosts: List[HostSpec], switches: List[str],

@@ -12,13 +12,13 @@ what decides whether the active set runs on the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..apps.echo import EchoConfig, SharedEchoServer
-from ..hw import HostConfig
 from ..io_arch import build_arch
-from ..net import Flow, FlowKind, SaturatingSource, Testbed
+from ..net import Flow, FlowKind, SaturatingSource
 from ..sim.units import US
+from ..topo import Fabric, two_host
 from .measure import MeasurementWindow
 from .scenarios import scaled_host_config
 
@@ -46,7 +46,6 @@ class ChurnConfig:
     worker_cores: int = 14
     scale: int = 4
     seed: int = 0
-    host_config: Optional[HostConfig] = None
 
 
 @dataclass
@@ -64,11 +63,12 @@ class UdChurnScenario:
 
     def __init__(self, config: ChurnConfig):
         self.config = config
-        host_config = config.host_config or scaled_host_config(config.scale)
-        self.testbed = Testbed(host_config=host_config, seed=config.seed)
-        self.arch = build_arch(config.arch, self.testbed.host)
-        self.testbed.install_io_arch(self.arch)
-        self.rng = self.testbed.rng.stream("churn")
+        self.endpoint = Fabric(two_host(),
+                               host_config=scaled_host_config(config.scale),
+                               seed=config.seed).endpoints["host"]
+        self.arch = build_arch(config.arch, self.endpoint.host)
+        self.endpoint.install_io_arch(self.arch)
+        self.rng = self.endpoint.rng.stream("churn")
         self.flows: List[Flow] = []
         self.sources: List[SaturatingSource] = []
         self.workers: List[SharedEchoServer] = []
@@ -78,13 +78,13 @@ class UdChurnScenario:
         for i in range(cfg.total_flows):
             flow = Flow(FlowKind.CPU_INVOLVED, name=f"qp{i}",
                         message_payload=cfg.payload, packets_per_message=1)
-            sender = self.testbed.add_flow(flow)
+            sender = self.endpoint.add_flow(flow)
             self.flows.append(flow)
             self.sources.append(
-                SaturatingSource(self.testbed.sim, sender,
+                SaturatingSource(self.endpoint.sim, sender,
                                  outstanding=cfg.outstanding))
         for _ in range(cfg.worker_cores):
-            core = self.testbed.host.cpu.allocate()
+            core = self.endpoint.host.cpu.allocate()
             worker = SharedEchoServer(self.arch, core, EchoConfig())
             worker.start()
             self.workers.append(worker)
@@ -102,15 +102,15 @@ class UdChurnScenario:
             # closed loops restart cleanly.
             old = self.sources[idx]
             flow = old.flow
-            sender = self.testbed.senders[flow.flow_id]
-            fresh = SaturatingSource(self.testbed.sim, sender,
+            sender = self.endpoint.senders[flow.flow_id]
+            fresh = SaturatingSource(self.endpoint.sim, sender,
                                      outstanding=self.config.outstanding)
             self.sources[idx] = fresh
             fresh.start()
 
     def run(self) -> ChurnResult:
         cfg = self.config
-        sim = self.testbed.sim
+        sim = self.endpoint.sim
 
         def run_slots(horizon: float) -> None:
             end = sim.now + horizon
@@ -119,7 +119,7 @@ class UdChurnScenario:
                 sim.run(until=min(end, sim.now + cfg.time_slot))
 
         run_slots(cfg.warmup)
-        window = MeasurementWindow(self.testbed, self.arch)
+        window = MeasurementWindow(self.endpoint, self.arch)
         fast_mark = (self.arch.fast_packets.value
                      if hasattr(self.arch, "fast_packets") else 0.0)
         slow_mark = (self.arch.slow_packets.value

@@ -105,7 +105,7 @@ class MeasurementWindow:
         for fid, rx in arch.flows.items():
             self._mark_flow(fid, rx)
         # Announce the open window so late flow registration is either
-        # rejected (Testbed.add_flow without late_ok) or routed through
+        # rejected (add_flow without late_ok) or routed through
         # note_new_flow instead of silently escaping the metrics.
         testbed.active_window = self
 

@@ -1,6 +1,7 @@
 """Scenario builders reproducing the paper's evaluation setups (§2.3, §6).
 
-A :class:`Scenario` wires a testbed, one I/O architecture, eRPC/KV servers
+A :class:`Scenario` wires the paper's two-server testbed (a
+:func:`repro.topo.two_host` fabric), one I/O architecture, eRPC/KV servers
 for CPU-involved flows, LineFS servers for CPU-bypass flows, and
 saturating clients — then runs warm-up + measurement windows. Dynamic
 behaviours (flow replacement, bursts) are expressed as per-phase actions.
@@ -15,19 +16,21 @@ stays below it, CEIO's credit pool equals it) while steady state arrives
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..apps.erpc import ErpcConfig, ErpcServer
 from ..apps.kvstore import KvStore
-from ..apps.linefs import LineFsConfig, LineFsServer
-from ..audit import Reconciler, build_ledger, record_report
+from ..apps.linefs import LineFsServer
+from ..audit import Reconciler, build_fabric_ledger, record_report
 from ..core import CeioConfig
 from ..faults import FaultController, FaultPlan
 from ..hw import CacheConfig, CpuConfig, HostConfig
 from ..io_arch import build_arch
 from ..io_arch.shring import ShringConfig
-from ..net import Flow, FlowKind, OpenLoopSource, SaturatingSource, Testbed
+from ..net import Flow, FlowKind, OpenLoopSource, SaturatingSource
+from ..sim import Simulator
 from ..sim.units import MIB, US
+from ..topo import Fabric, two_host
 from .measure import Measurement, MeasurementWindow
 
 __all__ = ["ScenarioConfig", "Scenario", "scaled_host_config",
@@ -63,6 +66,66 @@ def shring_entries_for(host_config: HostConfig) -> int:
     return (host_config.cache.size // host_config.io_buf_size) * 2 // 3
 
 
+def build_host_arch(arch: str, host, host_config: HostConfig,
+                    ceio: Optional[CeioConfig] = None):
+    """One host's I/O architecture: ShRing's ring sized by
+    :func:`shring_entries_for`, CEIO under ``ceio`` when given, anything
+    else at its defaults."""
+    if arch == "shring":
+        return build_arch("shring", host, config=ShringConfig(
+            ring_entries=shring_entries_for(host_config)))
+    if arch == "ceio" and ceio is not None:
+        return build_arch("ceio", host, config=ceio)
+    return build_arch(arch, host)
+
+
+def client_stagger(rng) -> float:
+    """Client threads come up a few microseconds apart, not in lockstep:
+    one draw from ``rng``'s ``client-stagger`` stream (a host's RNG
+    namespace)."""
+    return rng.stream("client-stagger").uniform(0, 20_000.0)
+
+
+#: Interval between mid-run conservation barriers under
+#: ``REPRO_SIM_DEBUG=1``, ns.
+AUDIT_BARRIER_NS = 50 * US
+
+
+def run_audited(sim: Simulator, reconciler: Optional[Reconciler],
+                until: float) -> None:
+    """Advance ``sim`` to ``until``, reconciling at periodic barriers
+    when the debug sanitizer is on.
+
+    The barrier checks run from *outside* the event loop — between
+    ``sim.run()`` chunks, never as an injected process — so debug mode
+    keeps its contract of changing no results, only adding checks.
+    """
+    if reconciler is None or not sim.debug:
+        sim.run(until=until)
+        return
+    while True:
+        step_until = min(until, sim.now + AUDIT_BARRIER_NS)
+        sim.run(until=step_until)
+        report = reconciler.check(now=sim.now, barrier_only=True)
+        if not report.ok:
+            record_report(report)
+        if step_until >= until:
+            return
+
+
+def arch_extras(arch) -> Dict[str, float]:
+    """The architecture's path counters, for ``Measurement.extras``."""
+    extras: Dict[str, float] = {}
+    for attr in ("fast_packets", "slow_packets", "overdraft",
+                 "ring_full_drops", "guard_marks", "congestion_events"):
+        counter = getattr(arch, attr, None)
+        if counter is not None:
+            extras[attr] = counter.value
+    if hasattr(arch, "fast_fraction"):
+        extras["fast_fraction"] = arch.fast_fraction()
+    return extras
+
+
 @dataclass
 class ScenarioConfig:
     arch: str = "ceio"
@@ -93,7 +156,6 @@ class ScenarioConfig:
     #: heavier application logic; Table 2's echo-with-full-stack setup).
     app_extra_cycles: float = 0.0
     ceio: Optional[CeioConfig] = None
-    linefs: Optional[LineFsConfig] = None
     host_config: Optional[HostConfig] = None
     #: Fault plan armed at build time (:mod:`repro.faults`); None/empty =
     #: the healthy testbed, bit-identical to a config without the field.
@@ -107,25 +169,18 @@ class Scenario:
         self.config = config
         host_config = config.host_config or scaled_host_config(
             config.scale, config.set_associative_cache, config.io_buf_size)
-        self.testbed = Testbed(host_config=host_config, seed=config.seed)
-        self.arch = self._build_arch(host_config)
-        self.testbed.install_io_arch(self.arch)
+        self.fabric = Fabric(two_host(), host_config=host_config,
+                             seed=config.seed)
+        self.endpoint = self.fabric.endpoints["host"]
+        self.arch = build_host_arch(config.arch, self.endpoint.host,
+                                    host_config, config.ceio)
+        self.endpoint.install_io_arch(self.arch)
         self.kv = KvStore(seed=config.seed)
         self.involved: List[Tuple[Flow, ErpcServer, SaturatingSource]] = []
         self.bypass: List[Tuple[Flow, LineFsServer, SaturatingSource]] = []
         self.fault_controller: Optional[FaultController] = None
         self.reconciler: Optional[Reconciler] = None
         self._built = False
-
-    def _build_arch(self, host_config: HostConfig):
-        cfg = self.config
-        if cfg.arch == "shring":
-            return build_arch("shring", self.testbed.host,
-                              config=ShringConfig(
-                                  ring_entries=shring_entries_for(host_config)))
-        if cfg.arch == "ceio" and cfg.ceio is not None:
-            return build_arch("ceio", self.testbed.host, config=cfg.ceio)
-        return build_arch(cfg.arch, self.testbed.host)
 
     # ------------------------------------------------------------------
     # Construction
@@ -138,9 +193,9 @@ class Scenario:
             self.add_bypass_flow(f"dfs{i}")
         if cfg.faults:
             self.fault_controller = FaultController(
-                self.testbed, cfg.faults, scenario=self)
+                self.endpoint, cfg.faults, scenario=self)
             self.fault_controller.arm()
-        self.reconciler = Reconciler(build_ledger(self.testbed, self.arch))
+        self.reconciler = Reconciler(build_fabric_ledger(self.fabric))
         self._built = True
         return self
 
@@ -152,8 +207,8 @@ class Scenario:
                     message_payload=cfg.payload, packets_per_message=1)
         # late_ok: the crash/restart fault path re-registers mid-window by
         # design; add_flow announces the flow to any open window.
-        sender = self.testbed.add_flow(flow, late_ok=True)
-        core = self.testbed.host.cpu.allocate()
+        sender = self.endpoint.add_flow(flow, late_ok=True)
+        core = self.endpoint.host.cpu.allocate()
         erpc_config = ErpcConfig(transport=cfg.transport)
         erpc_config.rpc_overhead_cycles += cfg.app_extra_cycles
         server = ErpcServer(self.arch, flow, core, self.kv.handle,
@@ -162,22 +217,17 @@ class Scenario:
         if cfg.open_loop_mpps is not None:
             per_flow_rate = cfg.open_loop_mpps * 1e-3 / max(1, cfg.n_involved)
             source = OpenLoopSource(
-                self.testbed.sim, sender, rate_msgs_per_ns=per_flow_rate,
-                rng=self.testbed.rng.stream(f"openloop-{name}"))  # repro: noqa=D109 -- per-tenant stream; name comes from the validated scenario spec key
+                self.endpoint.sim, sender, rate_msgs_per_ns=per_flow_rate,
+                rng=self.endpoint.rng.stream(f"openloop-{name}"))  # repro: noqa=D109 -- per-tenant stream; name comes from the validated scenario spec key
         else:
             source = SaturatingSource(
-                self.testbed.sim, sender,
+                self.endpoint.sim, sender,
                 outstanding=cfg.outstanding if outstanding is None
                 else outstanding)
-        source.start(delay=self._stagger())
+        source.start(delay=client_stagger(self.endpoint.rng))
         entry = (flow, server, source)
         self.involved.append(entry)
         return entry
-
-    def _stagger(self) -> float:
-        """Client threads come up a few microseconds apart, not in lockstep."""
-        rng = self.testbed.rng.stream("client-stagger")  # repro: noqa=D109 -- shares the literal with TopoScenario by design: mutually exclusive builders, same draw sequence on the legacy testbed
-        return rng.uniform(0, 20_000.0)
 
     def add_bypass_flow(self, name: str
                         ) -> Tuple[Flow, LineFsServer, SaturatingSource]:
@@ -185,14 +235,14 @@ class Scenario:
         flow = Flow(FlowKind.CPU_BYPASS, name=name,
                     message_payload=cfg.bypass_payload,
                     packets_per_message=cfg.chunk_packets)
-        sender = self.testbed.add_flow(flow, late_ok=True)
-        core = self.testbed.host.cpu.allocate()
-        server = LineFsServer(self.arch, core, config=cfg.linefs)
+        sender = self.endpoint.add_flow(flow, late_ok=True)
+        core = self.endpoint.host.cpu.allocate()
+        server = LineFsServer(self.arch, core)
         server.attach_flow(flow)
         server.start()
-        source = SaturatingSource(self.testbed.sim, sender,
+        source = SaturatingSource(self.endpoint.sim, sender,
                                   outstanding=max(4, cfg.outstanding // 12))
-        source.start(delay=self._stagger())
+        source.start(delay=client_stagger(self.endpoint.rng))
         entry = (flow, server, source)
         self.bypass.append(entry)
         return entry
@@ -204,7 +254,7 @@ class Scenario:
         flow, server, source = self.involved.pop()
         source.stop()
         server.stop()
-        self.testbed.host.cpu.release(server.core)
+        self.endpoint.host.cpu.release(server.core)
         return flow
 
     def crash_involved_flow(self, index: int = 0) -> Optional[str]:
@@ -224,9 +274,9 @@ class Scenario:
         flow, server, source = self.involved.pop(index)
         source.stop()
         server.stop()
-        self.testbed.host.cpu.release(server.core)
+        self.endpoint.host.cpu.release(server.core)
         self.arch.unregister_flow(flow)
-        self.testbed.senders.pop(flow.flow_id, None)
+        self.endpoint.senders.pop(flow.flow_id, None)
         return flow.name
 
     def restart_involved_flow(self, name: str
@@ -239,10 +289,6 @@ class Scenario:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    #: Interval between mid-run conservation barriers under
-    #: ``REPRO_SIM_DEBUG=1``, ns.
-    AUDIT_BARRIER_NS = 50 * US
-
     def run_measure(self, warmup: Optional[float] = None,
                     duration: Optional[float] = None) -> Measurement:
         """Warm up, then measure one steady-state window.
@@ -250,43 +296,24 @@ class Scenario:
         Every window ends with a full cross-layer reconciliation: the
         report is attached to the measurement and queued for the runner's
         audit collector. Under ``REPRO_SIM_DEBUG=1`` the run additionally
-        checks the barrier-safe accounts every :attr:`AUDIT_BARRIER_NS`.
+        checks the barrier-safe accounts every :data:`AUDIT_BARRIER_NS`.
         """
         cfg = self.config
         if not self._built:
             self.build()
-        sim = self.testbed.sim
-        self._run(sim.now + (cfg.warmup if warmup is None else warmup))
-        window = MeasurementWindow(self.testbed, self.arch)
-        self._run(sim.now + (cfg.duration if duration is None else duration))
+        sim = self.endpoint.sim
+        run_audited(sim, self.reconciler,
+                    sim.now + (cfg.warmup if warmup is None else warmup))
+        window = MeasurementWindow(self.endpoint, self.arch)
+        run_audited(sim, self.reconciler,
+                    sim.now + (cfg.duration if duration is None else duration))
         measurement = window.finish()
-        measurement.extras.update(self._arch_extras())
+        measurement.extras.update(arch_extras(self.arch))
         if self.reconciler is not None:
             report = self.reconciler.check(now=sim.now)
             measurement.audit = report.to_dict()
             record_report(report)
         return measurement
-
-    def _run(self, until: float) -> None:
-        """Advance the simulation, reconciling at periodic barriers when
-        the debug sanitizer is on.
-
-        The barrier checks run from *outside* the event loop — between
-        ``sim.run()`` chunks, never as an injected process — so debug mode
-        keeps its contract of changing no results, only adding checks.
-        """
-        sim = self.testbed.sim
-        if self.reconciler is None or not sim.debug:
-            sim.run(until=until)
-            return
-        while True:
-            step_until = min(until, sim.now + self.AUDIT_BARRIER_NS)
-            sim.run(until=step_until)
-            report = self.reconciler.check(now=sim.now, barrier_only=True)
-            if not report.ok:
-                record_report(report)
-            if step_until >= until:
-                return
 
     def run_phases(self, actions: List[Callable[["Scenario"], None]],
                    phase_warmup: Optional[float] = None,
@@ -299,18 +326,6 @@ class Scenario:
             action(self)
             results.append(self.run_measure(phase_warmup, phase_duration))
         return results
-
-    def _arch_extras(self) -> dict:
-        extras = {}
-        arch = self.arch
-        for attr in ("fast_packets", "slow_packets", "overdraft",
-                     "ring_full_drops", "guard_marks", "congestion_events"):
-            counter = getattr(arch, attr, None)
-            if counter is not None:
-                extras[attr] = counter.value
-        if hasattr(arch, "fast_fraction"):
-            extras["fast_fraction"] = arch.fast_fraction()
-        return extras
 
 
 def replace_two_with_bypass(scenario: Scenario) -> None:

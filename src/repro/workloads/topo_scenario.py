@@ -7,10 +7,11 @@
 host, wires each tenant's flows (erpc / kvstore / linefs) from its
 source clients, arms per-host fault controllers, and runs warm-up +
 measurement windows with the same debug-barrier auditing contract as
-the legacy scenario.
+:class:`~repro.workloads.scenarios.Scenario` (both builders share its
+module-level helpers).
 
 Bit-compatibility: compiling the ``paper-baseline`` template (a
-``two_host`` topology) performs exactly the legacy construction
+``two_host`` topology) performs exactly ``Scenario``'s construction
 sequence — Simulator, registry, Host, ToR port, architecture, KvStore,
 then flows ``kv0..`` with unprefixed ``client-stagger`` draws — so its
 measurements are byte-identical to ``Scenario(ScenarioConfig())``'s
@@ -26,18 +27,18 @@ from ..apps.erpc import ErpcConfig, ErpcServer
 from ..apps.kvstore import KvStore
 from ..apps.linefs import LineFsServer
 from ..audit import Reconciler, build_fabric_ledger, record_report
+from ..core import CeioConfig
 from ..demand import (DemandSource, ScaledProfile, poisson_times,
                       profile_from_dict, session_times)
 from ..faults import FaultController
-from ..io_arch import build_arch
-from ..io_arch.shring import ShringConfig
 from ..net import Flow, FlowKind, OpenLoopSource, SaturatingSource
 from ..scenario import canonical, fault_plan_of, validate
 from ..scenario.schema import build_topology
 from ..sim.units import US
-from ..topo import Fabric, HostEndpoint
+from ..topo import Fabric
 from .measure import Measurement, MeasurementWindow
-from .scenarios import scaled_host_config, shring_entries_for
+from .scenarios import (arch_extras, build_host_arch, client_stagger,
+                        run_audited, scaled_host_config)
 from .slo import SloTarget, SloTracker
 
 __all__ = ["TopoScenario", "compile_scenario"]
@@ -84,10 +85,6 @@ class _HostView:
 class TopoScenario:
     """One compiled scenario: fabric + per-host stacks + tenants."""
 
-    #: Interval between mid-run conservation barriers under
-    #: ``REPRO_SIM_DEBUG=1``, ns (the legacy Scenario's contract).
-    AUDIT_BARRIER_NS = 50 * US
-
     def __init__(self, spec: Mapping[str, Any],
                  scope: Optional[Any] = None):
         self.normal = validate(spec)
@@ -113,12 +110,14 @@ class TopoScenario:
         servers = self.topology.server_hosts
         self.primary = servers[0].name if servers else None
         for name, endpoint in self.fabric.endpoints.items():
+            cfg = self._host_cfg[name]
+            ceio = cfg.get("ceio")
             with self.fabric.host_domain(name):
-                endpoint.install_io_arch(
-                    self._build_arch(endpoint, self._host_cfg[name],
-                                     host_configs[name]))
+                endpoint.install_io_arch(build_host_arch(
+                    cfg["arch"], endpoint.host, host_configs[name],
+                    None if ceio is None else CeioConfig(**ceio)))
         #: One KV store per server host (ErpcServer handlers close over
-        #: it); seeded like the legacy scenario's.
+        #: it); seeded like Scenario's.
         self.kv: Dict[str, KvStore] = {
             name: KvStore(seed=self.seed) for name in self.fabric.endpoints}
         self.involved: Dict[str, List[_FlowRecord]] = {
@@ -145,19 +144,6 @@ class TopoScenario:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_arch(self, endpoint: HostEndpoint, cfg: Mapping[str, Any],
-                    host_config):
-        if cfg["arch"] == "shring":
-            return build_arch(
-                "shring", endpoint.host,
-                config=ShringConfig(
-                    ring_entries=shring_entries_for(host_config)))
-        if cfg["arch"] == "ceio" and "ceio" in cfg:
-            from ..core.config import CeioConfig
-            return build_arch("ceio", endpoint.host,
-                              config=CeioConfig(**cfg["ceio"]))
-        return build_arch(cfg["arch"], endpoint.host)
-
     def build(self) -> "TopoScenario":
         clients = [spec.name for spec in self.topology.client_hosts]
         for tenant in self.normal["tenants"]:
@@ -301,7 +287,7 @@ class TopoScenario:
         # The stagger draw advances the destination host's stream on
         # every shard, local or not: later flows toward the same host
         # must see the same stream position everywhere.
-        stagger = self._stagger(host)
+        stagger = client_stagger(fabric.host_rng(host))
         if source is not None:
             with fabric.host_domain(src):
                 source.start(delay=stagger)
@@ -364,12 +350,6 @@ class TopoScenario:
                         tracker.watch(rec.tenant["name"], rx, target)
             self.slo_trackers[host] = tracker
 
-    def _stagger(self, host: str) -> float:
-        """Per-host client stagger (the legacy unprefixed stream on a
-        legacy-named two-host fabric; ``<host>.client-stagger`` else)."""
-        return self.fabric.host_rng(host).stream(  # repro: noqa=D109 -- deliberately Scenario's literal: host-prefixed here, byte-identical draws on legacy two-host fabrics
-            "client-stagger").uniform(0, 20_000.0)
-
     # ------------------------------------------------------------------
     # Crash / restart (repro.faults apps site)
     # ------------------------------------------------------------------
@@ -409,11 +389,13 @@ class TopoScenario:
             self.build()
         measure = self.normal["measure"]
         sim = self.fabric.sim
-        self._run(sim.now + (measure["warmup_us"] * US
-                             if warmup is None else warmup))
+        run_audited(sim, self.reconciler,
+                    sim.now + (measure["warmup_us"] * US
+                               if warmup is None else warmup))
         self.open_windows()
-        self._run(sim.now + (measure["duration_us"] * US
-                             if duration is None else duration))
+        run_audited(sim, self.reconciler,
+                    sim.now + (measure["duration_us"] * US
+                               if duration is None else duration))
         results = self.finish_measurements()
         if self.reconciler is not None:
             report = self.reconciler.check(now=sim.now)
@@ -423,7 +405,7 @@ class TopoScenario:
         return results
 
     # -- phase hooks (the sharded coordinator drives these directly,
-    # with conservative barrier windows replacing the _run calls) -------
+    # with conservative barrier windows replacing run_audited) ----------
     def measure_horizons(self) -> tuple:
         """(warmup end, measurement end) in absolute ns from t=0."""
         measure = self.normal["measure"]
@@ -446,7 +428,7 @@ class TopoScenario:
         for name, window in self._windows.items():
             measurement = window.finish()
             measurement.extras.update(
-                _arch_extras(self.fabric.endpoints[name].io_arch))
+                arch_extras(self.fabric.endpoints[name].io_arch))
             if self.demand_spec is not None:
                 self._attach_slo(name, window, measurement)
             results[name] = measurement
@@ -477,39 +459,11 @@ class TopoScenario:
                 measurement.extras[prefix + key] = float(stats[key])
             measurement.extras[prefix + "ok"] = 1.0 if stats["ok"] else 0.0
 
-    def _run(self, until: float) -> None:
-        """Advance the simulation with periodic conservation barriers
-        under ``REPRO_SIM_DEBUG=1`` (checks only, never new events)."""
-        sim = self.fabric.sim
-        if self.reconciler is None or not sim.debug:
-            sim.run(until=until)
-            return
-        while True:
-            step_until = min(until, sim.now + self.AUDIT_BARRIER_NS)
-            sim.run(until=step_until)
-            report = self.reconciler.check(now=sim.now, barrier_only=True)
-            if not report.ok:
-                record_report(report)
-            if step_until >= until:
-                return
-
     def run(self) -> Dict[str, Dict[str, Any]]:
         """Build, measure, and return JSON-safe per-host metrics (the
         ``python -m repro.scenario run`` payload)."""
         return {name: asdict(measurement)
                 for name, measurement in self.run_measure().items()}
-
-
-def _arch_extras(arch) -> Dict[str, float]:
-    extras: Dict[str, float] = {}
-    for attr in ("fast_packets", "slow_packets", "overdraft",
-                 "ring_full_drops", "guard_marks", "congestion_events"):
-        counter = getattr(arch, attr, None)
-        if counter is not None:
-            extras[attr] = counter.value
-    if hasattr(arch, "fast_fraction"):
-        extras["fast_fraction"] = arch.fast_fraction()
-    return extras
 
 
 def compile_scenario(spec: Mapping[str, Any],

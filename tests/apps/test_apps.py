@@ -19,12 +19,12 @@ from repro.apps.kvstore import kv_request_payload
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind, SaturatingSource
-from repro.net import Testbed as TB
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def build_bed(arch_name="baseline", llc=512 * 1024):
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=llc)), seed=9)
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=llc)), seed=9)
     arch = build_arch(arch_name, bed.host)
     bed.install_io_arch(arch)
     return bed, arch

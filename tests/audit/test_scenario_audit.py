@@ -44,7 +44,7 @@ def test_descriptor_drop_run_still_balances(arch):
     measurement = scenario.run_measure()
     assert measurement.audit["ok"], measurement.audit["violations"]
     if arch != "shring":  # shring wedges on ring-full before the window
-        assert scenario.testbed.host.nic.dma.dropped_writes.value > 0
+        assert scenario.endpoint.host.nic.dma.dropped_writes.value > 0
 
 
 @pytest.mark.parametrize("arch", ["baseline", "hostcc"])
@@ -61,11 +61,11 @@ def test_dma_drops_reach_measurement_dropped(arch):
 def test_corrupted_meter_is_caught_with_named_delta():
     scenario = _scenario("ceio")
     scenario.run_measure()
-    report = scenario.reconciler.check(now=scenario.testbed.sim.now)
+    report = scenario.reconciler.check(now=scenario.endpoint.sim.now)
     assert report.ok
     # Forge three accepted packets that no layer ever handled.
     scenario.arch.rx_accepted.add(3)
-    report = scenario.reconciler.check(now=scenario.testbed.sim.now)
+    report = scenario.reconciler.check(now=scenario.endpoint.sim.now)
     assert not report.ok
     messages = [v["message"] for v in report.violations]
     assert any("nic.handler" in m and "3 packets" in m for m in messages), (

@@ -6,11 +6,11 @@ from repro.core import CeioConfig
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind
-from repro.net import Testbed as TB
+from tests.conftest import host_endpoint
 
 
 def build(config=None):
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)))
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)))
     arch = build_arch("ceio", bed.host,
                       **({"config": config} if config else {}))
     bed.install_io_arch(arch)

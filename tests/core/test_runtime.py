@@ -8,8 +8,8 @@ from repro.core.steering import SteeringAction
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind, SaturatingSource
-from repro.net import Testbed as TB
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def small_host(llc=256 * 1024):
@@ -17,7 +17,7 @@ def small_host(llc=256 * 1024):
 
 
 def build(ceio_config=None, llc=256 * 1024, seed=3):
-    bed = TB(host_config=small_host(llc), seed=seed)
+    bed = host_endpoint(host_config=small_host(llc), seed=seed)
     arch = build_arch("ceio", bed.host,
                       **({"config": ceio_config} if ceio_config else {}))
     bed.install_io_arch(arch)

@@ -7,12 +7,13 @@ import pytest
 from repro.faults import FaultController, FaultPlan, FaultSpec, install_plan
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
-from repro.net import Flow, FlowKind, Message, Testbed
+from repro.net import Flow, FlowKind, Message
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def small_testbed(seed=1, n_flows=1):
-    testbed = Testbed(host_config=HostConfig(
+    testbed = host_endpoint(HostConfig(
         cache=CacheConfig(size=512 * 1024)), seed=seed)
     testbed.install_io_arch(build_arch("baseline", testbed.host))
     senders = [testbed.add_flow(Flow(FlowKind.CPU_INVOLVED, name=f"f{i}",

@@ -12,13 +12,13 @@ from repro.frameworks import (
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind, SaturatingSource
-from repro.net import Testbed as TB
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def build_bed(arch_name="baseline"):
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)),
-             seed=5)
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)),
+                        seed=5)
     arch = build_arch(arch_name, bed.host)
     bed.install_io_arch(arch)
     return bed, arch

@@ -8,8 +8,8 @@ from repro.io_arch import ARCHITECTURES, build_arch
 from repro.io_arch.hostcc import HostccArch, HostccConfig
 from repro.io_arch.shring import ShringArch, ShringConfig
 from repro.net import Flow, FlowKind, SaturatingSource
-from repro.net import Testbed as TB  # aliased: pytest collects Test* names
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def small_host():
@@ -18,7 +18,7 @@ def small_host():
 
 def drive(arch_name, n_flows=2, payload=1000, until=200 * US,
           outstanding=16, host_config=None, **arch_kwargs):
-    bed = TB(host_config=host_config or small_host(), seed=3)
+    bed = host_endpoint(host_config=host_config or small_host(), seed=3)
     arch = build_arch(arch_name, bed.host, **arch_kwargs)
     bed.install_io_arch(arch)
     flows = []
@@ -38,12 +38,12 @@ def drive(arch_name, n_flows=2, payload=1000, until=200 * US,
 # ---------------------------------------------------------------------------
 
 def test_registry_contains_all_four():
-    build_arch("ceio", TB().host)  # force lazy registration
+    build_arch("ceio", host_endpoint().host)  # force lazy registration
     assert set(ARCHITECTURES) >= {"baseline", "hostcc", "shring", "ceio"}
 
 
 def test_build_arch_unknown_name():
-    bed = TB()
+    bed = host_endpoint()
     with pytest.raises(ValueError, match="unknown I/O architecture"):
         build_arch("nope", bed.host)
 
@@ -70,7 +70,7 @@ def test_baseline_rx_burst_and_release_recycle_descriptors():
 
 
 def test_baseline_unregistered_flow_dropped():
-    bed = TB(host_config=small_host())
+    bed = host_endpoint(host_config=small_host())
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     flow = Flow(FlowKind.CPU_INVOLVED, message_payload=500)
@@ -124,7 +124,7 @@ def test_hostcc_throttles_under_congestion():
 
 
 def test_hostcc_config_thresholds_respected():
-    bed = TB(host_config=small_host())
+    bed = host_endpoint(host_config=small_host())
     arch = HostccArch(bed.host, HostccConfig(control_interval=5 * US))
     assert arch.config.control_interval == 5 * US
 
@@ -162,7 +162,7 @@ def test_shring_release_frees_shared_slots():
 
 
 def test_shring_dispatch_overhead_exposed():
-    bed = TB(host_config=small_host())
+    bed = host_endpoint(host_config=small_host())
     arch = ShringArch(bed.host, ShringConfig(dispatch_cycles=55.0))
     assert arch.app_overhead_cycles() == 55.0
 
@@ -192,7 +192,7 @@ def test_poll_any_round_robins_ready_flows():
 
 
 def test_wait_ready_fires_on_delivery():
-    bed = TB(host_config=small_host())
+    bed = host_endpoint(host_config=small_host())
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     flow = Flow(FlowKind.CPU_INVOLVED, message_payload=500)

@@ -4,13 +4,13 @@ from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.io_arch.mpq import MpqArch, MpqConfig
 from repro.net import Flow, FlowKind, SaturatingSource
-from repro.net import Testbed as TB
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def build_bed(config=None):
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)),
-             seed=7)
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)),
+                        seed=7)
     arch = MpqArch(bed.host, config)
     bed.install_io_arch(arch)
     return bed, arch
@@ -66,6 +66,6 @@ def test_high_class_uses_ddio_low_class_uses_dram():
 
 
 def test_mpq_registered():
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("mpq", bed.host)
     assert isinstance(arch, MpqArch)

@@ -19,8 +19,9 @@ except ImportError:  # pragma: no cover - hypothesis is in the dev extra
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
-from repro.net import Flow, FlowKind, Message, Testbed
+from repro.net import Flow, FlowKind, Message
 from repro.sim.units import MS, US
+from tests.conftest import host_endpoint
 
 pytestmark = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -42,7 +43,7 @@ burst_shapes = st.fixed_dictionaries({
 @settings(max_examples=15, deadline=None)
 @given(shape=burst_shapes)
 def test_rto_recovers_every_message_under_burst_loss(shape):
-    testbed = Testbed(host_config=HostConfig(
+    testbed = host_endpoint(HostConfig(
         cache=CacheConfig(size=512 * 1024)), seed=shape["seed"])
     testbed.install_io_arch(build_arch("baseline", testbed.host))
     sender = testbed.add_flow(Flow(FlowKind.CPU_INVOLVED, name="f0",

@@ -1,22 +1,25 @@
-"""Tests for the two-server testbed wiring (fabric + ACK path)."""
+"""Tests for the two-server testbed wiring (``two_host()`` fabric + ACK
+path)."""
 
 import pytest
 
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
-from repro.net import FabricConfig, Flow, FlowKind
-from repro.net import Testbed as TB
+from repro.net import Flow, FlowKind
+from repro.net.fabric import DEFAULT_DELAY
 from repro.sim.units import US
+from repro.topo import two_host
+from tests.conftest import host_endpoint
 
 
 def test_add_flow_requires_installed_arch():
-    bed = TB()
+    bed = host_endpoint()
     with pytest.raises(RuntimeError, match="install_io_arch"):
         bed.add_flow(Flow(FlowKind.CPU_INVOLVED, message_payload=100))
 
 
 def test_install_wires_ack_and_handler():
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     assert bed.host.nic.handler is arch
@@ -24,7 +27,7 @@ def test_install_wires_ack_and_handler():
 
 
 def test_ack_round_trip_delay():
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)))
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)))
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     flow = Flow(FlowKind.CPU_INVOLVED, message_payload=500)
@@ -35,11 +38,11 @@ def test_ack_round_trip_delay():
     msg = done.value
     # Completion takes at least the forward + reverse propagation.
     assert (msg.complete_time - msg.submit_time
-            >= 2 * bed.fabric_config.one_way_delay)
+            >= 2 * DEFAULT_DELAY)
 
 
 def test_ack_extra_mark_reaches_sender():
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)))
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)))
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     flow = Flow(FlowKind.CPU_INVOLVED, message_payload=500)
@@ -59,7 +62,7 @@ def test_ack_extra_mark_reaches_sender():
 
 
 def test_ack_for_unknown_flow_is_ignored():
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     ghost = Flow(FlowKind.CPU_INVOLVED, message_payload=100)
@@ -69,23 +72,23 @@ def test_ack_for_unknown_flow_is_ignored():
 
 
 def test_fabric_config_defaults():
-    cfg = FabricConfig()
-    assert cfg.rate == pytest.approx(25.0)
-    assert cfg.ecn_threshold < cfg.switch_buffer
+    link = two_host().link_between("tor", "host")
+    assert link.rate == pytest.approx(25.0)
+    assert link.ecn_threshold < link.buffer
 
 
 def test_reverse_delay_defaults_to_one_way_delay():
-    cfg = FabricConfig()
-    assert cfg.ack_delay is None
-    assert cfg.reverse_delay == cfg.one_way_delay
-    asym = FabricConfig(ack_delay=0.1 * US)
+    link = two_host().link_between("tor", "host")
+    assert link.ack_delay is None
+    assert link.reverse_delay == link.delay
+    asym = two_host(ack_delay=0.1 * US).link_between("tor", "host")
     assert asym.reverse_delay == pytest.approx(0.1 * US)
 
 
 def test_asymmetric_ack_delay_shortens_round_trip():
-    def round_trip(fabric_config):
-        bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)),
-                 fabric_config=fabric_config)
+    def round_trip(**link):
+        bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)),
+                            **link)
         arch = build_arch("baseline", bed.host)
         bed.install_io_arch(arch)
         flow = Flow(FlowKind.CPU_INVOLVED, message_payload=500)
@@ -95,8 +98,8 @@ def test_asymmetric_ack_delay_shortens_round_trip():
         assert done.triggered
         return done.value.complete_time - done.value.submit_time
 
-    symmetric = round_trip(FabricConfig())
-    asym = round_trip(FabricConfig(ack_delay=0.1 * US))
+    symmetric = round_trip()
+    asym = round_trip(ack_delay=0.1 * US)
     # Same forward path; the reverse path is 0.5 us shorter.
     assert symmetric - asym == pytest.approx(0.5 * US)
 
@@ -104,7 +107,7 @@ def test_asymmetric_ack_delay_shortens_round_trip():
 def test_add_flow_after_measurement_started_raises():
     from repro.workloads.measure import MeasurementWindow
 
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     bed.add_flow(Flow(FlowKind.CPU_INVOLVED, name="early",
@@ -121,7 +124,7 @@ def test_add_flow_after_measurement_started_raises():
 def test_add_flow_late_ok_announces_flow_to_window():
     from repro.workloads.measure import MeasurementWindow
 
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     bed.add_flow(Flow(FlowKind.CPU_INVOLVED, name="early",
@@ -138,7 +141,7 @@ def test_add_flow_late_ok_announces_flow_to_window():
 def test_window_clears_active_registration_on_finish():
     from repro.workloads.measure import MeasurementWindow
 
-    bed = TB()
+    bed = host_endpoint()
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     assert bed.active_window is None

@@ -4,13 +4,14 @@
 from repro.faults import FaultPlan, FaultSpec, install_plan
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
-from repro.net import Flow, FlowKind, Message, Testbed
+from repro.net import Flow, FlowKind, Message
 from repro.sim.trace import Tracer
 from repro.sim.units import US
+from tests.conftest import host_endpoint
 
 
 def build(seed=5):
-    testbed = Testbed(host_config=HostConfig(
+    testbed = host_endpoint(HostConfig(
         cache=CacheConfig(size=512 * 1024)), seed=seed)
     testbed.install_io_arch(build_arch("baseline", testbed.host))
     sender = testbed.add_flow(Flow(FlowKind.CPU_INVOLVED, name="f0",

@@ -79,7 +79,7 @@ def dctcp_link_trace_digest() -> str:
                      f"ecn={packet.ecn_marked}")
         sender = senders[packet.flow.flow_id]
         seq, marked = packet.seq, packet.ecn_marked
-        # Reverse path: fixed-delay ACK, like Testbed.ack().
+        # Reverse path: fixed-delay ACK, like HostEndpoint.ack().
         sim.schedule(600.0, lambda: sender.on_ack(seq, marked))
 
     port = SwitchPort(sim, rate=gbps(200), propagation=0.6 * US,

@@ -13,8 +13,8 @@ import pytest
 from repro.hw import HostConfig
 from repro.io_arch import HostccArch, ShringArch
 from repro.net import Flow, FlowKind
-from repro.net import Testbed as _Testbed  # underscore: hide from pytest
 from repro.sim import RngRegistry
+from tests.conftest import host_endpoint
 
 try:
     from hypothesis import given, settings
@@ -103,8 +103,9 @@ def test_spawn_distinct_names_differ(seed, a, b):
 # ---------------------------------------------------------------------------
 
 def _arch_stream(arch_cls, seed):
-    """Build ``arch_cls`` on a seeded Testbed and sample its RNG stream."""
-    bed = _Testbed(HostConfig(), seed=seed)
+    """Build ``arch_cls`` on a seeded testbed host and sample its RNG
+    stream."""
+    bed = host_endpoint(HostConfig(), seed=seed)
     arch = arch_cls(bed.host)
     if arch_cls is ShringArch:  # per-flow guard streams
         flow = Flow(FlowKind.CPU_INVOLVED, flow_id=990_101)
@@ -123,7 +124,7 @@ def test_seed_perturbs_architecture_randomness(arch_cls):
 
 
 def test_architecture_streams_are_named_registry_streams():
-    bed = _Testbed(HostConfig(), seed=11)
+    bed = host_endpoint(HostConfig(), seed=11)
     hostcc = HostccArch(bed.host)
     shring = ShringArch(bed.host)
     assert hostcc._rng is bed.rng.stream("hostcc.ecn")

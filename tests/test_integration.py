@@ -1,7 +1,9 @@
 """Cross-cutting integration tests: determinism, CLI, examples."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +41,7 @@ def test_architectures_share_identical_workload():
         scenario = Scenario(config).build()
         scenario.run_measure()
         sent[arch] = {
-            f.name: scenario.testbed.senders[f.flow_id].packets_sent.value
+            f.name: scenario.endpoint.senders[f.flow_id].packets_sent.value
             for f, _s, _src in scenario.involved}
     # Not identical packet counts (feedback differs), but the same flows
     # exist and all sent traffic.
@@ -58,10 +60,14 @@ def test_cli_runs_cheapest_experiment():
 
 
 def test_quickstart_example_importable_and_structured():
-    """The quickstart must at least import and expose main()."""
-    sys.path.insert(0, "examples")
-    try:
-        import quickstart
-        assert callable(quickstart.main)
-    finally:
-        sys.path.pop(0)
+    """Every example must at least import and expose main(), so a removed
+    public name cannot leave one broken."""
+    examples = sorted(Path(__file__).resolve().parent.parent
+                      .joinpath("examples").glob("*.py"))
+    assert "quickstart" in {path.stem for path in examples}
+    for path in examples:
+        spec = importlib.util.spec_from_file_location(
+            f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main), path.name

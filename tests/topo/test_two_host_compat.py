@@ -1,13 +1,14 @@
-"""The acceptance pin for ``repro.topo``: a ``two_host()`` fabric run of
-the ``paper-baseline`` scenario is byte-identical to the legacy
-hand-built ``Scenario`` on the single-pair ``Testbed`` — same RNG draws,
-same event order, same measurements, same 18-account conservation audit.
+"""The acceptance pin for the two scenario builders: the hand-built
+``Scenario`` (on its ``two_host()`` fabric) and the declarative
+``compile_scenario`` run of the ``paper-baseline`` template are
+byte-identical — same RNG draws, same event order, same measurements,
+same 19-account conservation audit.
 
-The digest below is the sha256 of the legacy measurement's sorted-JSON
-form at (warmup=150us, duration=250us, seed=0). If it moves, the legacy
-testbed's behaviour changed (see ``tests/sim/test_golden.py``); if the
-equality assertion fails while the digest holds, the topo compilation
-drifted from the legacy construction order. Recapture:
+The digest below is the sha256 of ``Scenario``'s measurement in
+sorted-JSON form at (warmup=150us, duration=250us, seed=0). If it moves,
+the paper testbed's behaviour changed (see ``tests/sim/test_golden.py``);
+if the equality assertion fails while the digest holds, the declarative
+compilation drifted from ``Scenario``'s construction order. Recapture:
 
     PYTHONPATH=src python tests/topo/test_two_host_compat.py
 """
@@ -49,7 +50,7 @@ def test_two_host_fabric_reproduces_legacy_testbed_byte_for_byte():
     legacy = _legacy_json()
     topo = _topo_json()
     assert hashlib.sha256(legacy.encode()).hexdigest() == GOLDEN_TWO_HOST, \
-        "legacy Testbed behaviour moved — recapture (see module docstring)"
+        "Scenario behaviour moved — recapture (see module docstring)"
     assert topo == legacy
 
 

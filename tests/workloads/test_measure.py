@@ -3,16 +3,16 @@
 import pytest
 
 from repro.io_arch import build_arch
-from repro.net import Flow, FlowKind, Message, SaturatingSource
-from repro.net import Testbed as TB
+from repro.net import Flow, FlowKind
 from repro.hw import CacheConfig, HostConfig
 from repro.sim.units import US
 from repro.workloads import MeasurementWindow
+from tests.conftest import host_endpoint
 
 
 def build():
-    bed = TB(host_config=HostConfig(cache=CacheConfig(size=256 * 1024)),
-             seed=2)
+    bed = host_endpoint(HostConfig(cache=CacheConfig(size=256 * 1024)),
+                        seed=2)
     arch = build_arch("baseline", bed.host)
     bed.install_io_arch(arch)
     return bed, arch

@@ -155,9 +155,9 @@ def test_scenario_burst_action_allocates_cores():
 
 def test_scenario_remove_involved_frees_core():
     scenario = Scenario(_tiny(n_involved=2)).build()
-    free_before = len(scenario.testbed.host.cpu._free)
+    free_before = len(scenario.endpoint.host.cpu._free)
     scenario.remove_involved_flow()
-    assert len(scenario.testbed.host.cpu._free) == free_before + 1
+    assert len(scenario.endpoint.host.cpu._free) == free_before + 1
 
 
 def test_scenario_arch_extras_exposed():
