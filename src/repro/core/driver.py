@@ -116,7 +116,6 @@ class CeioDriver:
         batch = self._batch_size(state.flow)
         prefetch = max(self.config.drain_prefetch, 3 * batch)
         manager = self.runtime.buffer_manager
-        flow_id = state.flow.flow_id
 
         def drain(sim):
             # Up to two batch reads in flight: the PCIe round trip of one
@@ -139,7 +138,7 @@ class CeioDriver:
                             for entry in entries:
                                 entry.fetching = True
                             outstanding.append(sim.process(
-                                manager.drain_batch(flow_id, entries),
+                                manager.drain_batch(state.swring, entries),
                                 name="drain-batch"))
                             continue
                     if outstanding:
@@ -177,6 +176,6 @@ class CeioDriver:
             yield self.runtime.poll_interval
             return
         yield from self.runtime.buffer_manager.drain_batch(
-            state.flow.flow_id, entries)
+            state.swring, entries)
         if not state.swring.has_nonresident:
             self.runtime.on_drain_complete(state)

@@ -16,24 +16,25 @@ slow path DMAing, drains the I/O flow, and then re-enables the fast path"
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Dict, List
 
 from ..sim.stats import Counter, RateMeter
+from .sw_ring import SwEntry, SwRing
 
 __all__ = ["FlowSlowBuffer", "ElasticBufferManager"]
 
 
 class FlowSlowBuffer:
-    """Per-flow FIFO of packets resident in on-NIC memory."""
+    """Per-flow packet and byte counts of on-NIC memory. The records
+    themselves live in the flow's SW ring, which the drain reads."""
 
-    __slots__ = ("flow_id", "entries", "nbytes", "production", "consumption",
+    __slots__ = ("flow_id", "packets", "nbytes", "production", "consumption",
                  "cpu_involved", "small_messages")
 
     def __init__(self, flow_id: int):
         self.flow_id = flow_id
-        #: (packet, SwEntry) pairs in arrival order.
-        self.entries: Deque[Tuple] = deque()
+        #: Packets buffered and not yet drained.
+        self.packets = 0
         self.nbytes = 0
         #: Guard-threshold class, learned from the first buffered packet.
         self.cpu_involved = True
@@ -44,7 +45,7 @@ class FlowSlowBuffer:
         self.consumption = RateMeter(f"slow{flow_id}.cons", window=10_000.0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.packets
 
 
 class ElasticBufferManager:
@@ -89,9 +90,9 @@ class ElasticBufferManager:
         self.ack_deferred = None
         #: Flows whose on-NIC buffer is currently non-empty.
         self._active_buffered = 0
-        # Conservation meters (repro.audit): every buffered entry is
+        # Conservation meters (repro.audit): every buffered packet is
         # eventually removed by a drain, discarded by forget_flow, or still
-        # sitting in a live per-flow buffer.
+        # awaiting a drain in its live flow's SW ring.
         self.audit_removed = 0
         self.forgotten_entries = 0
 
@@ -109,7 +110,7 @@ class ElasticBufferManager:
     # ------------------------------------------------------------------
     # NIC-side: buffer an overflow packet
     # ------------------------------------------------------------------
-    def buffer_packet(self, packet, record):
+    def buffer_packet(self, packet):
         """Process (firmware ctx): store packet in on-NIC memory.
 
         Returns True when buffered, False when on-NIC memory is exhausted —
@@ -129,7 +130,7 @@ class ElasticBufferManager:
         if buf.nbytes == 0:
             self._active_buffered += 1
             self._update_chaos()
-        buf.entries.append((packet, record))
+        buf.packets += 1
         buf.nbytes += packet.size
         buf.production.record(self.sim.now, packet.size)
         self.buffered_packets.add(1)
@@ -143,17 +144,18 @@ class ElasticBufferManager:
         return llc.capacity - llc.occupancy if hasattr(llc, "capacity") else (
             self.host.config.cache.ddio_capacity - llc.occupancy)
 
-    def drain_batch(self, flow_id: int, entries: List):
+    def drain_batch(self, swring: SwRing, entries: List[SwEntry]):
         """Process: fetch the payloads behind ``entries`` to host memory.
 
-        ``entries`` are SwRing entries whose records reference packets held
-        in this flow's on-NIC buffer. On completion each entry is marked
-        host-resident and its LLC lines are allocated. The batch is split
-        into chunks no larger than half the DDIO partition so a drain can
-        always make progress regardless of cache size.
+        ``entries`` are ``swring`` entries whose records reference packets
+        held in this flow's on-NIC buffer. On completion each entry is
+        marked host-resident and its LLC lines are allocated. The batch is
+        split into chunks no larger than half the DDIO partition so a
+        drain can always make progress regardless of cache size.
         """
         if not entries:
             return
+        flow_id = swring.flow_id
         buf = self.flow_buffer(flow_id)
         for entry in entries:
             entry.fetching = True
@@ -169,12 +171,12 @@ class ElasticBufferManager:
                 chunk.append(entries[index])
                 total += size
                 index += 1
-            yield from self._drain_chunk(flow_id, buf, chunk, total)
+            yield from self._drain_chunk(swring, buf, chunk, total)
         if self.notify is not None:
             self.notify(flow_id)
 
-    def _drain_chunk(self, flow_id: int, buf: FlowSlowBuffer,
-                     chunk: List, total: int):
+    def _drain_chunk(self, swring: SwRing, buf: FlowSlowBuffer,
+                     chunk: List[SwEntry], total: int):
 
         # Wait for DDIO headroom; pause the fast path if we have to wait so
         # application releases can catch up (§4.1 Q2). The wait is
@@ -200,21 +202,15 @@ class ElasticBufferManager:
         # A crash_restart fault may have forgotten this flow's buffer while
         # the DMA read was in flight: forget_flow already freed its on-NIC
         # bytes, so an orphaned drain must not free (or account) them again.
-        live = self.buffers.get(flow_id) is buf
+        live = self.buffers.get(swring.flow_id) is buf
         for entry in chunk:
             packet = entry.record.packet
             self.host.llc.io_insert(entry.record.key, packet.size)
             if live:
                 self.host.nic.memory.free_bytes(packet.size)
-                buf.nbytes = max(0, buf.nbytes - packet.size)
-                if buf.nbytes == 0:
-                    self._active_buffered = max(0, self._active_buffered - 1)
-                    self._update_chaos()
-                if buf.entries and buf.entries[0][1] is entry:
-                    buf.entries.popleft()
-                    self.audit_removed += 1
+                self._drained(buf, packet.size)
                 buf.consumption.record(now, packet.size)
-            entry.resident = True
+            swring.mark_resident(entry)
             entry.fetching = False
             entry.record.deliver_time = now
             packet.delivered_time = now
@@ -223,19 +219,28 @@ class ElasticBufferManager:
                 self.ack_deferred(packet)
             self.drained_packets.add(1)
 
+    def _drained(self, buf: FlowSlowBuffer, size: int) -> None:
+        """One packet of ``buf`` left on-NIC memory for the host."""
+        buf.packets -= 1
+        self.audit_removed += 1
+        buf.nbytes = max(0, buf.nbytes - size)
+        if buf.nbytes == 0:
+            self._active_buffered = max(0, self._active_buffered - 1)
+            self._update_chaos()
+
     def forget_flow(self, flow_id: int) -> int:
         """Quiesce support (repro.faults app crash): discard a departed
         flow's on-NIC buffer, freeing its memory. Returns bytes freed."""
         buf = self.buffers.pop(flow_id, None)
         if buf is None:
             return 0
-        self.forgotten_entries += len(buf.entries)
+        self.forgotten_entries += buf.packets
         freed = buf.nbytes
         if freed > 0:
             self.host.nic.memory.free_bytes(freed)
             self._active_buffered = max(0, self._active_buffered - 1)
             self._update_chaos()
-        buf.entries.clear()
+        buf.packets = 0
         buf.nbytes = 0
         return freed
 

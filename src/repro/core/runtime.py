@@ -244,7 +244,7 @@ class CeioArchitecture(IOArchitecture):
 
     def _slow_path(self, packet: Packet, state: CeioFlowState, rx: FlowRx):
         record = RxRecord(packet, next(_keys), path="slow")
-        ok = yield from self.buffer_manager.buffer_packet(packet, record)
+        ok = yield from self.buffer_manager.buffer_packet(packet)
         if not ok:
             # On-NIC memory exhausted. Graceful degradation: spill the
             # packet straight to host DRAM (cache-bypassing DMA write) so
@@ -255,6 +255,13 @@ class CeioArchitecture(IOArchitecture):
             else:
                 self.buffer_manager.slow_drops.add(1)
                 self._drop(packet, rx)
+            return
+        if self.states.get(packet.flow.flow_id) is not state:
+            # The flow was torn down (app crash) while the packet was being
+            # written to on-NIC memory: its buffer was re-created for a dead
+            # flow id that nothing will drain. Free it and drop the packet.
+            self.buffer_manager.forget_flow(packet.flow.flow_id)
+            self._drop(packet, rx)
             return
         self.slow_packets.add(1)
         rx.in_use += 1
@@ -302,11 +309,12 @@ class CeioArchitecture(IOArchitecture):
         # the payload was never buffered on the NIC.
         entry.fetching = True
         fid = packet.flow.flow_id
+        swring = state.swring
 
         def deliver(now: float) -> None:
             packet.delivered_time = now
             record.deliver_time = now
-            entry.resident = True
+            swring.mark_resident(entry)
             entry.fetching = False
             self._notify_ready(fid)
 
@@ -334,7 +342,7 @@ class CeioArchitecture(IOArchitecture):
         # Only *poppable* records count: entries awaiting a slow-path fetch
         # re-notify via the buffer manager when the fetch completes.
         state = self.states.get(fid)
-        return state is not None and state.swring.ready_count > 0
+        return state is not None and state.swring.head_ready
 
     def recv_burst(self, flow: Flow, max_packets: int):
         """Process-context receive honouring the async ablation switch."""
@@ -643,11 +651,21 @@ class CeioArchitecture(IOArchitecture):
         elastic.debit("buffered", bm.buffered_packets)
         elastic.credit("removed", (bm, "audit_removed"))
         elastic.credit("forgotten", (bm, "forgotten_entries"))
-        elastic.credit("occupancy",
-                       lambda: sum(len(b.entries)
-                                   for b in bm.buffers.values()))
+        # Still on the NIC = slow-path SW-ring entries awaiting a drain, read
+        # from the rings rather than the buffer's own count, so a drain that
+        # marks an entry resident without counting the packet removed shows.
+        elastic.credit("nonresident_slow", self._audit_slow_backlog)
 
         self._register_admission_account(ledger)
+
+    def _audit_slow_backlog(self) -> int:
+        """Slow-path SW-ring entries of live flows still awaiting a drain
+        (O(ring) scan). Spilled entries never held on-NIC memory; a crash
+        teardown forgets a flow's ring and its on-NIC buffer in the same
+        step."""
+        return sum(1 for state in self.states.values()
+                   for entry in state.swring.iter_nonresident()
+                   if entry.record.path == "slow")
 
 
 # Register with the architecture registry (done here rather than in

@@ -10,13 +10,16 @@ so the consumer never observes a slow packet ahead of an earlier fast one.
 
 Entries carry a per-entry location flag (``resident``) exactly as the
 paper describes — the driver polls it to decide which entries still need a
-DMA read from on-NIC memory.
+DMA read from on-NIC memory. :meth:`SwRing.mark_resident` is its only
+writer, so the ring keeps a count of non-resident entries and answers the
+driver's per-poll questions without scanning.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from itertools import chain
+from typing import Deque, Iterator, List, Optional
 
 __all__ = ["SwEntry", "SwRing"]
 
@@ -29,7 +32,8 @@ class SwEntry:
     def __init__(self, record, resident: bool):
         self.record = record
         #: True once the payload is in host memory (fast path: immediately;
-        #: slow path: after the DMA read completes).
+        #: slow path: after the DMA read completes). Set through
+        #: :meth:`SwRing.mark_resident` only.
         self.resident = resident
         #: True while a slow-path DMA read for this entry is in flight.
         self.fetching = False
@@ -42,6 +46,9 @@ class SwRing:
         self.flow_id = flow_id
         self._entries: Deque[SwEntry] = deque()
         self._pending_slow: Deque[SwEntry] = deque()
+        #: Non-resident entries in ``_entries`` and ``_pending_slow``
+        #: together; only :meth:`mark_resident` brings it down.
+        self._nonresident = 0
         #: Barrier: slow entries may enter only once this many fast-path
         #: packets have been delivered. None = no transition in progress.
         self._barrier: Optional[int] = None
@@ -80,6 +87,7 @@ class SwRing:
     def push_slow(self, record) -> SwEntry:
         """Slow-path arrival (payload buffered in on-NIC memory)."""
         entry = SwEntry(record, resident=False)
+        self._nonresident += 1
         self._pending_slow.append(entry)
         self._flush_pending()
         return entry
@@ -87,8 +95,16 @@ class SwRing:
     def push_slow_unordered(self, record) -> SwEntry:
         """Ablation hook: bypass the barrier (phase exclusivity off)."""
         entry = SwEntry(record, resident=False)
+        self._nonresident += 1
         self._entries.append(entry)
         return entry
+
+    def mark_resident(self, entry: SwEntry) -> None:
+        """The payload behind ``entry`` reached host memory (a drain's DMA
+        read or a spill write completed)."""
+        if not entry.resident:
+            entry.resident = True
+            self._nonresident -= 1
 
     def _flush_pending(self) -> None:
         if self._barrier is not None and self.fast_delivered < self._barrier:
@@ -130,6 +146,11 @@ class SwRing:
         return len(self._entries) + len(self._pending_slow)
 
     @property
+    def head_ready(self) -> bool:
+        """True when :meth:`pop_ready` would return a record."""
+        return bool(self._entries) and self._entries[0].resident
+
+    @property
     def ready_count(self) -> int:
         """Entries at the head that are host-resident."""
         count = 0
@@ -168,5 +189,14 @@ class SwRing:
 
     @property
     def has_nonresident(self) -> bool:
-        return any(not e.resident for e in self._entries) or bool(
-            self._pending_slow)
+        """A non-resident entry is in the ring, or slow entries are held
+        back (with ``_pending_slow`` empty the count covers ``_entries``
+        alone)."""
+        return self._nonresident > 0 or bool(self._pending_slow)
+
+    def iter_nonresident(self) -> Iterator[SwEntry]:
+        """Every entry not yet host-resident, held-back ones included
+        (audit helper: O(ring))."""
+        for entry in chain(self._entries, self._pending_slow):
+            if not entry.resident:
+                yield entry

@@ -80,8 +80,12 @@ class TimeWeightedGauge:
         self._area += self._level * (now - self._t_last)
         self._t_last = now
         self._level = level
-        self._max = max(self._max, level)
-        self._min = min(self._min, level)
+        # Comparisons, not max()/min(): the same values (NaN included)
+        # without two builtin calls per update.
+        if level > self._max:
+            self._max = level
+        if level < self._min:
+            self._min = level
 
     def adjust(self, now: float, delta: float) -> None:
         self.update(now, self._level + delta)
@@ -171,8 +175,10 @@ class Histogram:
         self._counts[idx] += n
         self.count += n
         self._sum += value * n
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def mean(self) -> float:

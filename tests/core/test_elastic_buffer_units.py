@@ -16,13 +16,10 @@ def build(config=None):
 
 
 def _buffer(sim, manager, flow, seqs):
-    from repro.io_arch.base import RxRecord
-
     def proc(sim):
         for seq in seqs:
             pkt = flow.make_message().packets(flow, seq)[0]
-            record = RxRecord(pkt, key=seq, path="slow")
-            ok = yield from manager.buffer_packet(pkt, record)
+            ok = yield from manager.buffer_packet(pkt)
             assert ok
 
     sim.process(proc(sim))
@@ -89,11 +86,9 @@ def test_on_nic_memory_exhaustion_counts_overflow():
     results = []
 
     def proc(sim):
-        from repro.io_arch.base import RxRecord
         for seq in range(3):
             pkt = flow.make_message().packets(flow, seq)[0]
-            ok = yield from manager.buffer_packet(
-                pkt, RxRecord(pkt, key=seq, path="slow"))
+            ok = yield from manager.buffer_packet(pkt)
             results.append(ok)
 
     sim.process(proc(sim))

@@ -97,7 +97,7 @@ def test_slow_records_not_ready_until_resident():
     assert ring.has_nonresident
     entries = ring.nonresident_head(10)
     assert len(entries) == 1
-    entries[0].resident = True
+    ring.mark_resident(entries[0])
     assert [r.packet.seq for r in ring.pop_ready(10)] == [0]
 
 
@@ -117,7 +117,7 @@ def test_barrier_holds_slow_behind_inflight_fast():
     # Barrier satisfied: the slow entry enters the ring.
     entries = ring.nonresident_head(10)
     assert len(entries) == 1
-    entries[0].resident = True
+    ring.mark_resident(entries[0])
     assert [r.packet.seq for r in ring.pop_ready(10)] == [0, 1, 2]
     assert ring.out_of_order == 0
 
@@ -138,9 +138,9 @@ def test_head_of_line_blocking_on_nonresident_entry():
     ring.push_slow(_FakeRecord(0))
     ring.push_slow(_FakeRecord(1))
     entries = ring.nonresident_head(10)
-    entries[1].resident = True  # second fetched first (out-of-order DMA)
+    ring.mark_resident(entries[1])  # second fetched first (out-of-order DMA)
     assert ring.pop_ready(10) == []
-    entries[0].resident = True
+    ring.mark_resident(entries[0])
     assert [r.packet.seq for r in ring.pop_ready(10)] == [0, 1]
 
 
@@ -162,7 +162,7 @@ def test_unordered_push_detects_out_of_order():
     ring.push_slow_unordered(_FakeRecord(5))
     ring.push_fast(_FakeRecord(3))  # arrives later, lower seq
     for entry in ring.nonresident_head(10):
-        entry.resident = True
+        ring.mark_resident(entry)
     records = ring.pop_ready(10)
     assert [r.packet.seq for r in records] == [5, 3]
     assert ring.out_of_order == 1

@@ -81,6 +81,11 @@ def test_release_barrier_holes_flushes_and_forgives():
     assert ring.holes_released == 2
     assert not ring.barrier_unmet()
     assert len(ring) == 4                      # slow entry joined the ring
+    assert ring.has_nonresident
+    (slow,) = ring.nonresident_head(10)
+    ring.mark_resident(slow)
+    assert not ring.has_nonresident
+    assert [r.packet.seq for r in ring.pop_ready(10)] == [0, 1, 2, 10]
     # fast_issued realigned: a re-degrade cannot recreate the dead barrier.
     assert ring.fast_issued == ring.fast_delivered
     ring.set_barrier()

@@ -6,7 +6,7 @@ Invariants covered:
   or destroys credits;
 - **SW-ring ordering** — any interleaving of fast deliveries, degradation
   barriers, slow arrivals, and fetch completions pops records in seq
-  order;
+  order, and the ring's counted residency answers equal their scans;
 - **LLC capacity** — the DDIO partition never exceeds its byte budget and
   both cache models agree that a buffer inserted and not evicted hits;
 - **token bucket** — served amounts never exceed rate x time + burst;
@@ -104,8 +104,24 @@ class _Rec:
 
 
 ring_script = st.lists(
-    st.sampled_from(["fast", "degrade", "slow", "upgrade", "fetch", "pop"]),
+    st.sampled_from(["fast", "degrade", "slow", "upgrade", "fetch",
+                     "fetch_last", "pop"]),
     min_size=1, max_size=200)
+
+
+def _assert_counts_match_scan(ring):
+    """``has_nonresident``, ``ready_count`` and ``head_ready`` equal their
+    brute-force definitions over the ring's two deques."""
+    entries = list(ring._entries)
+    assert ring.has_nonresident == (
+        any(not e.resident for e in entries) or bool(ring._pending_slow))
+    ready = 0
+    for entry in entries:
+        if not entry.resident:
+            break
+        ready += 1
+    assert ring.ready_count == ready
+    assert ring.head_ready == (ready > 0)
 
 
 @given(script=ring_script)
@@ -115,7 +131,8 @@ def test_swring_pops_in_order_under_any_interleaving(script):
     to the fast path (delivered after all earlier fast issues); after a
     degrade, packets go to the slow path until an upgrade (which only
     happens once the slow side is fully fetched & popped - phase
-    exclusivity). Pops must always come out in global seq order."""
+    exclusivity). Pops must always come out in global seq order, and the
+    counted residency answers must equal their scans after every step."""
     ring = SwRing(1)
     seq = 0
     mode = "fast"
@@ -143,27 +160,35 @@ def test_swring_pops_in_order_under_any_interleaving(script):
             while inflight_fast:
                 deliver_one_fast()
             for entry in ring.nonresident_head(10_000):
-                entry.resident = True
+                ring.mark_resident(entry)
             if not ring.has_nonresident:
                 ring.clear_barrier()
                 mode = "fast"
         elif op == "fetch":
             for entry in ring.nonresident_head(4):
-                entry.resident = True
+                ring.mark_resident(entry)
+        elif op == "fetch_last":
+            # An out-of-order DMA completion behind the head.
+            pending = ring.nonresident_head(10_000)
+            if pending:
+                ring.mark_resident(pending[-1])
         elif op == "pop":
             deliver_one_fast()
             popped.extend(r.packet.seq for r in ring.pop_ready(8))
+        _assert_counts_match_scan(ring)
 
     while inflight_fast:
         deliver_one_fast()
     for entry in ring.nonresident_head(10_000):
-        entry.resident = True
+        ring.mark_resident(entry)
     # A residual barrier from a still-degraded flow is released here to
     # flush pending entries for the final check.
     ring.clear_barrier()
     for entry in ring.nonresident_head(10_000):
-        entry.resident = True
+        ring.mark_resident(entry)
     popped.extend(r.packet.seq for r in ring.pop_ready(10_000))
+    _assert_counts_match_scan(ring)
+    assert not ring.has_nonresident
     assert popped == sorted(popped)
     assert ring.out_of_order == 0
 
