@@ -13,7 +13,7 @@ Run:  python examples/custom_architecture.py
 
 from repro.experiments.report import render_table
 from repro.io_arch import ARCHITECTURES, IOArchitecture
-from repro.workloads import Scenario, ScenarioConfig
+from repro.workloads import compile_scenario, two_host_spec
 
 
 class StaticPartitionArch(IOArchitecture):
@@ -37,9 +37,10 @@ def main() -> None:
     ARCHITECTURES["static-partition"] = StaticPartitionArch
     rows = []
     for arch in ("static-partition", "ceio"):
-        scenario = Scenario(ScenarioConfig(arch=arch, n_involved=8,
-                                           payload=144, seed=4)).build()
-        m = scenario.run_measure()
+        spec = two_host_spec(
+            [{"name": "kv", "workload": "kvstore", "flows": 8,
+              "payload": 144}], seed=4, arch=arch)
+        m = compile_scenario(spec).run_measure()["host"]
         rows.append([arch, m.involved_mpps, m.llc_miss_rate * 100,
                      m.p999_us, m.dropped])
         print(f"  ... {arch}: {m.involved_mpps:.1f} Mpps")

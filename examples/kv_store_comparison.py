@@ -9,15 +9,16 @@ Run:  python examples/kv_store_comparison.py
 """
 
 from repro.experiments.report import render_table
-from repro.workloads import Scenario, ScenarioConfig
+from repro.workloads import compile_scenario, two_host_spec
 
 
 def main() -> None:
     rows = []
     for arch in ("baseline", "hostcc", "shring", "ceio"):
-        scenario = Scenario(ScenarioConfig(arch=arch, n_involved=8,
-                                           payload=144, seed=1)).build()
-        m = scenario.run_measure()
+        spec = two_host_spec(
+            [{"name": "kv", "workload": "kvstore", "flows": 8,
+              "payload": 144}], seed=1, arch=arch)
+        m = compile_scenario(spec).run_measure()["host"]
         rows.append([arch, m.involved_mpps, m.llc_miss_rate * 100,
                      m.p99_us, m.p999_us, m.dropped])
         print(f"  ... {arch} done "

@@ -11,17 +11,19 @@ Run:  python examples/mixed_tenancy.py
 """
 
 from repro.experiments.report import render_table
-from repro.workloads import Scenario, ScenarioConfig
+from repro.workloads import compile_scenario, two_host_spec
 
 
 def main() -> None:
     rows = []
     for arch in ("baseline", "ceio"):
-        scenario = Scenario(ScenarioConfig(
-            arch=arch, n_involved=6, n_bypass=2,
-            payload=144, bypass_payload=1024, chunk_packets=32,
-            seed=2)).build()
-        m = scenario.run_measure()
+        spec = two_host_spec(
+            [{"name": "kv", "workload": "kvstore", "flows": 6,
+              "payload": 144},
+             {"name": "dfs", "workload": "linefs", "flows": 2,
+              "payload": 1024, "chunk_packets": 32, "outstanding": 8}],
+            seed=2, arch=arch)
+        m = compile_scenario(spec).run_measure()["host"]
         ff = m.extras.get("fast_fraction", float("nan"))
         rows.append([arch, m.involved_mpps, m.bypass_gbps,
                      m.llc_miss_rate * 100,

@@ -13,7 +13,7 @@ Three pieces (see ``docs/AUDIT.md``):
   set for every layer.
 
 This module also hosts the *report collector*: a process-local mailbox
-that :meth:`Scenario.run_measure` drops each report summary into and that
+that :meth:`TopoScenario.run_measure` drops each report summary into and that
 the runner's pool workers drain after every point, so audit results ride
 back to the parent alongside the point value without changing any
 ``run_point`` return type (golden digests stay byte-identical).

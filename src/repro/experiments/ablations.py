@@ -19,26 +19,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..core import CeioConfig
 from ..runner.sweep import Point, make_point, run_points_serial
-from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
 
 MIXED_SEED = 29
 EXCLUSIVITY_SEED = 31
 _FN = "repro.experiments.ablations:run_point"
-
-
-def _mixed_config(quick: bool, ceio: CeioConfig, seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        arch="ceio", n_involved=4, n_bypass=4, payload=144,
-        bypass_payload=1024, chunk_packets=32,
-        warmup=(400 * US if quick else 800 * US),
-        duration=(500 * US if quick else 1000 * US),
-        seed=seed, ceio=ceio)
 
 
 def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
@@ -68,40 +57,51 @@ def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
     return pts
 
 
-def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     quick = params["quick"]
+    if params["kind"] == "static":
+        # Full-buffer payloads: with 2 KB-aligned buffers nearly filled,
+        # both cache models see the same occupancy. (At small payloads
+        # they legitimately diverge — the set-associative model captures
+        # the alignment waste of 2 KB-strided mbufs, which the
+        # byte-accounted fully-associative model cannot; see the result
+        # note.)
+        return two_host_spec(
+            [{"name": "kv", "workload": "kvstore", "flows": 8,
+              "payload": 1900}],
+            seed=seed, arch="ceio",
+            set_associative_cache=params["set_associative"],
+            warmup_us=300.0 if quick else 600.0,
+            duration_us=400.0 if quick else 800.0)
     if params["kind"] == "mixed":
-        ceio = CeioConfig(lazy_release=params["lazy_release"],
-                          phase_exclusivity=params["phase_exclusivity"])
-        scenario = Scenario(_mixed_config(quick, ceio, seed)).build()
-        m = scenario.run_measure()
-        ooo = sum(st.swring.out_of_order
-                  for st in scenario.arch.states.values())
+        host: Dict[str, Any] = {"arch": "ceio", "ceio": {
+            "lazy_release": params["lazy_release"],
+            "phase_exclusivity": params["phase_exclusivity"]}}
+    else:
+        host = {"arch": "mpq"}
+    tenants = [
+        {"name": "kv", "workload": "kvstore", "flows": 4, "payload": 144},
+        {"name": "dfs", "workload": "linefs", "flows": 4, "payload": 1024,
+         "chunk_packets": 32, "outstanding": 8},
+    ]
+    return two_host_spec(tenants, seed=seed,
+                         warmup_us=400.0 if quick else 800.0,
+                         duration_us=500.0 if quick else 1000.0, **host)
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+    scenario = compile_scenario(scenario_spec(params, seed))
+    m = scenario.run_measure()["host"]
+    arch = scenario.fabric.endpoints["host"].io_arch
+    if params["kind"] == "mixed":
+        ooo = sum(st.swring.out_of_order for st in arch.states.values())
         return {"mpps": m.involved_mpps,
                 "fast_fraction": m.extras.get("fast_fraction", 0.0),
                 "ooo": ooo}
     if params["kind"] == "mpq":
-        config = ScenarioConfig(
-            arch="mpq", n_involved=4, n_bypass=4, payload=144,
-            bypass_payload=1024, chunk_packets=32,
-            warmup=(400 * US if quick else 800 * US),
-            duration=(500 * US if quick else 1000 * US), seed=seed)
-        scenario = Scenario(config).build()
-        m = scenario.run_measure()
         return {"mpps": m.involved_mpps,
-                "high_fraction": scenario.arch.high_fraction(),
-                "demotions": scenario.arch.demotions.value}
-    # Full-buffer payloads: with 2 KB-aligned buffers nearly filled, both
-    # cache models see the same occupancy. (At small payloads they
-    # legitimately diverge — the set-associative model captures the
-    # alignment waste of 2 KB-strided mbufs, which the byte-accounted
-    # fully-associative model cannot; see the result note.)
-    config = ScenarioConfig(
-        arch="ceio", n_involved=8, payload=1900,
-        set_associative_cache=params["set_associative"],
-        warmup=(300 * US if quick else 600 * US),
-        duration=(400 * US if quick else 800 * US), seed=seed)
-    m = Scenario(config).build().run_measure()
+                "high_fraction": arch.high_fraction(),
+                "demotions": arch.demotions.value}
     return {"mpps": m.involved_mpps}
 
 

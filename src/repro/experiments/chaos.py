@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..core import CeioConfig
 from ..faults import FaultPlan, FaultSpec
 from ..runner.sweep import Point, make_point, run_points_serial
 from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
 
 DEFAULT_SEED = 23
 _FN = "repro.experiments.chaos:run_point"
@@ -69,6 +68,9 @@ N_INVOLVED = 4
 #: fault-caused — the ablation's wedge is deterministic, not a race with
 #: ordinary credit churn.
 OUTSTANDING = 32
+#: ``ceio-norecovery``: watchdog, stuck-slot release and spill all off.
+NO_RECOVERY = {"credit_watchdog": False, "swring_stuck_timeout": 0.0,
+               "spill_to_dram": False}
 
 
 def _label(variant: str, magnitude: float) -> str:
@@ -95,30 +97,36 @@ def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
     return pts
 
 
-def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    plan = FaultPlan.from_dicts(params["faults"])
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """The variant's testbed with the point's fault plan armed; its
+    measure block is the healthy pre-fault window."""
     variant = params["variant"]
-    arch = "ceio" if variant.startswith("ceio") else variant
-    ceio_cfg = None
+    host: Dict[str, Any] = {
+        "arch": "ceio" if variant.startswith("ceio") else variant,
+        "scale": SCALE}
     if variant == "ceio-norecovery":
-        ceio_cfg = CeioConfig(credit_watchdog=False,
-                              swring_stuck_timeout=0.0,
-                              spill_to_dram=False)
-    config = ScenarioConfig(arch=arch, scale=SCALE, n_involved=N_INVOLVED,
-                            outstanding=OUTSTANDING, seed=seed,
-                            ceio=ceio_cfg, faults=plan,
-                            warmup=WARMUP, duration=PRE)
-    scenario = Scenario(config).build()
-    pre = scenario.run_measure()
-    during = scenario.run_measure(0.0, FAULT)
-    posts = [scenario.run_measure(0.0, POST) for _ in range(N_POST)]
+        host["ceio"] = NO_RECOVERY
+    tenant = {"name": "kv", "workload": "kvstore", "flows": N_INVOLVED,
+              "outstanding": OUTSTANDING}
+    return two_host_spec([tenant], seed=seed, fault_plan=params["faults"],
+                         warmup_us=WARMUP / US, duration_us=PRE / US,
+                         **host)
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    scenario = compile_scenario(scenario_spec(params, seed))
+    endpoint = scenario.fabric.endpoints["host"]
+    pre = scenario.run_measure()["host"]
+    during = scenario.run_measure(0.0, FAULT)["host"]
+    posts = [scenario.run_measure(0.0, POST)["host"]
+             for _ in range(N_POST)]
 
     windows = [pre, during] + posts
     out: Dict[str, Any] = {
         "pre": pre.involved_mpps,
         "during": during.involved_mpps,
         "post": [m.involved_mpps for m in posts],
-        "dropped_writes": scenario.endpoint.host.nic.dma.dropped_writes.value,
+        "dropped_writes": endpoint.host.nic.dma.dropped_writes.value,
         # Per-flow drops summed over every measured window — includes the
         # silently-lost DMA writes that baseline/shring/hostcc previously
         # failed to account into Measurement.dropped.
@@ -127,7 +135,7 @@ def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
             len((m.audit or {}).get("violations", ())) for m in windows),
     }
     for attr in ("credit_reclaimed", "swring_holes", "spilled"):
-        counter = getattr(scenario.arch, attr, None)
+        counter = getattr(endpoint.io_arch, attr, None)
         if counter is not None:
             out[attr] = counter.value
     return out

@@ -5,7 +5,7 @@ phase's CPU-involved throughput against the *expected* performance
 (number of CPU-involved flows x the single-core throughput of ShRing with
 sufficient LLC). Figure 10 repeats both scenarios with CEIO included.
 
-Scenario definitions (time scaled from the paper's 10 s phases to
+The two scenarios (time scaled from the paper's 10 s phases to
 sub-millisecond phases; the control loops run at µs granularity so the
 transients are fully exercised):
 
@@ -25,19 +25,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..hw import CacheConfig, HostConfig
 from ..runner.sweep import Point, make_point, run_points_serial
-from ..sim.units import MIB, US
-from ..workloads import (
-    Scenario,
-    ScenarioConfig,
-    add_two_burst_flows,
-    replace_two_with_bypass,
-)
+from ..workloads import TopoScenario, compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["expected_per_core_mpps", "run_dynamic", "run_fig04", "run_fig10",
-           "points", "run_point", "collect"]
+__all__ = ["run_fig04", "run_fig10", "points", "scenario_spec", "run_point",
+           "collect"]
 
 DEFAULT_SEED = 11
 EXPECTED_SEED = 3
@@ -51,38 +44,42 @@ _ARCHS = {
 }
 
 
-def expected_per_core_mpps(payload: int, seed: int = EXPECTED_SEED) -> float:
-    """The paper's expected-performance reference: single-core ShRing
-    throughput with *sufficient LLC* (we grant an over-sized LLC so no
-    misses can occur)."""
-    big_cache = HostConfig(cache=CacheConfig(size=256 * MIB))
-    config = ScenarioConfig(arch="shring", n_involved=1, payload=payload,
-                            host_config=big_cache, warmup=200 * US,
-                            duration=300 * US, seed=seed)
-    m = Scenario(config).build().run_measure()
-    return m.involved_mpps
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """``expected``: single-core ShRing on the unscaled 12 MB testbed,
+    whose LLC is sufficient for one flow. Otherwise the trajectory's
+    starting point, 8 KV flows, plus an unwired LineFS tenant the
+    *dynamic* phases draw on."""
+    if params["kind"] == "expected":
+        return two_host_spec(
+            [{"name": "kv", "workload": "kvstore", "flows": 1,
+              "payload": params["payload"]}],
+            seed=seed, arch="shring", scale=1,
+            warmup_us=200.0, duration_us=300.0)
+    quick = params["quick"]
+    tenants = [
+        {"name": "kv", "workload": "kvstore", "flows": 8},
+        {"name": "dfs", "workload": "linefs", "flows": 0, "payload": 1024,
+         "chunk_packets": 32, "outstanding": 8},
+    ]
+    return two_host_spec(tenants, seed=seed, arch=params["arch"],
+                         warmup_us=250.0 if quick else 500.0,
+                         duration_us=300.0 if quick else 600.0)
 
 
-def run_dynamic(archs: List[str], scenario_kind: str, phases: int,
-                quick: bool, seed: int = DEFAULT_SEED):
-    """Run one dynamic scenario for several architectures.
-
-    Returns {arch: [per-phase involved Mpps]}, {arch: [per-phase miss]}.
-    """
-    action = (replace_two_with_bypass if scenario_kind == "dynamic"
-              else add_two_burst_flows)
-    phase_warmup = 250 * US if quick else 500 * US
-    phase_duration = (300 * US) if quick else (600 * US)
-    mpps: Dict[str, List[float]] = {}
-    miss: Dict[str, List[float]] = {}
-    for arch in archs:
-        scenario = Scenario(ScenarioConfig(arch=arch, n_involved=8,
-                                           seed=seed)).build()
-        results = scenario.run_phases([action] * phases,
-                                      phase_warmup, phase_duration)
-        mpps[arch] = [m.involved_mpps for m in results]
-        miss[arch] = [m.llc_miss_rate for m in results]
-    return mpps, miss
+def _phase_action(scenario: TopoScenario, scenario_kind: str) -> None:
+    """*dynamic* (Figures 4a/10a): two CPU-involved flows go quiet and
+    two CPU-bypass (LineFS) flows arrive. *burst* (4b/10b): two more
+    CPU-involved flows arrive on two extra cores."""
+    if scenario_kind == "dynamic":
+        for _ in range(2):
+            scenario.stop_involved_flow("host")
+        n = len(scenario.bypass["host"])
+        for i in range(2):
+            scenario.add_flow("dfs", f"dfs{n + i}")
+    else:
+        n = len(scenario.involved["host"])
+        for i in range(2):
+            scenario.add_flow("kv", f"burst{n + i}")
 
 
 def _involved_counts(scenario_kind: str, phases: int) -> List[int]:
@@ -110,11 +107,17 @@ def points(exp_id: str, quick: bool = True,
 
 
 def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """The expected reference's rate, or one trajectory: phase 0 as
+    built, then each phase action followed by a new warm-up + window."""
+    scenario = compile_scenario(scenario_spec(params, seed))
+    results = [scenario.run_measure()["host"]]
     if params["kind"] == "expected":
-        return {"per_core": expected_per_core_mpps(params["payload"], seed)}
-    mpps, miss = run_dynamic([params["arch"]], params["kind"],
-                             params["phases"], params["quick"], seed)
-    return {"mpps": mpps[params["arch"]], "miss": miss[params["arch"]]}
+        return {"per_core": results[0].involved_mpps}
+    for _ in range(params["phases"]):
+        _phase_action(scenario, params["kind"])
+        results.append(scenario.run_measure()["host"])
+    return {"mpps": [m.involved_mpps for m in results],
+            "miss": [m.llc_miss_rate for m in results]}
 
 
 def collect(exp_id: str, results: Mapping[str, Any], quick: bool = True,

@@ -20,11 +20,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..runner.sweep import Point, make_point, run_points_serial
-from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
 
 ARCHS = ["baseline", "hostcc", "shring", "ceio"]
 SIZES_QUICK = [144, 512, 1024]
@@ -55,21 +54,25 @@ def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
     return pts
 
 
-def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    quick = params["quick"]
-    warmup = 400 * US if quick else 800 * US
-    duration = (500 * US) if quick else (1000 * US)
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One point's testbed: 8 LineFS flows of ``size``-byte packets over
+    RDMA, or 8 KV flows of ``size``-byte requests."""
     if params["bypass"]:
-        config = ScenarioConfig(
-            arch=params["arch"], n_involved=0, n_bypass=8,
-            bypass_payload=params["size"], chunk_packets=32,
-            transport="rdma", warmup=warmup, duration=duration, seed=seed)
+        tenant = {"name": "dfs", "workload": "linefs", "flows": 8,
+                  "payload": params["size"], "chunk_packets": 32,
+                  "outstanding": 8}
     else:
-        config = ScenarioConfig(
-            arch=params["arch"], n_involved=8, payload=params["size"],
-            transport=params["transport"], warmup=warmup,
-            duration=duration, seed=seed)
-    m = Scenario(config).build().run_measure()
+        tenant = {"name": "kv", "workload": "kvstore", "flows": 8,
+                  "payload": params["size"],
+                  "transport": params["transport"]}
+    quick = params["quick"]
+    return two_host_spec([tenant], seed=seed, arch=params["arch"],
+                         warmup_us=400.0 if quick else 800.0,
+                         duration_us=500.0 if quick else 1000.0)
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+    m = compile_scenario(scenario_spec(params, seed)).run_measure()["host"]
     rate = m.bypass_mpps if params["bypass"] else m.involved_mpps
     return {"mpps": rate, "miss": m.llc_miss_rate}
 

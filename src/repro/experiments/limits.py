@@ -12,40 +12,41 @@ must also show):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
-from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run"]
+__all__ = ["run", "scenario_spec"]
 
 
 DEFAULT_SEED = 23
 
 
-def _low_pressure(arch: str, quick: bool, seed: int) -> tuple:
-    """64B VxLAN-decap-style workload: the total descriptor footprint
-    (2 flows x 4096 buffers x ~106 B frames) fits inside the DDIO
-    partition, so the LLC cannot be the bottleneck for anyone."""
-    config = ScenarioConfig(
-        arch=arch, n_involved=2, payload=64, outstanding=24,
-        warmup=(300 * US if quick else 600 * US),
-        duration=(400 * US if quick else 800 * US), seed=seed)
-    m = Scenario(config).build().run_measure()
+def scenario_spec(kind: str, arch: str, quick: bool,
+                  seed: int) -> Dict[str, Any]:
+    """``low-pressure``: a 64B VxLAN-decap-style workload whose total
+    descriptor footprint (2 flows x 4096 buffers x ~106 B frames) fits
+    inside the DDIO partition, so the LLC cannot be the bottleneck for
+    anyone. ``jumbo``: 9000B echo on 16 KB I/O buffers, line rate
+    despite misses."""
+    if kind == "low-pressure":
+        tenant = {"name": "kv", "workload": "kvstore", "flows": 2,
+                  "payload": 64, "outstanding": 24}
+        host: Dict[str, Any] = {}
+    else:
+        tenant = {"name": "kv", "workload": "kvstore", "flows": 8,
+                  "payload": 9000, "outstanding": 32}
+        host = {"io_buf_size": 16 * 1024}
+    return two_host_spec([tenant], seed=seed, arch=arch,
+                         warmup_us=300.0 if quick else 600.0,
+                         duration_us=400.0 if quick else 800.0, **host)
+
+
+def _measure(kind: str, arch: str, quick: bool, seed: int) -> tuple:
+    spec = scenario_spec(kind, arch, quick, seed)
+    m = compile_scenario(spec).run_measure()["host"]
     return m.involved_mpps, m.llc_miss_rate
-
-
-def _jumbo(arch: str, quick: bool, seed: int) -> tuple:
-    """9000B jumbo echo: 16 KB I/O buffers, line rate despite misses."""
-    config = ScenarioConfig(
-        arch=arch, n_involved=8, payload=9000, io_buf_size=16 * 1024,
-        outstanding=32,
-        warmup=(300 * US if quick else 600 * US),
-        duration=(400 * US if quick else 800 * US), seed=seed)
-    m = Scenario(config).build().run_measure()
-    gbps = m.involved_mpps * 9000 * 8 / 1000.0
-    return m.involved_mpps, gbps, m.llc_miss_rate
 
 
 def run(quick: bool = True,
@@ -62,7 +63,7 @@ def run(quick: bool = True,
 
     lp = {}
     for arch in ("baseline", "ceio"):
-        mpps, miss = _low_pressure(arch, quick, root_seed)
+        mpps, miss = _measure("low-pressure", arch, quick, root_seed)
         lp[arch] = (mpps, miss)
         result.rows.append(["64B-low-pressure", arch, mpps,
                             mpps * 64 * 8 / 1000.0, miss * 100])
@@ -78,7 +79,8 @@ def run(quick: bool = True,
 
     jb = {}
     for arch in ("baseline", "ceio"):
-        mpps, gbps, miss = _jumbo(arch, quick, root_seed)
+        mpps, miss = _measure("jumbo", arch, quick, root_seed)
+        gbps = mpps * 9000 * 8 / 1000.0
         jb[arch] = (mpps, gbps, miss)
         result.rows.append(["9000B-jumbo", arch, mpps, gbps, miss * 100])
     result.check(

@@ -28,10 +28,10 @@ from ..faults import FaultPlan, FaultSpec
 from ..runner.sweep import Point, make_point, run_points_serial
 from ..sim.rng import RngRegistry
 from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
 
 DEFAULT_SEED = 407
 _FN = "repro.experiments.soak:run_point"
@@ -166,9 +166,7 @@ def _demand_points(quick: bool, seed: Optional[int]) -> List[Point]:
     return pts
 
 
-def _run_demand_point(params: Mapping[str, Any],
-                      seed: int) -> Dict[str, Any]:
-    from ..workloads.topo_scenario import compile_scenario
+def _demand_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     host: Dict[str, Any] = {"arch": params["arch"]}
     if params["guarded"]:
         host["ceio"] = {"admission_control": True,
@@ -177,7 +175,7 @@ def _run_demand_point(params: Mapping[str, Any],
     if params["arrivals"] == "sessions":
         tenant.update({"arrivals": "sessions", "mean_messages": 16.0,
                        "shape": 1.5, "intra_gap_us": 2.0})
-    spec = {
+    return {
         "version": 1,
         "name": "soak-demand",
         "seed": seed,
@@ -194,26 +192,26 @@ def _run_demand_point(params: Mapping[str, Any],
         "measure": {"warmup_us": WARMUP / US,
                     "duration_us": DURATION / US},
     }
-    measurement = compile_scenario(spec).run_measure()["s0"]
-    audit = measurement.audit or {}
-    return {
-        "mpps": measurement.total_mpps,
-        "dropped": measurement.dropped,
-        "checked": audit.get("checked", 0),
-        "violations": [v["message"] for v in audit.get("violations", ())],
-    }
+
+
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """A sampled point: closed-loop KV and LineFS flows with their fault
+    plan on the testbed, or an open-loop demand point on a star."""
+    if params.get("mode") == "demand":
+        return _demand_spec(params, seed)
+    tenants = [
+        {"name": "kv", "workload": "kvstore", "flows": params["n_involved"]},
+        {"name": "dfs", "workload": "linefs", "flows": params["n_bypass"],
+         "payload": 1024, "chunk_packets": 32, "outstanding": 8},
+    ]
+    return two_host_spec(tenants, seed=seed, fault_plan=params["faults"],
+                         arch=params["arch"], scale=8,
+                         warmup_us=WARMUP / US, duration_us=DURATION / US)
 
 
 def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    if params.get("mode") == "demand":
-        return _run_demand_point(params, seed)
-    plan = FaultPlan.from_dicts(params["faults"])
-    config = ScenarioConfig(
-        arch=params["arch"], scale=8,
-        n_involved=params["n_involved"], n_bypass=params["n_bypass"],
-        seed=seed, faults=plan if plan else None,
-        warmup=WARMUP, duration=DURATION)
-    measurement = Scenario(config).build().run_measure()
+    (measurement,) = compile_scenario(
+        scenario_spec(params, seed)).run_measure().values()
     audit = measurement.audit or {}
     return {
         "mpps": measurement.total_mpps,

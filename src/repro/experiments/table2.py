@@ -13,11 +13,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..runner.sweep import Point, make_point, run_points_serial
-from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
 
 ARCHS = ["baseline", "hostcc", "shring", "ceio"]
 DEFAULT_SEED = 13
@@ -29,29 +28,30 @@ def _datapaths(quick: bool) -> List[str]:
             else ["erpc-dpdk", "erpc-rdma", "linefs"])
 
 
-def _datapath_config(datapath: str, arch: str, quick: bool,
-                     seed: int) -> ScenarioConfig:
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """Closed-loop saturating clients — the paper's dperf methodology.
     (The baseline's LLC thrash is bistable: a fixed offered load below its
     miss-free capacity never builds the queue that triggers it, so open-
     loop probing measures nothing. Saturation is what Table 2 reports.)
     """
-    warmup = 400 * US if quick else 800 * US
-    duration = (500 * US) if quick else (1000 * US)
+    datapath = params["datapath"]
     if datapath == "linefs":
-        return ScenarioConfig(arch=arch, n_involved=0, n_bypass=8,
-                              bypass_payload=512, chunk_packets=4,
-                              transport="rdma", warmup=warmup,
-                              duration=duration, seed=seed)
-    transport = "dpdk" if datapath == "erpc-dpdk" else "rdma"
-    # 400 extra cycles per request: at 512 B the full echo stack keeps the
-    # cores just below the link rate (the queueing regime Table 2 reports;
-    # without it 8 cores outrun a 200 Gbps link at this packet size and
-    # every architecture measures identical, queue-free latency).
-    return ScenarioConfig(arch=arch, n_involved=8, payload=512,
-                          transport=transport, warmup=warmup,
-                          duration=duration, seed=seed,
-                          app_extra_cycles=400.0)
+        tenant = {"name": "dfs", "workload": "linefs", "flows": 8,
+                  "payload": 512, "chunk_packets": 4, "outstanding": 8}
+    else:
+        # 400 extra cycles per request: at 512 B the full echo stack
+        # keeps the cores just below the link rate (the queueing regime
+        # Table 2 reports; without it 8 cores outrun a 200 Gbps link at
+        # this packet size and every architecture measures identical,
+        # queue-free latency).
+        tenant = {"name": "kv", "workload": "kvstore", "flows": 8,
+                  "payload": 512, "app_extra_cycles": 400.0,
+                  "transport": "dpdk" if datapath == "erpc-dpdk"
+                  else "rdma"}
+    quick = params["quick"]
+    return two_host_spec([tenant], seed=seed, arch=params["arch"],
+                         warmup_us=400.0 if quick else 800.0,
+                         duration_us=500.0 if quick else 1000.0)
 
 
 def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
@@ -65,9 +65,7 @@ def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
 
 
 def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    config = _datapath_config(params["datapath"], params["arch"],
-                              params["quick"], seed)
-    m = Scenario(config).build().run_measure()
+    m = compile_scenario(scenario_spec(params, seed)).run_measure()["host"]
     return {"mpps": m.total_mpps, "p50": m.p50_us, "p99": m.p99_us,
             "p999": m.p999_us}
 

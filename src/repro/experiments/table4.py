@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core import CeioConfig
 from ..runner.sweep import Point, make_point, run_points_serial
-from ..sim.units import US
-from ..workloads import Scenario, ScenarioConfig
+from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect", "RATIOS"]
+__all__ = ["run", "points", "scenario_spec", "run_point", "collect",
+           "RATIOS"]
 
 RATIOS = [(6, 2), (4, 4), (2, 6)]  # 3:1, 1:1, 1:3 over 8 flows
 SYSTEMS = ["baseline", "ceio-noopt", "ceio"]
@@ -29,9 +28,9 @@ DEFAULT_SEED = 17
 _FN = "repro.experiments.table4:run_point"
 
 
-def _ceio_no_opt() -> CeioConfig:
-    return CeioConfig(lazy_release=False, credit_reallocation=False,
-                      async_drain=False)
+#: "CEIO w/o optimization": eager release, no reallocation, sync drain.
+CEIO_NO_OPT = {"lazy_release": False, "credit_reallocation": False,
+               "async_drain": False}
 
 
 def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
@@ -46,22 +45,30 @@ def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
     return pts
 
 
-def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+def scenario_spec(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     system = params["system"]
-    arch = "baseline" if system == "baseline" else "ceio"
-    ceio = _ceio_no_opt() if system == "ceio-noopt" else None
-    quick = params["quick"]
+    host: Dict[str, Any] = {
+        "arch": "baseline" if system == "baseline" else "ceio"}
+    if system == "ceio-noopt":
+        host["ceio"] = CEIO_NO_OPT
     # Deep client pipelines: the bypass traffic inflates the fabric RTT, so
     # a shallow closed loop would cap the RPC clients below the server's
     # CPU capacity and hide the cache effect this table measures.
-    config = ScenarioConfig(
-        arch=arch, n_involved=params["involved"], n_bypass=params["bypass"],
-        payload=144, bypass_payload=1024, chunk_packets=32,
-        outstanding=2048,
-        warmup=(400 * US if quick else 800 * US),
-        duration=(500 * US if quick else 1000 * US),
-        seed=seed, ceio=ceio)
-    return {"mpps": Scenario(config).build().run_measure().involved_mpps}
+    tenants = [
+        {"name": "kv", "workload": "kvstore", "flows": params["involved"],
+         "payload": 144, "outstanding": 2048},
+        {"name": "dfs", "workload": "linefs", "flows": params["bypass"],
+         "payload": 1024, "chunk_packets": 32, "outstanding": 170},
+    ]
+    quick = params["quick"]
+    return two_host_spec(tenants, seed=seed,
+                         warmup_us=400.0 if quick else 800.0,
+                         duration_us=500.0 if quick else 1000.0, **host)
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+    m = compile_scenario(scenario_spec(params, seed)).run_measure()["host"]
+    return {"mpps": m.involved_mpps}
 
 
 def collect(results: Mapping[str, Any], quick: bool = True,

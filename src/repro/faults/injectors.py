@@ -67,8 +67,10 @@ class FaultController:
         self.testbed = testbed
         self.sim = testbed.sim
         self.plan = plan
-        #: The owning :class:`~repro.workloads.scenarios.Scenario`, needed
-        #: only by ``apps`` faults (crash/restart of a worker).
+        #: The owning scenario's per-host view (``involved`` plus
+        #: crash/restart of a worker, see
+        #: :class:`~repro.workloads.topo_scenario.TopoScenario`), needed
+        #: only by ``apps`` faults.
         self.scenario = scenario
         self.windows_opened = Counter("faults.windows")
         self._procs = []
@@ -339,7 +341,9 @@ def _apps_crash_restart(controller: FaultController, spec: FaultSpec,
     ``flow`` picks it by name."""
     scenario = controller.scenario
     if scenario is None:
-        raise ValueError("apps.crash_restart needs a Scenario-owned plan")
+        raise ValueError(
+            "apps.crash_restart needs a plan armed by a compiled scenario "
+            "(compile_scenario), which owns the workers it restarts")
     crashed = []
 
     def on() -> None:

@@ -151,6 +151,8 @@ class WorkerPool:
         #: Filled by :meth:`run`: True when the multiprocessing path was
         #: unavailable and the pool degraded to serial execution.
         self.degraded_to_serial = False
+        #: Why it degraded (the start-up exception); None otherwise.
+        self.degradation_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     def run(self, points: Sequence[Point],
@@ -328,7 +330,7 @@ class WorkerPool:
         now = time.monotonic()
         # Refill the pending list with tasks whose backoff expired.
         for idx, task in enumerate(tasks):
-            if getattr(task, "retry_pending", False) and now >= task.ready_at:
+            if task.retry_pending and now >= task.ready_at:
                 task.retry_pending = False
                 pending.append(idx)
         for worker in workers:

@@ -14,17 +14,21 @@ so :func:`canonical` round-trips byte-identically::
     canonical(json.loads(canonical(spec))) == canonical(spec)
 
 Compilation into a wired fabric is
-:class:`repro.workloads.topo_scenario.TopoScenario`'s job; this module
-depends only on :mod:`repro.topo` (pure graph construction — validating
-a scenario never touches the simulator).
+:class:`repro.workloads.topo_scenario.TopoScenario`'s job. This module
+only builds :mod:`repro.topo` graphs and reads ``CeioConfig``'s fields
+and the architecture registry: validating a scenario never builds a
+simulation.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.config import CeioConfig
 from ..faults import FaultPlan, FaultSpec
+from ..io_arch import ARCHITECTURES
 from ..sim.units import US, gbps
 from ..topo import Topology, fat_tree, leaf_spine, star, two_host
 from ..topo.graph import (DEFAULT_BUFFER, DEFAULT_DELAY,
@@ -85,15 +89,6 @@ _MEASURE_DEFAULTS: Tuple[Tuple[str, Any], ...] = (
     ("duration_us", 600.0),
 )
 
-#: Per-host CEIO override knobs (overload guardrails). The ``ceio`` host
-#: key is OMITTED from the normal form when absent — pre-existing
-#: scenarios keep their canonical bytes (and runner cache keys).
-_CEIO_DEFAULTS: Tuple[Tuple[str, Any], ...] = (
-    ("admission_control", False),
-    ("admission_ring_limit", 256),
-    ("admission_slow_bytes_limit", 96 * 1024),
-)
-
 #: Per-tenant demand-block defaults (inside ``demand.tenants.<name>``).
 _DEMAND_TENANT_DEFAULTS: Tuple[Tuple[str, Any], ...] = (
     ("arrivals", "poisson"),
@@ -132,6 +127,18 @@ def _reject_unknown(data: Mapping[str, Any], allowed, path: str) -> None:
 def _pos_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ScenarioError(path, "must be a positive integer")
+    return value
+
+
+def _nonneg_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(path, "must be a non-negative integer")
+    return value
+
+
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(path, "must be a boolean")
     return value
 
 
@@ -201,21 +208,22 @@ def _validate_topology(data: Any) -> Dict[str, Any]:
     return {"kind": kind, "params": params, "links": links}
 
 
+#: How a ``ceio`` override value is checked, by its ``CeioConfig`` type.
+_CEIO_CHECKS = {"bool": _boolean, "int": _pos_int,  # repro: noqa=D106 -- registry, never mutated
+                "float": _nonneg_number}
+
+
 def _validate_ceio_override(data: Any, path: str) -> Dict[str, Any]:
-    """Per-host CEIO knob override: fully defaulted when present."""
+    """Per-host :class:`CeioConfig` override: every field by name, type
+    and default, fully defaulted when present. The ``ceio`` host key is
+    omitted from the normal form when absent, so scenarios without one
+    keep their canonical bytes (and runner cache keys)."""
     data = _expect_mapping(data, path)
-    _reject_unknown(data, tuple(n for n, _ in _CEIO_DEFAULTS), path)
-    normal: Dict[str, Any] = {}
-    for name, default in _CEIO_DEFAULTS:
-        value = data.get(name, default)
-        sub = f"{path}.{name}"
-        if name == "admission_control":
-            if not isinstance(value, bool):
-                raise ScenarioError(sub, "must be a boolean")
-            normal[name] = value
-        else:
-            normal[name] = _pos_int(value, sub)
-    return normal
+    knobs = fields(CeioConfig)
+    _reject_unknown(data, tuple(knob.name for knob in knobs), path)
+    return {knob.name: _CEIO_CHECKS[knob.type](
+                data.get(knob.name, knob.default), f"{path}.{knob.name}")
+            for knob in knobs}
 
 
 def _validate_hosts(data: Any, servers: List[str]) -> Dict[str, Any]:
@@ -237,11 +245,12 @@ def _validate_hosts(data: Any, servers: List[str]) -> Dict[str, Any]:
             value = entry.get(name, default)
             sub = f"{path}.{name}"
             if name == "arch":
-                normal[name] = _choice(value, ARCHES, sub)
+                # The shipped architectures, plus any registered in
+                # repro.io_arch.ARCHITECTURES at run time.
+                normal[name] = _choice(value, ARCHES + tuple(
+                    sorted(set(ARCHITECTURES) - set(ARCHES))), sub)
             elif name == "set_associative_cache":
-                if not isinstance(value, bool):
-                    raise ScenarioError(sub, "must be a boolean")
-                normal[name] = value
+                normal[name] = _boolean(value, sub)
             elif name == "cores":
                 # None = keep the testbed's core count (HostConfig default).
                 normal[name] = (None if value is None
@@ -292,6 +301,9 @@ def _validate_tenants(data: Any, topo: Topology) -> List[Dict[str, Any]]:
                 value = None if value is None else _pos_number(value, sub)
             elif key == "app_extra_cycles":
                 value = _nonneg_number(value, sub)
+            elif key == "flows":
+                # 0 = the tenant is wired later (TopoScenario.add_flow).
+                value = _nonneg_int(value, sub)
             elif key == "sources":
                 if not isinstance(value, (list, tuple)):
                     raise ScenarioError(sub, "must be an array of hosts")

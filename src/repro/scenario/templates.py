@@ -16,8 +16,8 @@ __all__ = ["TEMPLATE_NAMES", "template", "describe", "incast_template"]
 
 def _paper_baseline() -> Dict[str, Any]:
     """The paper's two-server testbed: 8 closed-loop KV flows into one
-    CEIO receiver through a single ToR — the declarative twin of the
-    hand-built ``ScenarioConfig()`` defaults."""
+    CEIO receiver through a single ToR — the spec every single-host
+    paper experiment varies (:func:`repro.workloads.two_host_spec`)."""
     return {
         "version": 1,
         "name": "paper-baseline",

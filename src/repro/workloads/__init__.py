@@ -10,21 +10,14 @@ from .generators import (
 )
 from .churn import ChurnConfig, ChurnResult, UdChurnScenario
 from .measure import FlowMetrics, Measurement, MeasurementWindow
-from .scenarios import (
-    Scenario,
-    ScenarioConfig,
-    add_two_burst_flows,
-    replace_two_with_bypass,
-    scaled_host_config,
-    shring_entries_for,
-)
+from .scenarios import scaled_host_config, shring_entries_for, two_host_spec
+from .topo_scenario import TopoScenario, compile_scenario
 
 __all__ = [
     "FixedSize", "LognormalSize", "LongTailSize", "UniformSize",
     "pareto_burst_lengths", "poisson_arrivals",
     "ChurnConfig", "ChurnResult", "UdChurnScenario",
     "FlowMetrics", "Measurement", "MeasurementWindow",
-    "Scenario", "ScenarioConfig",
-    "add_two_burst_flows", "replace_two_with_bypass",
-    "scaled_host_config", "shring_entries_for",
+    "scaled_host_config", "shring_entries_for", "two_host_spec",
+    "TopoScenario", "compile_scenario",
 ]

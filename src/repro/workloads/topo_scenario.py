@@ -1,21 +1,23 @@
 """Compile a validated scenario dict into a wired multi-host fabric.
 
-:class:`TopoScenario` is the declarative twin of the hand-built
-:class:`~repro.workloads.scenarios.Scenario`: it takes a schema dict
+:class:`TopoScenario` is the one scenario builder: it takes a schema dict
 (see :mod:`repro.scenario`), builds the topology, compiles it into a
 :class:`repro.topo.Fabric`, installs one I/O architecture per server
 host, wires each tenant's flows (erpc / kvstore / linefs) from its
 source clients, arms per-host fault controllers, and runs warm-up +
-measurement windows with the same debug-barrier auditing contract as
-:class:`~repro.workloads.scenarios.Scenario` (both builders share its
-module-level helpers).
+measurement windows, reconciling the conservation audit at debug
+barriers (the helpers in :mod:`repro.workloads.scenarios`).
 
-Bit-compatibility: compiling the ``paper-baseline`` template (a
-``two_host`` topology) performs exactly ``Scenario``'s construction
-sequence — Simulator, registry, Host, ToR port, architecture, KvStore,
-then flows ``kv0..`` with unprefixed ``client-stagger`` draws — so its
-measurements are byte-identical to ``Scenario(ScenarioConfig())``'s
-(pinned by ``tests/topo/test_two_host_compat.py``).
+Every single-host paper experiment is a ``two_host`` spec (see
+:func:`~repro.workloads.scenarios.two_host_spec`). On that topology the
+compiled fabric keeps the unprefixed RNG-stream and audit-account names
+the single-host goldens pin (``Topology.legacy_names``), and the build
+order is fixed — Simulator, registry, Host, ToR port, architecture,
+KvStore, then each tenant's flows in spec order with one
+``client-stagger`` draw per flow. ``tests/topo/test_two_host_compat.py``
+pins the ``paper-baseline`` template's measurement bytes. Phase actions
+(Figures 4/10) mutate a built scenario between windows through
+:meth:`TopoScenario.add_flow` and :meth:`TopoScenario.stop_involved_flow`.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class TopoScenario:
                     cfg["arch"], endpoint.host, host_configs[name],
                     None if ceio is None else CeioConfig(**ceio)))
         #: One KV store per server host (ErpcServer handlers close over
-        #: it); seeded like Scenario's.
+        #: it), seeded with the scenario seed.
         self.kv: Dict[str, KvStore] = {
             name: KvStore(seed=self.seed) for name in self.fabric.endpoints}
         self.involved: Dict[str, List[_FlowRecord]] = {
@@ -126,6 +128,8 @@ class TopoScenario:
             name: [] for name in self.fabric.endpoints}
         self._crashed: Dict[str, Dict[str, _FlowRecord]] = {
             name: {} for name in self.fabric.endpoints}
+        #: Flows wired so far per tenant name: the next flow's source.
+        self._wired: Dict[str, int] = {}
         self.fault_controllers: List[FaultController] = []
         #: ``net.channel`` specs (shard-coordinator faults), split out of
         #: the plan at build time. No-ops on a single kernel (no cut
@@ -145,15 +149,9 @@ class TopoScenario:
     # Construction
     # ------------------------------------------------------------------
     def build(self) -> "TopoScenario":
-        clients = [spec.name for spec in self.topology.client_hosts]
         for tenant in self.normal["tenants"]:
-            sources = list(tenant["sources"]) or clients
-            if not sources:
-                sources = [spec.name for spec in self.topology.hosts.values()
-                           if spec.name != tenant["host"]]
             for i in range(tenant["flows"]):
-                self._add_tenant_flow(tenant, f"{tenant['name']}{i}",
-                                      sources[i % len(sources)])
+                self._wire_next(tenant, f"{tenant['name']}{i}")
         if self.demand_spec is not None:
             self._build_slo_trackers()
         plan = fault_plan_of(self.normal)
@@ -182,6 +180,31 @@ class TopoScenario:
         self.reconciler = Reconciler(build_fabric_ledger(self.fabric))
         self._built = True
         return self
+
+    def _wire_next(self, tenant: Mapping[str, Any], name: str,
+                   late_ok: bool = False) -> _FlowRecord:
+        """Wire the tenant's next flow from its next source (round
+        robin over ``sources``, else the client hosts, else every other
+        host)."""
+        sources = list(tenant["sources"]) or [
+            spec.name for spec in self.topology.client_hosts]
+        if not sources:
+            sources = [spec.name for spec in self.topology.hosts.values()
+                       if spec.name != tenant["host"]]
+        index = self._wired.get(tenant["name"], 0)
+        self._wired[tenant["name"]] = index + 1
+        return self._add_tenant_flow(tenant, name,
+                                     sources[index % len(sources)],
+                                     late_ok=late_ok)
+
+    def add_flow(self, tenant_name: str, name: str) -> _FlowRecord:
+        """Phase action: wire one more flow of ``tenant_name`` mid-run
+        (a tenant declared with ``flows: 0`` is wired only this way). It
+        announces itself to any open measurement window."""
+        for tenant in self.normal["tenants"]:
+            if tenant["name"] == tenant_name:
+                return self._wire_next(tenant, name, late_ok=True)
+        raise KeyError(tenant_name)
 
     def _check_faults_shard_local(self, host: str, host_plan) -> None:
         """Crash/restart must not straddle a shard boundary: the crash
@@ -353,22 +376,41 @@ class TopoScenario:
     # ------------------------------------------------------------------
     # Crash / restart (repro.faults apps site)
     # ------------------------------------------------------------------
+    def _stop(self, host: str, record: _FlowRecord) -> None:
+        record.source.stop()
+        record.server.stop()
+        self.fabric.endpoints[host].host.cpu.release(record.server.core)
+
+    def stop_involved_flow(self, host: str) -> Optional[Flow]:
+        """Phase action: the newest CPU-involved flow on ``host`` goes
+        quiet — source and server stop and the core is freed, but unlike
+        a crash the flow stays registered with the I/O architecture."""
+        records = self.involved[host]
+        if not records:
+            return None
+        record = records.pop()
+        self._stop(host, record)
+        return record.flow
+
     def crash_involved_flow(self, host: str, index: int = 0
                             ) -> Optional[str]:
+        """Fault action (``apps.crash_restart``): tear the ``index``-th
+        CPU-involved flow all the way down — the architecture quiesces
+        it and the sender is dropped with the app. Returns the flow's
+        name for :meth:`restart_involved_flow`."""
         records = self.involved[host]
         if not records:
             return None
         record = records.pop(index % len(records))
-        record.source.stop()
-        record.server.stop()
-        endpoint = self.fabric.endpoints[host]
-        endpoint.host.cpu.release(record.server.core)
-        endpoint.io_arch.unregister_flow(record.flow)
+        self._stop(host, record)
+        self.fabric.endpoints[host].io_arch.unregister_flow(record.flow)
         self.fabric.senders.pop(record.flow.flow_id, None)
         self._crashed[host][record.flow.name] = record
         return record.flow.name
 
     def restart_involved_flow(self, host: str, name: str) -> _FlowRecord:
+        """Bring a crashed flow back under the same name: it registers
+        from scratch (fresh flow id, credit account, steering rule)."""
         record = self._crashed[host].pop(name)
         return self._add_tenant_flow(record.tenant, name, record.src,
                                      late_ok=True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CreditController
 from repro.faults import FaultPlan, FaultSpec
 from repro.sim.units import US
-from repro.workloads import Scenario, ScenarioConfig
+from repro.workloads import compile_scenario, two_host_spec
 
 
 def _flux_balanced(ctl: CreditController) -> bool:
@@ -104,26 +104,25 @@ def test_flux_conserved_under_arbitrary_ops(total, ops):
 
 
 # ---------------------------------------------------------------------------
-# Scenario: crash_restart and watchdog reclaim under descriptor loss
+# Compiled scenarios: crash_restart and watchdog reclaim under descriptor loss
 # ---------------------------------------------------------------------------
 
-def _run(faults, **ceio_kwargs):
-    from repro.core import CeioConfig
-    config = ScenarioConfig(
-        arch="ceio", scale=8, n_involved=3, n_bypass=0, outstanding=32,
-        seed=5, warmup=150 * US, duration=300 * US, faults=faults,
-        ceio=CeioConfig(**ceio_kwargs) if ceio_kwargs else None)
-    scenario = Scenario(config).build()
-    measurement = scenario.run_measure()
-    return scenario, measurement
+def _run(faults):
+    scenario = compile_scenario(two_host_spec(
+        [{"name": "kv", "workload": "kvstore", "flows": 3,
+          "outstanding": 32}],
+        seed=5, arch="ceio", scale=8, warmup_us=150.0, duration_us=300.0,
+        fault_plan=faults.to_dicts()))
+    measurement = scenario.run_measure()["host"]
+    return scenario.fabric.endpoints["host"].io_arch, measurement
 
 
 def test_crash_restart_conserves_credits():
     plan = FaultPlan((FaultSpec("apps", "crash_restart",
                                 start=200 * US, duration=80 * US),))
-    scenario, measurement = _run(plan)
+    arch, measurement = _run(plan)
     assert measurement.audit["ok"], measurement.audit["violations"]
-    ctl = scenario.arch.credits
+    ctl = arch.credits
     assert _flux_balanced(ctl)
     assert ctl.consumed_total > 0
 
@@ -134,9 +133,9 @@ def test_watchdog_reclaim_cycles_conserve_credits():
     plan = FaultPlan((FaultSpec("hw.nic", "descriptor_drop",
                                 start=200 * US, duration=150 * US,
                                 magnitude=1.0),))
-    scenario, measurement = _run(plan)
+    arch, measurement = _run(plan)
     assert measurement.audit["ok"], measurement.audit["violations"]
-    ctl = scenario.arch.credits
+    ctl = arch.credits
     assert ctl.reclaimed_total > 0          # the watchdog actually fired
     assert _flux_balanced(ctl)
 
@@ -148,6 +147,6 @@ def test_crash_during_descriptor_loss_conserves_credits():
         FaultSpec("apps", "crash_restart", start=220 * US,
                   duration=100 * US),
     ))
-    scenario, measurement = _run(plan)
+    arch, measurement = _run(plan)
     assert measurement.audit["ok"], measurement.audit["violations"]
-    assert _flux_balanced(scenario.arch.credits)
+    assert _flux_balanced(arch.credits)

@@ -25,9 +25,10 @@ def test_serial_success_and_order():
 
 def test_pool_success_preserves_input_order():
     points = [_pt("ok", {"a": n}, f"p{n}") for n in range(6)]
-    _, outcomes = _run(points, jobs=3)
+    pool, outcomes = _run(points, jobs=3)
     assert [o.point.point_id for o in outcomes] == [p.point_id
                                                    for p in points]
+    assert not pool.degraded_to_serial and pool.degradation_reason is None
     assert [o.value["doubled"] for o in outcomes] == [0, 2, 4, 6, 8, 10]
 
 

@@ -3,9 +3,12 @@ path-addressed ``ScenarioError``; validation is normalisation; canonical
 serialisation is a fixed point."""
 
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
+from repro.core import CeioConfig
+from repro.io_arch import ARCHITECTURES, LegacyDdioArch
 from repro.scenario import (ScenarioError, TEMPLATE_NAMES, canonical,
                             template, validate)
 
@@ -126,7 +129,7 @@ REJECTIONS = [
     (lambda: _base(tenants=[{"name": "t", "workload": "kvstore",
                              "host": "c0"}]), "tenants[0].host"),
     (lambda: _base(tenants=[{"name": "t", "workload": "kvstore",
-                             "flows": 0}]), "tenants[0].flows"),
+                             "flows": -1}]), "tenants[0].flows"),
     (lambda: _base(tenants=[{"name": "t", "workload": "kvstore",
                              "transport": "tcp"}]),
      "tenants[0].transport"),
@@ -197,11 +200,50 @@ def test_ceio_override_normalises():
     spec = _base(hosts={"s0": {"ceio": {"admission_control": True}}})
     normal = validate(spec)
     assert normal["hosts"]["s0"]["ceio"] == {
-        "admission_control": True,
-        "admission_ring_limit": 256,
-        "admission_slow_bytes_limit": 96 * 1024,
-    }
+        **asdict(CeioConfig()), "admission_control": True}
     assert "ceio" not in validate(_base()).get("hosts", {}).get("*", {})
+
+
+def test_ceio_override_defaults_are_ceio_config_defaults():
+    normal = validate(_base(hosts={"*": {"ceio": {}}}))
+    assert normal["hosts"]["*"]["ceio"] == asdict(CeioConfig())
+
+
+def _changed(value):
+    """A valid non-default value of the same type."""
+    if isinstance(value, bool):
+        return not value
+    return value * 2 + 1
+
+
+def test_every_ceio_field_round_trips():
+    override = {knob.name: _changed(knob.default)
+                for knob in fields(CeioConfig)}
+    normal = validate(_base(hosts={"*": {"ceio": override}}))
+    ceio = normal["hosts"]["*"]["ceio"]
+    assert ceio == override
+    assert asdict(CeioConfig(**ceio)) == override
+    assert validate(json.loads(canonical(normal))) == normal
+
+
+@pytest.mark.parametrize("knob", [knob.name for knob in fields(CeioConfig)])
+def test_ceio_field_of_wrong_type_is_rejected_with_path(knob):
+    with pytest.raises(ScenarioError) as err:
+        validate(_base(hosts={"*": {"ceio": {knob: "fast"}}}))
+    assert err.value.path == f"hosts.*.ceio.{knob}"
+    assert str(err.value).startswith(f"hosts.*.ceio.{knob}: must be ")
+
+
+def test_zero_flow_tenant_is_valid():
+    normal = validate(_base(tenants=[{"name": "t", "workload": "linefs",
+                                      "flows": 0}]))
+    assert normal["tenants"][0]["flows"] == 0
+
+
+def test_registered_architecture_is_accepted(monkeypatch):
+    monkeypatch.setitem(ARCHITECTURES, "custom", LegacyDdioArch)
+    normal = validate(_base(hosts={"*": {"arch": "custom"}}))
+    assert normal["hosts"]["*"]["arch"] == "custom"
 
 
 DEMAND_REJECTIONS = [

@@ -7,15 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.units import US
-from repro.workloads import Scenario, ScenarioConfig
+from repro.workloads import compile_scenario, two_host_spec
+
+
+def _small(arch, seed, duration_us):
+    return compile_scenario(two_host_spec(
+        [{"name": "kv", "workload": "kvstore", "flows": 2,
+          "outstanding": 8}],
+        seed=seed, arch=arch, scale=16, warmup_us=50.0,
+        duration_us=duration_us))
 
 
 def _run_once(seed):
-    config = ScenarioConfig(arch="ceio", scale=16, n_involved=2,
-                            outstanding=8, warmup=50 * US,
-                            duration=100 * US, seed=seed)
-    m = Scenario(config).build().run_measure()
+    m = _small("ceio", seed, 100.0).run_measure()["host"]
     return (m.involved_mpps, m.llc_miss_rate, m.p99_us, m.dropped)
 
 
@@ -35,14 +39,12 @@ def test_architectures_share_identical_workload():
     the receive-side architecture (the comparison is apples-to-apples)."""
     sent = {}
     for arch in ("baseline", "ceio"):
-        config = ScenarioConfig(arch=arch, scale=16, n_involved=2,
-                                outstanding=8, warmup=50 * US,
-                                duration=50 * US, seed=9)
-        scenario = Scenario(config).build()
+        scenario = _small(arch, 9, 50.0)
         scenario.run_measure()
         sent[arch] = {
-            f.name: scenario.endpoint.senders[f.flow_id].packets_sent.value
-            for f, _s, _src in scenario.involved}
+            rec.flow.name:
+                scenario.fabric.senders[rec.flow.flow_id].packets_sent.value
+            for rec in scenario.involved["host"]}
     # Not identical packet counts (feedback differs), but the same flows
     # exist and all sent traffic.
     assert sent["baseline"].keys() == sent["ceio"].keys()

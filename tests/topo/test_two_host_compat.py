@@ -1,14 +1,14 @@
-"""The acceptance pin for the two scenario builders: the hand-built
-``Scenario`` (on its ``two_host()`` fabric) and the declarative
-``compile_scenario`` run of the ``paper-baseline`` template are
-byte-identical — same RNG draws, same event order, same measurements,
-same 19-account conservation audit.
+"""The acceptance pin for the paper testbed: the ``paper-baseline``
+template compiled on its ``two_host`` fabric, and the same testbed
+written with :func:`~repro.workloads.two_host_spec`, measure the same
+bytes — same RNG draws, same event order, same 19-account conservation
+audit.
 
-The digest below is the sha256 of ``Scenario``'s measurement in
-sorted-JSON form at (warmup=150us, duration=250us, seed=0). If it moves,
-the paper testbed's behaviour changed (see ``tests/sim/test_golden.py``);
-if the equality assertion fails while the digest holds, the declarative
-compilation drifted from ``Scenario``'s construction order. Recapture:
+The digest below is the sha256 of the measurement in sorted-JSON form at
+(warmup=150us, duration=250us, seed=0). It was first captured from the
+hand-built single-host builder this compiler replaced, and has not
+moved since. If it moves, the paper testbed's behaviour changed (see
+``tests/sim/test_golden.py``). Recapture:
 
     PYTHONPATH=src python tests/topo/test_two_host_compat.py
 """
@@ -18,9 +18,7 @@ import json
 from dataclasses import asdict
 
 from repro.scenario import template
-from repro.sim.units import US
-from repro.workloads import Scenario, ScenarioConfig
-from repro.workloads.topo_scenario import compile_scenario
+from repro.workloads import compile_scenario, two_host_spec
 
 # Recaptured when the overload-guardrail work added the ``arch.admission``
 # conservation account: the measurement's embedded audit report grew from
@@ -32,26 +30,23 @@ GOLDEN_TWO_HOST = \
 WARMUP_US, DURATION_US = 150.0, 250.0
 
 
-def _legacy_json() -> str:
-    config = ScenarioConfig(warmup=WARMUP_US * US,
-                            duration=DURATION_US * US)
-    measurement = Scenario(config).build().run_measure()
-    return json.dumps(asdict(measurement), sort_keys=True)
-
-
-def _topo_json() -> str:
-    spec = template("paper-baseline")
+def _measure_json(spec) -> str:
     spec["measure"] = {"warmup_us": WARMUP_US, "duration_us": DURATION_US}
     measurement = compile_scenario(spec).run_measure()["host"]
     return json.dumps(asdict(measurement), sort_keys=True)
 
 
+def _template_json() -> str:
+    return _measure_json(template("paper-baseline"))
+
+
 def test_two_host_fabric_reproduces_legacy_testbed_byte_for_byte():
-    legacy = _legacy_json()
-    topo = _topo_json()
-    assert hashlib.sha256(legacy.encode()).hexdigest() == GOLDEN_TWO_HOST, \
-        "Scenario behaviour moved — recapture (see module docstring)"
-    assert topo == legacy
+    pinned = _template_json()
+    assert hashlib.sha256(pinned.encode()).hexdigest() == GOLDEN_TWO_HOST, \
+        "testbed behaviour moved — recapture (see module docstring)"
+    spec = two_host_spec([{"name": "kv", "workload": "kvstore",
+                           "flows": 8}])
+    assert _measure_json(spec) == pinned
 
 
 def test_two_host_fabric_uses_legacy_names():
@@ -68,5 +63,5 @@ def test_two_host_fabric_uses_legacy_names():
 
 
 if __name__ == "__main__":
-    digest = hashlib.sha256(_legacy_json().encode()).hexdigest()
+    digest = hashlib.sha256(_template_json().encode()).hexdigest()
     print(f'GOLDEN_TWO_HOST = \\\n    "{digest}"')

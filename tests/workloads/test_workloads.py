@@ -10,16 +10,14 @@ from repro.workloads import (
     FixedSize,
     LognormalSize,
     LongTailSize,
-    Scenario,
-    ScenarioConfig,
     UdChurnScenario,
     UniformSize,
-    add_two_burst_flows,
+    compile_scenario,
     pareto_burst_lengths,
     poisson_arrivals,
-    replace_two_with_bypass,
     scaled_host_config,
     shring_entries_for,
+    two_host_spec,
 )
 
 
@@ -102,18 +100,25 @@ def test_scaled_host_validates_scale():
 
 
 # ---------------------------------------------------------------------------
-# Scenario lifecycle
+# Compiled-scenario lifecycle
 # ---------------------------------------------------------------------------
 
-def _tiny(arch="ceio", **kw):
-    defaults = dict(arch=arch, scale=16, n_involved=2, outstanding=8,
-                    warmup=50 * US, duration=80 * US, seed=1)
-    defaults.update(kw)
-    return ScenarioConfig(**defaults)
+def _tiny(arch="ceio", flows=2, bypass=0, chunk_packets=32):
+    return compile_scenario(two_host_spec(
+        [{"name": "kv", "workload": "kvstore", "flows": flows,
+          "outstanding": 8},
+         {"name": "dfs", "workload": "linefs", "flows": bypass,
+          "payload": 1024, "chunk_packets": chunk_packets,
+          "outstanding": 4}],
+        seed=1, arch=arch, scale=16, warmup_us=50.0, duration_us=80.0))
+
+
+def _arch(scenario):
+    return scenario.fabric.endpoints["host"].io_arch
 
 
 def test_scenario_builds_and_measures():
-    m = Scenario(_tiny()).build().run_measure()
+    m = _tiny().run_measure()["host"]
     assert m.involved_mpps > 0
     assert m.duration == pytest.approx(80 * US)
     assert len(m.flows) == 2
@@ -122,48 +127,75 @@ def test_scenario_builds_and_measures():
 
 
 def test_scenario_measurement_excludes_warmup():
-    scenario = Scenario(_tiny()).build()
-    m = scenario.run_measure()
-    rx = scenario.arch.flows[scenario.involved[0][0].flow_id]
+    scenario = _tiny()
+    m = scenario.run_measure()["host"]
+    rx = _arch(scenario).flows[scenario.involved["host"][0].flow.flow_id]
     # The measured count is below the all-time count (warm-up excluded).
     assert m.flows[0].mpps * m.duration / 1e3 < rx.processed.value + 1
 
 
 def test_scenario_mixed_flows():
-    m = Scenario(_tiny(n_involved=1, n_bypass=1,
-                       chunk_packets=4)).build().run_measure()
+    m = _tiny(flows=1, bypass=1, chunk_packets=4).run_measure()["host"]
     assert m.involved_mpps > 0
     assert m.bypass_gbps > 0
 
 
 def test_scenario_phase_actions():
-    scenario = Scenario(_tiny(n_involved=4)).build()
-    results = scenario.run_phases([replace_two_with_bypass],
-                                  phase_warmup=40 * US,
-                                  phase_duration=60 * US)
+    """The Figure 4a/10a step: two involved flows go quiet, two LineFS
+    flows of a ``flows: 0`` tenant arrive, and a new window follows."""
+    scenario = _tiny(flows=4)
+    results = [scenario.run_measure(40 * US, 60 * US)["host"]]
+    for _ in range(2):
+        scenario.stop_involved_flow("host")
+    for i in range(2):
+        scenario.add_flow("dfs", f"dfs{i}")
+    results.append(scenario.run_measure(40 * US, 60 * US)["host"])
     assert len(results) == 2
-    assert len(scenario.involved) == 2
-    assert len(scenario.bypass) == 2
+    assert len(scenario.involved["host"]) == 2
+    assert len(scenario.bypass["host"]) == 2
+    assert results[1].bypass_mpps > 0
 
 
 def test_scenario_burst_action_allocates_cores():
-    scenario = Scenario(_tiny(n_involved=2)).build()
-    scenario.run_phases([add_two_burst_flows], phase_warmup=30 * US,
-                        phase_duration=40 * US)
-    assert len(scenario.involved) == 4
+    scenario = _tiny(flows=2)
+    scenario.run_measure(30 * US, 40 * US)
+    free_before = len(scenario.fabric.endpoints["host"].host.cpu._free)
+    for i in range(2):
+        scenario.add_flow("kv", f"burst{2 + i}")
+    scenario.run_measure(30 * US, 40 * US)
+    assert len(scenario.involved["host"]) == 4
+    assert len(scenario.fabric.endpoints["host"].host.cpu._free) \
+        == free_before - 2
 
 
 def test_scenario_remove_involved_frees_core():
-    scenario = Scenario(_tiny(n_involved=2)).build()
-    free_before = len(scenario.endpoint.host.cpu._free)
-    scenario.remove_involved_flow()
-    assert len(scenario.endpoint.host.cpu._free) == free_before + 1
+    """stop_involved_flow frees the core but, unlike a crash, leaves the
+    flow registered with the architecture."""
+    scenario = _tiny(flows=2)
+    cpu = scenario.fabric.endpoints["host"].host.cpu
+    free_before = len(cpu._free)
+    flow = scenario.stop_involved_flow("host")
+    assert flow.name == "kv1"
+    assert len(cpu._free) == free_before + 1
+    assert flow.flow_id in _arch(scenario).flows
+    assert [rec.flow.name for rec in scenario.involved["host"]] == ["kv0"]
+
+
+def test_zero_flow_tenant_builds_nothing_until_add_flow():
+    scenario = _tiny(flows=1)
+    assert scenario.bypass["host"] == []
+    assert [rx.flow.name for rx in _arch(scenario).flows.values()] == ["kv0"]
+    record = scenario.add_flow("dfs", "dfs0")
+    assert scenario.bypass["host"] == [record]
+    assert record.flow.flow_id in _arch(scenario).flows
+    with pytest.raises(KeyError):
+        scenario.add_flow("ghost", "g0")
 
 
 def test_scenario_arch_extras_exposed():
-    m = Scenario(_tiny("ceio")).build().run_measure()
+    m = _tiny("ceio").run_measure()["host"]
     assert "fast_fraction" in m.extras
-    m2 = Scenario(_tiny("shring")).build().run_measure()
+    m2 = _tiny("shring").run_measure()["host"]
     assert "ring_full_drops" in m2.extras
 
 
