@@ -12,40 +12,34 @@ suite and written up in docs/SHARDING.md).
 :class:`ShardJournal` records, per shard, every command the worker
 *acknowledged* — the coordinator appends only after receiving the
 reply, so an in-flight command is never journaled and is simply
-re-issued after a replay. :class:`~repro.runner.shardpool.
-ProcessShards` uses this to resurrect a dead worker mid-run.
+re-issued after a replay. Each entry is the command's *frame*: the
+exact ``bytes`` the coordinator wrote to the worker's pipe, pickled
+once with :class:`multiprocessing.reduction.ForkingPickler` (the
+pickler ``Connection.send`` uses), so the worker's plain ``recv()``
+reads it and a replay sends the same bytes verbatim. A frame costs a
+few dozen bytes per inbox message, where the live command tuple kept
+every packet snapshot as Python objects. :class:`~repro.runner.
+shardpool.ProcessShards` uses this to resurrect a dead worker mid-run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["ShardJournal"]
 
 
 class ShardJournal:
-    """Per-shard ordered log of acknowledged coordinator commands."""
+    """Per-shard ordered log of acknowledged command frames."""
 
     def __init__(self, n_shards: int):
         self.n_shards = n_shards
-        self._commands: List[List[Tuple]] = [[] for _ in range(n_shards)]
+        self._frames: List[List[bytes]] = [[] for _ in range(n_shards)]
 
-    def record(self, shard: int, command: Tuple) -> None:
-        """Append one acknowledged command to ``shard``'s log."""
-        self._commands[shard].append(command)
+    def record(self, shard: int, frame: bytes) -> None:
+        """Append one acknowledged command frame to ``shard``'s log."""
+        self._frames[shard].append(frame)
 
-    def commands(self, shard: int) -> Tuple[Tuple, ...]:
-        """``shard``'s acknowledged commands, in issue order."""
-        return tuple(self._commands[shard])
-
-    def windows(self, shard: int) -> int:
-        """Barrier windows ``shard`` has completed."""
-        return sum(1 for cmd in self._commands[shard]
-                   if cmd[0] == "advance")
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-safe summary (runlog / stats payload)."""
-        return {"shards": self.n_shards,
-                "commands": [len(cmds) for cmds in self._commands],
-                "windows": [self.windows(i)
-                            for i in range(self.n_shards)]}
+    def frames(self, shard: int) -> Tuple[bytes, ...]:
+        """``shard``'s acknowledged command frames, in issue order."""
+        return tuple(self._frames[shard])

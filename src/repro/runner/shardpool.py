@@ -17,9 +17,9 @@ one sharded run, where the failure unit is a shard, not a point:
 - **journal-replay recovery** — a worker that dies mid-window, or
   overruns ``timeout_s``, is *restarted*: a fresh worker rebuilds the
   shard kernel from the scenario and deterministically replays the
-  journaled command history (:class:`~repro.runner.shardjournal.
+  journaled command frames (:class:`~repro.runner.shardjournal.
   ShardJournal`) up to the last completed barrier, then the in-flight
-  command is re-issued and the run resumes — ``shard_restarted`` and
+  frame is re-sent and the run resumes — ``shard_restarted`` and
   ``shard_replay_done`` events attribute each recovery, with capped
   exponential backoff and a per-shard budget of ``max_restarts``;
 - **failure** — a worker raising a (deterministic, hence
@@ -41,6 +41,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -148,7 +149,8 @@ class ProcessShards:
         self._last_beat = time.monotonic()
         self.journal = ShardJournal(self.n)
         self._restarts = [0] * self.n
-        self._inflight: List[Optional[Tuple]] = [None] * self.n
+        # Per shard: the unacknowledged command as ``(kind, frame)``.
+        self._inflight: List[Optional[Tuple[str, bytes]]] = [None] * self.n
         self._window = 0
         self._log({"event": "shard_pool_start", "shards": self.n,
                    "plan": plan.describe()})
@@ -283,23 +285,23 @@ class ProcessShards:
                 continue
             if self._inflight[index] is not None:
                 try:
-                    self._conns[index].send(self._inflight[index])
+                    self._conns[index].send_bytes(self._inflight[index][1])
                 except (BrokenPipeError, OSError):
                     detail = "worker died before the re-issued command"
                     continue
             return
 
     def _replay(self, index: int) -> None:
-        """Drive the fresh kernel through the journaled command history.
-        Replies are discarded — every outbox they carry was already
-        delivered — but the replayed event count must equal the
+        """Drive the fresh kernel through the journaled command frames,
+        sent verbatim. Replies are discarded — every outbox they carry
+        was already delivered — but the replayed event count must equal the
         acknowledged total: the kernel is a pure function of the
         command stream, so any difference means non-determinism and the
         merged results could no longer be trusted."""
-        commands = self.journal.commands(index)
+        frames = self.journal.frames(index)
         events = 0
-        for cmd in commands:
-            self._conns[index].send(cmd)
+        for frame in frames:
+            self._conns[index].send_bytes(frame)
             reply = self._recv(index)
             if reply[0] == "advanced":
                 events += reply[1]
@@ -308,32 +310,37 @@ class ProcessShards:
                        f"replay diverged: {events} events replayed vs "
                        f"{self._last_events[index]} acknowledged")
         self._log({"event": "shard_replay_done", "shard": index,
-                   "commands": len(commands), "events_executed": events})
+                   "commands": len(frames),
+                   "bytes": sum(len(frame) for frame in frames),
+                   "events_executed": events})
 
     # -- command round-trip ---------------------------------------------
     def _issue(self, index: int, cmd: Tuple) -> None:
-        """Send one command, remembering it as in-flight until its
-        reply lands. A send on a broken pipe is deliberately swallowed:
-        :meth:`_collect` detects the death and recovers."""
-        self._inflight[index] = cmd
+        """Pickle one command into its frame (once: the same bytes are
+        sent, journaled, and replayed) and send it, remembering it as
+        in-flight until its reply lands. A send on a broken pipe is
+        deliberately swallowed: :meth:`_collect` detects the death and
+        recovers."""
+        frame = bytes(ForkingPickler.dumps(cmd))
+        self._inflight[index] = (cmd[0], frame)
         try:
-            self._conns[index].send(cmd)
+            self._conns[index].send_bytes(frame)
         except (BrokenPipeError, OSError):
             pass
 
     def _collect(self, index: int) -> Tuple:
         """The in-flight command's reply, restarting through worker
-        deaths. On success the command is journaled (``advance`` /
-        ``open`` — the replayable prefix) and retired."""
+        deaths. On success the command's frame is journaled
+        (``advance`` / ``open`` — the replayable prefix) and retired."""
         while True:
             try:
                 reply = self._recv(index)
             except _ShardDead as exc:
                 self._restart(index, str(exc))
                 continue
-            cmd = self._inflight[index]
-            if cmd is not None and cmd[0] in ("advance", "open"):
-                self.journal.record(index, cmd)
+            inflight = self._inflight[index]
+            if inflight is not None and inflight[0] in ("advance", "open"):
+                self.journal.record(index, inflight[1])
             self._inflight[index] = None
             return reply
 

@@ -3,11 +3,13 @@
 Contracts: a wedged or dead shard must be attributable in
 ``runlog.jsonl`` by shard index (heartbeat/stall/failed events); a
 killed worker is resurrected by journal replay with byte-identical
-results (``shard_restarted`` / ``shard_replay_done``); and no worker
-process or pipe fd survives a failed run.
+results (``shard_restarted`` / ``shard_replay_done``); the journal
+holds each acknowledged command as the exact pickled frame sent to the
+worker; and no worker process or pipe fd survives a failed run.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -28,6 +30,82 @@ def _quick_spec():
     spec = template("all-to-all-storage")
     spec["measure"] = {"warmup_us": 20.0, "duration_us": 30.0}
     return spec
+
+
+def _drive(pool, plan, windows=10):
+    """Run ``windows`` barrier windows, open measurement, run ``windows``
+    more, and finish, routing outboxes to inboxes as the coordinator
+    does. Returns the commands issued to each shard, in issue order,
+    and the final exports."""
+    n = plan.n_shards
+    issued = [[] for _ in range(n)]
+    inbox = [[] for _ in range(n)]
+    for window in range(2 * windows):
+        if window == windows:
+            pool.open_windows()
+            for cmds in issued:
+                cmds.append(("open",))
+        horizon = (window + 1) * plan.lookahead
+        for i in range(n):
+            issued[i].append(("advance", horizon, False, inbox[i]))
+        outs = pool.advance(horizon, False, inbox)
+        inbox = [[] for _ in range(n)]
+        for out in outs:
+            for msg in out:
+                inbox[msg[0]].append(msg)
+    return issued, pool.finish()
+
+
+def _pool(config=None):
+    normal = validate(_quick_spec())
+    plan = partition(build_topology(normal), 2)
+    return ProcessShards(normal, plan, config=config), plan
+
+
+def test_journal_holds_the_pickled_frames_of_acknowledged_commands():
+    pool, plan = _pool()
+    try:
+        issued, _finals = _drive(pool, plan)
+    finally:
+        pool.close()
+    carried = 0
+    for shard in range(plan.n_shards):
+        frames = pool.journal.frames(shard)
+        assert all(type(frame) is bytes for frame in frames)
+        commands = [pickle.loads(frame) for frame in frames]
+        # Issue order, advance/open only: finish is never journaled.
+        assert commands == issued[shard]
+        assert all(cmd[0] in ("advance", "open") for cmd in commands)
+        carried += sum(len(cmd[3]) for cmd in commands
+                       if cmd[0] == "advance")
+    # The window is long enough for channel messages to ride the frames.
+    assert carried > 0
+
+
+def test_kill_and_replay_of_frames_is_byte_identical(tmp_path):
+    healthy, plan = _pool()
+    try:
+        _issued, want = _drive(healthy, plan)
+    finally:
+        healthy.close()
+    log = tmp_path / "runlog.jsonl"
+    # Window 12 is past the open marker, with channel messages flowing.
+    killed, plan = _pool(ShardPoolConfig(restart_backoff_s=0.0,
+                                         runlog=str(log),
+                                         kill_plan=((12, 1),)))
+    try:
+        _issued, got = _drive(killed, plan)
+    finally:
+        killed.close()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                         sort_keys=True)
+    replayed = [r for r in _events(log)
+                if r["event"] == "shard_replay_done"]
+    assert len(replayed) == 1 and replayed[0]["shard"] == 1
+    # 12 acknowledged advances plus the open marker, replayed verbatim.
+    frames = killed.journal.frames(1)[:13]
+    assert replayed[0]["commands"] == 13
+    assert replayed[0]["bytes"] == sum(len(frame) for frame in frames)
 
 
 def test_runlog_heartbeats_attribute_each_shard(tmp_path):
