@@ -8,8 +8,11 @@ the back-pressure HostCC's congestion signal observes (§2.3).
 
 from __future__ import annotations
 
-from ..sim import Simulator, Store
+from typing import List, Optional, Tuple
+
+from ..sim import Event, Simulator, Store
 from ..sim.stats import TimeWeightedGauge
+
 __all__ = ["IioBuffer", "IioEntry"]
 
 
@@ -33,7 +36,8 @@ class IioBuffer:
         self._entries = Store(sim, name="iio")
         self._bytes = 0
         self.occupancy_gauge = TimeWeightedGauge("iio.occupancy")
-        self._space_waiters = []
+        #: Landed writes waiting for space, as ``(payload, nbytes)``.
+        self._space_waiters: List[Tuple[object, int]] = []
         # Conservation occupancy (repro.audit): posted writes issued by the
         # DMA engine but not yet completed by the memory controller. The
         # DMA engine increments it atomically with ``writes_issued``;
@@ -50,25 +54,36 @@ class IioBuffer:
     def fill_fraction(self) -> float:
         return self._bytes / self.capacity
 
-    def put(self, payload, nbytes: int):
-        """Process: enqueue, blocking while the buffer lacks space."""
-        while self._bytes + nbytes > self.capacity:
-            waiter = self.sim.event()
-            self._space_waiters.append(waiter)
-            yield waiter
+    def put(self, payload, nbytes: int) -> None:
+        """Land a posted write: enqueue it now if the buffer has space,
+        else park it until :meth:`complete` frees space and re-check.
+
+        A plain callback — the DMA engine schedules it ``write_latency``
+        after issue — so a landing costs one calendar entry, not a
+        process. Parked writes re-check in arrival order, one calendar
+        entry each, when the memory controller completes an entry.
+        """
+        if self._bytes + nbytes > self.capacity:
+            self._space_waiters.append((payload, nbytes))
+            return
         self._bytes += nbytes
         self.occupancy_gauge.update(self.sim.now, self._bytes)
-        yield self._entries.put(IioEntry(payload, nbytes, self.sim.now))
+        self._entries.try_put(IioEntry(payload, nbytes, self.sim.now))
 
-    def get(self):
-        """Process: dequeue the oldest entry (memory controller side).
+    def try_get(self) -> Optional[IioEntry]:
+        """The oldest entry if one is buffered, else None (memory
+        controller side: take now, else wait on :meth:`get`).
 
         The entry still occupies IIO space until :meth:`complete` is called
         — the data physically leaves the buffer only once the memory
         controller has written it onward.
         """
-        entry = yield self._entries.get()
-        return entry
+        return self._entries.try_get()
+
+    def get(self) -> Event:
+        """Event whose value is the next entry to land (yield it only
+        after :meth:`try_get` found the buffer empty)."""
+        return self._entries.get()
 
     def complete(self, entry: IioEntry) -> None:
         """Release the space held by ``entry`` (write to LLC/DRAM done)."""
@@ -76,5 +91,5 @@ class IioBuffer:
         self.inbound_inflight -= 1
         self.occupancy_gauge.update(self.sim.now, self._bytes)
         waiters, self._space_waiters = self._space_waiters, []
-        for w in waiters:
-            w.succeed()
+        for payload, nbytes in waiters:
+            self.sim.call_later(0.0, self.put, payload, nbytes)

@@ -75,23 +75,28 @@ class MemoryController:
         self._proc = sim.process(self._drain_loop(), name="memctrl")
 
     def _drain_loop(self):
+        iio = self.iio
         while True:
-            entry = yield from self.iio.get()
+            entry = iio.try_get()
+            if entry is None:
+                entry = yield iio.get()
             write: DmaWrite = entry.payload
             if write.ddio:
                 evicted = self.llc.io_insert(write.key, write.nbytes)
-                yield write.nbytes / self.LLC_FILL_BANDWIDTH
+                fill = write.nbytes / self.LLC_FILL_BANDWIDTH
                 if evicted:
                     # Dirty evicted lines drain at write-back bandwidth
                     # before the next IIO entry is served (§2.2's "extra
                     # memory bandwidth" cost of DDIO thrash).
-                    yield evicted / self.WRITEBACK_BANDWIDTH
+                    yield fill + evicted / self.WRITEBACK_BANDWIDTH
                     self.dram.record_demand(self.sim.now, evicted,
                                             write=True)
                     self.writeback_bytes.add(evicted)
+                else:
+                    yield fill
             else:
                 yield from self.dram.write(write.nbytes)
-            self.iio.complete(entry)
+            iio.complete(entry)
             self.pcie.release_write_credits(write.nbytes)
             self.writes_completed.add(1)
             if write.deliver is not None:

@@ -116,9 +116,11 @@ class DmaEngine:
         """Process: stage 1+2 of Figure 2 — credits, wire, then IIO.
 
         Returns once the write is issued onto the wire; the in-flight PCIe
-        latency is pipelined (a helper process lands the data in the IIO
-        buffer), so back-to-back DMAs overlap exactly as posted writes do.
-        Back-pressure comes from posted credits and wire bandwidth.
+        latency is pipelined (the landing in the IIO buffer is a callback
+        scheduled that far ahead), so back-to-back DMAs overlap exactly as
+        posted writes do. Back-pressure comes from posted credits and wire
+        bandwidth; credits and wire are taken without suspending when
+        they are available.
         """
         self.requests.add(1)
         if self.drop_filter is not None and self.drop_filter(write):
@@ -136,15 +138,8 @@ class DmaEngine:
         self.pending_writes -= 1
         self.writes_issued.add(1)
         self.iio.inbound_inflight += 1
-        # Fire-and-forget by design: one short-lived process per posted
-        # write in the DMA hot path; a crash still propagates because an
-        # unwaited Process re-raises. Keeping per-write handles would
-        # grow without bound.
-        self.sim.process(self._land(write), name="dma-land")  # repro: noqa=D105
-
-    def _land(self, write: DmaWrite):
-        yield self.pcie.write_latency_event()
-        yield from self.iio.put(write, write.nbytes)
+        self.sim.call_later(self.pcie.write_latency_event(), self.iio.put,
+                            write, write.nbytes)
 
     def read_from_nic(self, nic_memory: OnNicMemory, nbytes: int):
         """Process: host-issued DMA read of on-NIC memory (CEIO slow path).
@@ -257,8 +252,11 @@ class Nic:
             on_drop(packet)
 
     def _firmware_loop(self):
+        ingress = self._ingress
         while True:
-            packet = yield self._ingress.get()
+            packet = ingress.try_get()
+            if packet is None:
+                packet = yield ingress.get()
             yield self.config.firmware_overhead
             self.handler_inflight = 1
             yield from self.handler.on_packet(packet)

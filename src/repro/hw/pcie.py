@@ -54,7 +54,8 @@ class PcieLink:
     def acquire_write_credits(self, payload: int):
         """Process: wait for posted-write credits for ``payload`` bytes."""
         amount = min(payload, self.config.posted_credits)
-        yield self._credits.get(amount)
+        if not self._credits.try_get(amount):
+            yield self._credits.get(amount)
         self.credits_acquired.add(amount)
 
     def release_write_credits(self, payload: int) -> None:
@@ -73,13 +74,14 @@ class PcieLink:
         stalled host stalls the NIC visibly.
         """
         wire = self.config.wire_bytes(payload)
-        yield self._wire.take(wire)
+        if not self._wire.try_take(wire):
+            yield self._wire.take(wire)
         self.bytes_written.add(payload)
         self.bandwidth_meter.record(self.sim.now, wire)
 
     def write_latency_event(self):
-        """One-way in-flight latency of a posted write, as a yieldable
-        bare delay (the kernel's allocation-free timeout idiom)."""
+        """One-way in-flight latency of a posted write, ns: a yieldable
+        bare delay, or the ``call_later`` delay of the landing."""
         return self.config.write_latency + self.extra_latency
 
     def read(self, payload: int):

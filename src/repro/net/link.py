@@ -60,8 +60,11 @@ class Link:
         self._queue.try_put(packet)
 
     def _egress(self):
+        queue = self._queue
         while True:
-            packet = yield self._queue.get()
+            packet = queue.try_get()
+            if packet is None:
+                packet = yield queue.get()
             yield packet.size / self.rate
             self.tx_packets.add(1)
             self.tx_bytes.add(packet.size)
@@ -140,8 +143,11 @@ class SwitchPort:
         self._queue.try_put(packet)
 
     def _egress(self):
+        queue = self._queue
         while True:
-            packet = yield self._queue.get()
+            packet = queue.try_get()
+            if packet is None:
+                packet = yield queue.get()
             yield packet.size / self.rate
             self._queued_bytes -= packet.size
             self.queued_packets -= 1

@@ -6,7 +6,8 @@ one point of each family over a short window through that function and
 pins the sha256 of its measurements in sorted-JSON form. The digests
 were first captured from the hand-built single-host builder these specs
 replaced, so they also pin that the translation changed nothing. fig09
-is pinned separately (``tests/sim/test_golden.py``).
+is pinned separately (``tests/sim/test_golden.py``); fig12's churn point
+runs through ``UdChurnScenario``, its own builder.
 
 If a digest moves, that family's testbed behaviour changed. Recapture:
 
@@ -22,7 +23,7 @@ import pytest
 from repro.experiments import (ablations, chaos, dynamic, lessons, limits,
                                soak, table2, table4)
 from repro.sim.units import US
-from repro.workloads import compile_scenario
+from repro.workloads import ChurnConfig, UdChurnScenario, compile_scenario
 
 #: The short window every family is measured over, µs.
 SHORT = {"warmup_us": 100.0, "duration_us": 150.0}
@@ -62,6 +63,15 @@ def _soak():
     return [compile_scenario(spec).run_measure()["host"]]
 
 
+def _churn():
+    # fig12's many-flow, fast-churn point: CEIO's slow path and on-NIC
+    # memory carry most packets, so same-time ordering on the elastic
+    # buffer path shows here first.
+    return [UdChurnScenario(ChurnConfig(
+        total_flows=1024, time_slot=100 * US, warmup=700 * US,
+        duration=200 * US, seed=5)).build().run()]
+
+
 FAMILIES = {
     "table2": lambda: _one_window(table2.scenario_spec(
         {"datapath": "erpc-dpdk", "arch": "hostcc", "quick": True}, 13)),
@@ -79,6 +89,7 @@ FAMILIES = {
     "fig10-dynamic": lambda: _phase_step("dynamic", "ceio"),
     "fig10-burst": lambda: _phase_step("burst", "shring"),
     "soak": _soak,
+    "fig12-churn": _churn,
 }
 
 GOLDEN = {
@@ -86,6 +97,7 @@ GOLDEN = {
     "chaos": "41120d0ba4246ac94222fa457cf13e06f327154c8a051096e985e2e29106afae",
     "fig10-burst": "8087e364b4f38f1db2daafd6c74e94a6c9b78024d22f24839952a57b9f6fa61a",
     "fig10-dynamic": "506e8ab78a74b3d8c1a7a756b29a7a3cdbf679b44e158323455c2dd7fa3ab8ff",
+    "fig12-churn": "5cc1204fe296b6ce0208deaa19aa08c485fa25d9af3cf0a2513c2fa78b839b0b",
     "lessons": "af79ae365c6ea66a27cff45867fe5cee2631f38627a197206655cff2888f8ca0",
     "limits": "52024464a669f63a046a51992d67d7690af84d830df4d3374d60b8139d33e726",
     "soak": "038bda2750b964296c6efebd96b4a8e191c4303e16622014f355246b46df88d6",

@@ -2,12 +2,15 @@
 layer through its seam, and restores the nominal configuration exactly
 when the window closes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faults import FaultController, FaultPlan, FaultSpec, install_plan
-from repro.hw import CacheConfig, HostConfig
+from repro.hw import CacheConfig, DmaWrite, Host, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind, Message
+from repro.sim import Simulator
 from repro.sim.units import US
 from tests.conftest import host_endpoint
 
@@ -196,3 +199,71 @@ def test_unknown_flow_filter_raises_at_onset():
                   duration=5 * US, flow="nope"),)))
     with pytest.raises(ValueError, match="unknown flow"):
         testbed.run(until=2 * US)
+
+
+# ----------------------------------------------------------------------
+# DMA-path seams on a bare host: the posted write lands by callback
+# ----------------------------------------------------------------------
+def bare_host(plan):
+    """A host with no network, and ``plan`` armed against it before any
+    write is issued (the window processes start first at t=0)."""
+    sim = Simulator()
+    host = Host(sim)
+    install_plan(SimpleNamespace(sim=sim, host=host, rng=host.rng,
+                                 flows=[]), plan)
+    return sim, host
+
+
+def issue_one_write(sim, host):
+    write = DmaWrite("p0", 2048, ddio=True)
+
+    def writer(sim):
+        yield from host.nic.dma.write_to_host(write)
+
+    sim.process(writer(sim))
+    return write
+
+
+def landing_time(sim, host, t):
+    """Assert the write lands exactly at ``t``: the IIO is still empty
+    just before and holds the write at ``t``."""
+    sim.run(until=t - 0.5)
+    assert host.iio.occupancy == 0
+    sim.run(until=t)
+    assert host.iio.occupancy == 2048
+
+
+def test_pcie_latency_delays_landing_by_exactly_extra():
+    sim, host = bare_host(FaultPlan())
+    issue_one_write(sim, host)
+    landing_time(sim, host, host.config.pcie.write_latency)
+
+    sim, host = bare_host(FaultPlan((
+        FaultSpec("hw.pcie", "latency", start=0.0, duration=1 * US,
+                  magnitude=250.0),)))
+    issue_one_write(sim, host)
+    landing_time(sim, host, host.config.pcie.write_latency + 250.0)
+
+
+def test_nic_dma_stall_defers_issue_to_window_end():
+    sim, host = bare_host(FaultPlan((
+        FaultSpec("hw.nic", "dma_stall", start=0.0, duration=1000.0),)))
+    issue_one_write(sim, host)
+    dma = host.nic.dma
+    sim.run(until=999.0)
+    assert dma.pending_writes == 1 and dma.writes_issued.value == 0
+    landing_time(sim, host, 1000.0 + host.config.pcie.write_latency)
+    assert dma.pending_writes == 0 and dma.writes_issued.value == 1
+
+
+def test_descriptor_drop_counts_the_write_and_never_lands_it():
+    sim, host = bare_host(FaultPlan((
+        FaultSpec("hw.nic", "descriptor_drop", start=0.0, duration=1 * US,
+                  magnitude=1.0),)))
+    write = issue_one_write(sim, host)
+    sim.run()
+    dma = host.nic.dma
+    assert write.dropped
+    assert dma.dropped_writes.value == 1 and dma.writes_issued.value == 0
+    assert host.iio.occupancy_gauge.max == 0
+    assert host.memctrl.writes_completed.value == 0

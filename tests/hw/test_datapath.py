@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.audit import Ledger, Reconciler
+from repro.audit.wiring import _register_dma_path, _register_llc
 from repro.hw import (
     CpuConfig,
     DmaWrite,
@@ -197,14 +199,73 @@ def test_iio_occupancy_tracked():
     sim = Simulator()
     host = Host(sim)
 
-    def proc(sim):
-        yield from host.iio.put(DmaWrite("x", 1024, ddio=True), 1024)
-        assert host.iio.occupancy == 1024
-
-    sim.process(proc(sim))
+    host.iio.put(DmaWrite("x", 1024, ddio=True), 1024)
+    assert host.iio.occupancy == 1024
     sim.run()
     # Drained by memctrl afterwards.
     assert host.iio.occupancy == 0
+
+
+def _dma_path_report(host):
+    ledger = Ledger()
+    _register_dma_path(ledger, host)
+    _register_llc(ledger, host.llc)
+    return Reconciler(ledger).check(now=host.sim.now)
+
+
+def test_iio_full_back_pressure_keeps_order_and_conservation():
+    """Posted writes land by callback; when the IIO is full the landing
+    parks and re-checks as the memory controller frees space, so every
+    write still lands once, in issue order, with credits and the
+    conservation ledger balanced."""
+    sim = Simulator()
+    host = Host(sim, HostConfig(nic=NicConfig(iio_capacity=2 * 2048)))
+    delivered = []
+
+    def writer(sim):
+        for i in range(32):
+            # Cache-bypassing: the DRAM drain is slower than the PCIe
+            # wire, so landings outrun the memory controller.
+            write = DmaWrite(f"p{i}", 2048, ddio=False,
+                             deliver=lambda t, i=i: delivered.append(i))
+            yield from host.nic.dma.write_to_host(write)
+
+    sim.process(writer(sim))
+    sim.run(until=1_000.0)
+    assert host.iio._space_waiters  # landings are parked on a full IIO
+    sim.run()
+    assert delivered == list(range(32))
+    assert host.iio.inbound_inflight == 0
+    assert host.iio.occupancy_gauge.max == 2 * 2048
+    assert host.pcie.credits_acquired.value == host.pcie.credits_released.value
+    report = _dma_path_report(host)
+    assert report.ok, report.violations
+
+
+#: Calendar entries one uncontended posted write costs: the landing
+#: callback, the memory controller's wake, and its fill/write-back delay.
+#: Credits and wire are taken without suspending.
+ENTRIES_PER_WRITE = 3
+
+
+def test_posted_write_calendar_cost():
+    sim = Simulator()
+    host = Host(sim)
+    n = 1_000
+    gap = 1_000.0
+
+    def writer(sim):
+        for i in range(n):
+            write = DmaWrite(f"p{i}", 2048, ddio=True)
+            yield from host.nic.dma.write_to_host(write)
+            yield gap
+
+    sim.process(writer(sim))
+    executed = sim.run_until(n * gap + 10 * gap, inclusive=True)
+    assert host.memctrl.writes_completed.value == n
+    # Start-up of the writer, memory-controller and firmware processes,
+    # the writer's exit, and one resume of the writer's own gap per write.
+    assert executed == 4 + n * (ENTRIES_PER_WRITE + 1)
 
 
 # ---------------------------------------------------------------------------

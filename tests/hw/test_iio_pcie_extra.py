@@ -10,22 +10,21 @@ def test_iio_put_blocks_when_full_until_complete():
     sim = Simulator()
     cfg = HostConfig(nic=NicConfig(iio_capacity=2048))
     host = Host(sim, cfg)
-    # Stall the memory controller by filling DRAM channels first? Simpler:
-    # enqueue two entries directly; capacity 2048 admits only one 2048B.
+    # Capacity 2048 admits only one 2048B entry: 'b' parks until the
+    # memory controller completes 'a'.
     done = []
 
-    def producer(sim):
-        yield from host.iio.put(DmaWrite("a", 2048, ddio=True), 2048)
-        done.append("a")
-        yield from host.iio.put(DmaWrite("b", 2048, ddio=True), 2048)
-        done.append("b")
+    def landed(name):
+        return lambda t: done.append((name, t))
 
-    sim.process(producer(sim))
+    host.iio.put(DmaWrite("a", 2048, ddio=True, deliver=landed("a")), 2048)
+    host.iio.put(DmaWrite("b", 2048, ddio=True, deliver=landed("b")), 2048)
     sim.run(until=5)
-    # 'a' admitted; 'b' must wait until memctrl completes 'a'.
-    assert "a" in done
+    assert host.iio.occupancy == 2048 and not done
     sim.run()
-    assert done == ["a", "b"]
+    fill = 2048 / host.memctrl.LLC_FILL_BANDWIDTH
+    assert done == [("a", fill), ("b", 2 * fill)]
+    assert host.iio.occupancy == 0
 
 
 def test_iio_fill_fraction():
@@ -33,10 +32,7 @@ def test_iio_fill_fraction():
     cfg = HostConfig(nic=NicConfig(iio_capacity=4096))
     host = Host(sim, cfg)
 
-    def producer(sim):
-        yield from host.iio.put(DmaWrite("a", 1024, ddio=True), 1024)
-
-    sim.process(producer(sim))
+    host.iio.put(DmaWrite("a", 1024, ddio=True), 1024)
     sim.run(until=0.5)
     assert host.iio.fill_fraction == pytest.approx(0.25)
 
