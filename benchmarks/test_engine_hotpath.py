@@ -101,10 +101,7 @@ def callback_chain(n_chains: int = 16, n_events: int = N_EVENTS) -> int:
     """Self-rescheduling plain callables (the ``call_later`` idiom)."""
     sim = Simulator()
     per_chain = n_events // n_chains
-    # Fall back to schedule() on kernels that predate call_later so the
-    # benchmark can measure the pre-refactor baseline too.
-    call_later = getattr(sim, "call_later", None) or (
-        lambda delay, fn: sim.schedule(delay, fn))
+    call_later = sim.call_later
 
     remaining = [per_chain] * n_chains
 

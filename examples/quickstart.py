@@ -44,9 +44,9 @@ def main() -> None:
 
     # 6. Inspect the data path.
     rx = ceio.flows[flow.flow_id]
-    print(f"echoed            : {server.echoed.value:.0f} requests")
+    print(f"echoed            : {server.echoed:.0f} requests")
     print(f"throughput        : "
-          f"{to_mpps(rx.processed.value / bed.sim.now):.2f} Mpps")
+          f"{to_mpps(rx.processed / bed.sim.now):.2f} Mpps")
     print(f"p50 / p99 latency : {rx.latency.percentile(50) / US:.1f} / "
           f"{rx.latency.percentile(99) / US:.1f} us")
     print(f"LLC miss rate     : {bed.host.llc.stats.miss_rate * 100:.2f} %")

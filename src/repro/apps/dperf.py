@@ -47,4 +47,4 @@ class DperfClient:
 
     @property
     def messages_completed(self) -> float:
-        return sum(s.messages_completed.value for s in self.sources)
+        return sum(s.messages_completed for s in self.sources)

@@ -14,7 +14,6 @@ from ..frameworks.dpdk import EthDev, RX_BURST_MAX
 from ..hw.cpu import Core
 from ..io_arch.base import IOArchitecture
 from ..net.packet import Flow
-from ..sim.stats import Counter
 
 __all__ = ["EchoConfig", "EchoServer"]
 
@@ -41,7 +40,7 @@ class SharedEchoServer:
         self.sim = arch.sim
         self.core = core
         self.config = config or EchoConfig()
-        self.echoed = Counter(f"shared-echo{core.index}.echoed")
+        self.echoed = 0.0
         self._running = False
 
     def start(self) -> None:
@@ -72,7 +71,7 @@ class SharedEchoServer:
                 rx = self.arch.flows.get(record.flow.flow_id)
                 if rx is not None:
                     rx.record_processed(record, self.sim.now)
-                self.echoed.add(1)
+                self.echoed += 1
             self.arch.release(records)
 
 
@@ -89,7 +88,7 @@ class EchoServer:
         self.config = config or EchoConfig()
         self.ethdev = ethdev or EthDev(arch)
         self.ethdev.rx_queue_setup(flow)
-        self.echoed = Counter(f"{flow.name}.echoed")
+        self.echoed = 0.0
         self._running = False
 
     def start(self) -> None:
@@ -117,6 +116,6 @@ class EchoServer:
                 rx = self.arch.flows.get(record.flow.flow_id)
                 if rx is not None:
                     rx.record_processed(record, self.sim.now)
-                self.echoed.add(1)
+                self.echoed += 1
             self.ethdev.free(records)
             self.ethdev.tx_burst(len(records))

@@ -26,7 +26,6 @@ from ..frameworks.dpdk import EthDev, RX_BURST_MAX
 from ..hw.cpu import Core
 from ..io_arch.base import IOArchitecture, RxRecord
 from ..net.packet import Flow
-from ..sim.stats import Counter
 
 __all__ = ["ErpcConfig", "RequestContext", "ErpcServer"]
 
@@ -83,8 +82,8 @@ class ErpcServer:
         self.config = config or ErpcConfig()
         self.ethdev = ethdev or EthDev(arch)
         self.ethdev.rx_queue_setup(flow)
-        self.requests = Counter(f"{flow.name}.requests")
-        self.responses = Counter(f"{flow.name}.responses")
+        self.requests = 0.0
+        self.responses = 0.0
         self._running = False
         self._proc = None
 
@@ -133,7 +132,7 @@ class ErpcServer:
         total = (cfg.rpc_overhead_cycles + app_cycles + cfg.tx_cycles
                  + self.per_packet_extra_cycles)
         yield self.core.compute(total)
-        self.requests.add(1)
-        self.responses.add(1)
+        self.requests += 1
+        self.responses += 1
         if rx is not None:
             rx.record_processed(record, self.sim.now)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.rng import RngRegistry
-from ..sim.stats import Counter
 from .erpc import RequestContext
 
 __all__ = ["KvStore", "KvWorkload", "kv_request_payload"]
@@ -44,10 +43,10 @@ class KvStore:
         self.value_size = value_size
         self.rng = RngRegistry(seed).stream("kvstore")
         self.table = {self._key(i): self._value(i) for i in range(entries)}
-        self.gets = Counter("kv.gets")
-        self.puts = Counter("kv.puts")
-        self.hits = Counter("kv.hits")
-        self.misses = Counter("kv.misses")
+        self.gets = 0.0
+        self.puts = 0.0
+        self.hits = 0.0
+        self.misses = 0.0
 
     @staticmethod
     def _key(i: int) -> bytes:
@@ -60,16 +59,16 @@ class KvStore:
         return len(self.table)
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self.gets.add(1)
+        self.gets += 1
         value = self.table.get(key)
         if value is None:
-            self.misses.add(1)
+            self.misses += 1
         else:
-            self.hits.add(1)
+            self.hits += 1
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        self.puts.add(1)
+        self.puts += 1
         self.table[key] = value
 
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from ..frameworks.rdma import CompletionQueue, QpType, RdmaEndpoint, WorkComplet
 from ..hw.cpu import Core
 from ..io_arch.base import IOArchitecture
 from ..net.packet import Flow
-from ..sim.stats import Counter
 
 __all__ = ["LineFsConfig", "LineFsServer"]
 
@@ -53,8 +52,8 @@ class LineFsServer:
         self.cq = CompletionQueue(self.sim)
         self.endpoint = endpoint or RdmaEndpoint(arch, self.cq)
         self.flows: List[Flow] = []
-        self.chunks_written = Counter("linefs.chunks")
-        self.bytes_written = Counter("linefs.bytes")
+        self.chunks_written = 0.0
+        self.bytes_written = 0.0
         self._running = False
 
     def attach_flow(self, flow: Flow) -> None:
@@ -103,5 +102,5 @@ class LineFsServer:
             for record in wc.records:
                 rx.record_processed(record, now)
         self.arch.release(wc.records)
-        self.chunks_written.add(1)
-        self.bytes_written.add(wc.byte_len)
+        self.chunks_written += 1
+        self.bytes_written += wc.byte_len

@@ -21,7 +21,7 @@ from ..hw import HostConfig
 from ..io_arch import build_arch
 from ..io_arch.base import IOArchitecture
 from ..net import Flow, FlowKind, SaturatingSource
-from ..sim.stats import Counter, Histogram
+from ..sim.stats import Histogram
 from ..sim.units import MS, US, to_gbps
 from ..topo import Fabric, two_host
 
@@ -39,8 +39,8 @@ class RdmaSink:
         self.cq = CompletionQueue(self.sim)
         self.endpoint = RdmaEndpoint(arch, self.cq)
         self.poll_gap = poll_gap
-        self.bytes_received = Counter("sink.bytes")
-        self.messages = Counter("sink.messages")
+        self.bytes_received = 0.0
+        self.messages = 0.0
         self.message_latency = Histogram("sink.msg_latency")
         self._running = False
 
@@ -63,8 +63,8 @@ class RdmaSink:
             now = self.sim.now
             rxmap = self.arch.flows
             for wc in completions:
-                self.bytes_received.add(wc.byte_len)
-                self.messages.add(1)
+                self.bytes_received += wc.byte_len
+                self.messages += 1
                 first_send = min(r.packet.send_time for r in wc.records)
                 self.message_latency.record(max(1.0, now - first_send))
                 rx = rxmap.get(wc.flow.flow_id)
@@ -133,7 +133,7 @@ def ib_write_bw(arch_name: str = "ceio", msg_size: int = 65536,
     source = SaturatingSource(bed.sim, sender, outstanding=outstanding)
     source.start()
     bed.run(until=duration)
-    goodput = sink.bytes_received.value / duration
+    goodput = sink.bytes_received / duration
     pkts = goodput / max(1, payload)
     path = "slow" if force_slow else (
         "fast" if arch_name == "ceio" else "raw")

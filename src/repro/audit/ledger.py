@@ -3,15 +3,21 @@
 An :class:`Account` states one balance equation of the simulated system —
 "everything offered to this layer is either forwarded, dropped, or still
 resident here" — as two lists of *sources*: debits (what came in) and
-credits (where it went). A source is any of
+credits (where it went). A source is one of
 
-- a counter-like object exposing ``.value`` (:class:`repro.sim.stats.Counter`),
-- a zero-argument callable returning a number (occupancy getters),
-- an ``(obj, "attr")`` pair read as a plain attribute (occupancy ints).
+- an ``(obj, "attr")`` pair read as a plain attribute: a counter field
+  (``(nic, "rx_packets")``) or an occupancy int;
+- a zero-argument callable returning a number (sums and derived
+  occupancies).
+
+Registration rejects anything else — a bare number such as
+``nic.rx_packets`` would be read once and reported as a stale value — and
+an ``(obj, "attr")`` pair whose attribute does not exist, so a wiring
+mistake fails when the ledger is built, not at reconcile time.
 
 Sources are registered once at build time and *read* only when a
 :class:`~repro.audit.reconcile.Reconciler` checks the ledger, so the
-simulation hot path pays nothing beyond the plain integer increments the
+simulation hot path pays nothing beyond the plain in-place increments the
 instrumented layers already perform — no per-packet allocation, no
 callbacks, no event traffic.
 
@@ -40,14 +46,11 @@ __all__ = ["Account", "Ledger", "read_source"]
 #: Valid unit tags for accounts (documentation + report labelling).
 UNITS = ("packets", "bytes", "descriptors", "credits", "lines", "ways")
 
-Source = Union[Callable[[], float], Tuple[Any, str], Any]
+Source = Union[Callable[[], float], Tuple[Any, str]]
 
 
 def read_source(source: Source) -> float:
     """Read a source's current value (see module docstring for kinds)."""
-    value = getattr(source, "value", None)
-    if value is not None:
-        return value
     if isinstance(source, tuple):
         obj, attr = source
         return getattr(obj, attr)
@@ -85,18 +88,35 @@ class Account:
     # ------------------------------------------------------------------
     def debit(self, label: str, source: Source) -> "Account":
         """Register an inflow source; returns self for chaining."""
-        self._debits.append((label, source))
+        self._debits.append((label, self._checked(label, source)))
         return self
 
     def credit(self, label: str, source: Source) -> "Account":
         """Register an outflow/occupancy source; returns self for chaining."""
-        self._credits.append((label, source))
+        self._credits.append((label, self._checked(label, source)))
         return self
 
     def slack(self, label: str, source: Source) -> "Account":
         """Register a slack source (``bounded`` accounts only)."""
-        self._slack.append((label, source))
+        self._slack.append((label, self._checked(label, source)))
         return self
+
+    def _checked(self, label: str, source: Source) -> Source:
+        """``source`` if it is a readable source kind, else raise."""
+        if isinstance(source, tuple):
+            if len(source) == 2 and isinstance(source[1], str):
+                obj, attr = source
+                if not hasattr(obj, attr):
+                    raise AttributeError(
+                        f"account {self.name!r} source {label!r}: "
+                        f"{type(obj).__name__} has no attribute {attr!r}")
+                return source
+        elif callable(source):
+            return source
+        raise TypeError(
+            f"account {self.name!r} source {label!r}: expected an "
+            f"(obj, \"attr\") pair or a zero-argument callable, got "
+            f"{type(source).__name__} {source!r}")
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -11,7 +11,9 @@ credits / elastic buffers / phase barriers).
 
 Every source is read **lazily** at reconcile time: building the ledger
 costs a handful of small objects once per scenario, and the hot path pays
-only the plain integer/Counter increments the components already perform.
+only the in-place increments of the plain float counter fields the
+components already keep. Each counter is registered as an
+``(owner, "field")`` pair.
 
 Accounts marked ``barrier_safe`` have debit/credit transitions that are
 atomic within one kernel step, so they also hold at arbitrary mid-run
@@ -60,16 +62,16 @@ def _register_network(ledger: Union[Ledger, _PrefixedLedger],
     """Switch port and wire: offered packets are dropped, queued, in
     flight, or received by the NIC."""
     swport = ledger.account("net.port", "packets", barrier_safe=True)
-    swport.debit("offered", port.rx_offered)
-    swport.credit("fault_dropped", port.fault_dropped)
-    swport.credit("tail_dropped", port.dropped_packets)
-    swport.credit("transmitted", port.tx_packets)
+    swport.debit("offered", (port, "rx_offered"))
+    swport.credit("fault_dropped", (port, "fault_dropped"))
+    swport.credit("tail_dropped", (port, "dropped_packets"))
+    swport.credit("transmitted", (port, "tx_packets"))
     swport.credit("queued", (port, "queued_packets"))
 
     wire = ledger.account("net.wire", "packets", barrier_safe=True)
-    wire.debit("transmitted", port.tx_packets)
+    wire.debit("transmitted", (port, "tx_packets"))
     wire.credit("in_flight", (port, "wire_inflight"))
-    wire.credit("nic_received", nic.rx_packets)
+    wire.credit("nic_received", (nic, "rx_packets"))
 
 
 def _register_nic(ledger: Union[Ledger, _PrefixedLedger], nic: Nic,
@@ -78,23 +80,23 @@ def _register_nic(ledger: Union[Ledger, _PrefixedLedger], nic: Nic,
     dropped, handled, or still buffered; every handled packet was
     categorised by the architecture exactly once."""
     mac = ledger.account("nic.mac", "packets", barrier_safe=True)
-    mac.debit("received", nic.rx_packets)
-    mac.credit("mac_dropped", nic.dropped_packets)
-    mac.credit("handled", nic.handled_packets)
+    mac.debit("received", (nic, "rx_packets"))
+    mac.credit("mac_dropped", (nic, "dropped_packets"))
+    mac.credit("handled", (nic, "handled_packets"))
     mac.credit("buffered", (nic, "_mac_pkts"))
 
     # The window between entering on_packet and the admit/drop/duplicate
     # decision is covered by handler_inflight (bounded, slack <= 1).
     handler = ledger.account("nic.handler", "packets", barrier_safe=True,
                              bounded=True)
-    handler.debit("accepted", arch.rx_accepted)
-    handler.debit("arch_dropped", arch.rx_dropped)
-    handler.debit("shed", arch.rx_shed)
+    handler.debit("accepted", (arch, "rx_accepted"))
+    handler.debit("arch_dropped", (arch, "rx_dropped"))
+    handler.debit("shed", (arch, "rx_shed"))
     handler.debit("duplicates",
-                  lambda: sum(rx.duplicates.value
+                  lambda: sum(rx.duplicates
                               for rx in arch._all_rx.values()))
-    handler.credit("handled", nic.handled_packets)
-    handler.credit("mac_dropped", nic.dropped_packets)
+    handler.credit("handled", (nic, "handled_packets"))
+    handler.credit("mac_dropped", (nic, "dropped_packets"))
     handler.slack("handler_inflight", (nic, "handler_inflight"))
 
 
@@ -103,32 +105,32 @@ def _register_dma_path(ledger: Union[Ledger, _PrefixedLedger],
     """DMA engine -> PCIe -> IIO -> memory controller."""
     dma = host.nic.dma
     engine = ledger.account("dma.engine", "packets", barrier_safe=True)
-    engine.debit("requests", dma.requests)
-    engine.credit("dropped_writes", dma.dropped_writes)
+    engine.debit("requests", (dma, "requests"))
+    engine.credit("dropped_writes", (dma, "dropped_writes"))
     engine.credit("pending", (dma, "pending_writes"))
-    engine.credit("issued", dma.writes_issued)
+    engine.credit("issued", (dma, "writes_issued"))
 
     iio = ledger.account("hw.iio", "packets", barrier_safe=True)
-    iio.debit("issued", dma.writes_issued)
+    iio.debit("issued", (dma, "writes_issued"))
     iio.credit("inbound_inflight", (host.iio, "inbound_inflight"))
-    iio.credit("completed", host.memctrl.writes_completed)
+    iio.credit("completed", (host.memctrl, "writes_completed"))
 
     memctrl = ledger.account("hw.memctrl", "packets", barrier_safe=True)
-    memctrl.debit("completed", host.memctrl.writes_completed)
-    memctrl.credit("delivered", host.memctrl.deliveries)
-    memctrl.credit("no_consumer", host.memctrl.no_deliver)
+    memctrl.debit("completed", (host.memctrl, "writes_completed"))
+    memctrl.credit("delivered", (host.memctrl, "deliveries"))
+    memctrl.credit("no_consumer", (host.memctrl, "no_deliver"))
 
     pcie = host.pcie
     credits = ledger.account("hw.pcie_credits", "bytes", tolerance=1e-6)
-    credits.debit("acquired", pcie.credits_acquired)
-    credits.credit("released", pcie.credits_released)
+    credits.debit("acquired", (pcie, "credits_acquired"))
+    credits.credit("released", (pcie, "credits_released"))
     credits.credit("outstanding",
                    lambda: pcie.config.posted_credits
                    - pcie._credits.level)
 
     nicmem = ledger.account("hw.nicmem", "bytes", barrier_safe=True)
-    nicmem.debit("allocated", host.nic.memory.allocated_bytes)
-    nicmem.credit("freed", host.nic.memory.freed_bytes)
+    nicmem.debit("allocated", (host.nic.memory, "allocated_bytes"))
+    nicmem.credit("freed", (host.nic.memory, "freed_bytes"))
     nicmem.credit("used", (host.nic.memory, "used"))
 
 
@@ -211,15 +213,15 @@ def build_fabric_ledger(fabric) -> Ledger:
     for switch, index, port, forwarded in fabric.interior_ports():
         base = f"switch.{switch}.port.{index}"
         acct = ledger.account(base, "packets", barrier_safe=True)
-        acct.debit("offered", port.rx_offered)
-        acct.credit("fault_dropped", port.fault_dropped)
-        acct.credit("tail_dropped", port.dropped_packets)
-        acct.credit("transmitted", port.tx_packets)
+        acct.debit("offered", (port, "rx_offered"))
+        acct.credit("fault_dropped", (port, "fault_dropped"))
+        acct.credit("tail_dropped", (port, "dropped_packets"))
+        acct.credit("transmitted", (port, "tx_packets"))
         acct.credit("queued", (port, "queued_packets"))
         wire = ledger.account(f"{base}.wire", "packets", barrier_safe=True)
-        wire.debit("transmitted", port.tx_packets)
+        wire.debit("transmitted", (port, "tx_packets"))
         wire.credit("in_flight", (port, "wire_inflight"))
-        wire.credit("forwarded", forwarded)
+        wire.credit("forwarded", (forwarded, "count"))
     # Boundary (cut) links of a scoped shard fabric. The port equation is
     # fully local to the egress-owning shard; the wire equation splits —
     # transmitted and in_flight live with the egress, the forwarded
@@ -230,17 +232,17 @@ def build_fabric_ledger(fabric) -> Ledger:
         for switch, index, port, _peer in fabric.cut_egresses():
             base = f"switch.{switch}.port.{index}"
             acct = ledger.account(base, "packets", barrier_safe=True)
-            acct.debit("offered", port.rx_offered)
-            acct.credit("fault_dropped", port.fault_dropped)
-            acct.credit("tail_dropped", port.dropped_packets)
-            acct.credit("transmitted", port.tx_packets)
+            acct.debit("offered", (port, "rx_offered"))
+            acct.credit("fault_dropped", (port, "fault_dropped"))
+            acct.credit("tail_dropped", (port, "dropped_packets"))
+            acct.credit("transmitted", (port, "tx_packets"))
             acct.credit("queued", (port, "queued_packets"))
             wire = ledger.account(f"{base}.wire", "packets",
                                   cross_shard=True)
-            wire.debit("transmitted", port.tx_packets)
+            wire.debit("transmitted", (port, "tx_packets"))
             wire.credit("in_flight", (port, "wire_inflight"))
         for peer, index, _local_sw, forwarded in fabric.cut_ingresses():
             wire = ledger.account(f"switch.{peer}.port.{index}.wire",
                                   "packets", cross_shard=True)
-            wire.credit("forwarded", forwarded)
+            wire.credit("forwarded", (forwarded, "count"))
     return ledger

@@ -22,7 +22,6 @@ duplicates`` equation.
 
 from __future__ import annotations
 
-from ..sim.stats import Counter
 
 __all__ = ["AdmissionController"]
 
@@ -37,15 +36,15 @@ class AdmissionController:
             raise ValueError("admission slow_bytes_limit must be positive")
         self.ring_limit = ring_limit
         self.slow_bytes_limit = slow_bytes_limit
-        self.offered = Counter("admission.offered")
-        self.admitted = Counter("admission.admitted")
-        self.shed = Counter("admission.shed")
+        self.offered = 0.0
+        self.admitted = 0.0
+        self.shed = 0.0
 
     def admit(self, queue_depth: int, slow_bytes: int) -> bool:
         """Decide one packet. Counts the decision either way."""
-        self.offered.add(1)
+        self.offered += 1
         if queue_depth >= self.ring_limit or slow_bytes >= self.slow_bytes_limit:
-            self.shed.add(1)
+            self.shed += 1
             return False
-        self.admitted.add(1)
+        self.admitted += 1
         return True

@@ -13,7 +13,6 @@ from typing import Dict, List
 
 from ..net.packet import Flow
 from ..sim import Interrupt
-from ..sim.stats import Counter
 
 __all__ = ["CeioDriver"]
 
@@ -25,8 +24,8 @@ class CeioDriver:
         self.config = runtime.config
         #: flow_id -> fast-path buffers released but not yet credited.
         self._release_accum: Dict[int, int] = {}
-        self.sync_fetches = Counter("ceio.sync_fetches")
-        self.async_fetches = Counter("ceio.async_fetches")
+        self.sync_fetches = 0.0
+        self.async_fetches = 0.0
 
     # ------------------------------------------------------------------
     # Receive APIs
@@ -50,7 +49,7 @@ class CeioDriver:
             if records:
                 return records
             if state.swring.has_nonresident:
-                self.sync_fetches.add(1)
+                self.sync_fetches += 1
                 yield from self._drain_once(state)
                 continue
             # Nothing delivered yet: poll.
@@ -77,7 +76,7 @@ class CeioDriver:
             rx = runtime._all_rx.get(fid)
             if rx is not None:
                 rx.in_use -= 1
-                runtime.released_records.add(1)
+                runtime.released_records += 1
             runtime.host.llc.release(record.key)
             if record.path != "fast":
                 continue  # slow-path buffers never held credits
@@ -111,7 +110,7 @@ class CeioDriver:
         if state.draining:
             return
         state.draining = True
-        self.async_fetches.add(1)
+        self.async_fetches += 1
 
         batch = self._batch_size(state.flow)
         prefetch = max(self.config.drain_prefetch, 3 * batch)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..sim.stats import Counter, RateMeter
+from ..sim.stats import RateMeter
 from .sw_ring import SwEntry, SwRing
 
 __all__ = ["FlowSlowBuffer", "ElasticBufferManager"]
@@ -71,14 +71,14 @@ class ElasticBufferManager:
         self.sim = host.sim
         self.config = config
         self.buffers: Dict[int, FlowSlowBuffer] = {}
-        self.buffered_packets = Counter("ceio.slow_buffered")
-        self.drained_packets = Counter("ceio.slow_drained")
-        self.slow_drops = Counter("ceio.slow_drops")
+        self.buffered_packets = 0.0
+        self.drained_packets = 0.0
+        self.slow_drops = 0.0
         #: On-NIC memory exhausted on a buffer attempt. The runtime decides
         #: what happens next (spill to DRAM, or drop + ``slow_drops``) —
         #: this counter makes the overflow visible either way instead of
         #: the flow silently wedging.
-        self.overflow_events = Counter("ceio.slow_overflow")
+        self.overflow_events = 0.0
         #: True while drains are waiting on LLC headroom; the runtime routes
         #: all fast-path admissions to the slow path during this window.
         self.fast_path_paused = False
@@ -119,7 +119,7 @@ class ElasticBufferManager:
         """
         memory = self.host.nic.memory
         if not memory.allocate(packet.size):
-            self.overflow_events.add(1)
+            self.overflow_events += 1
             return False
         yield from memory.write(packet.size)
         buf = self.flow_buffer(packet.flow.flow_id)
@@ -133,7 +133,7 @@ class ElasticBufferManager:
         buf.packets += 1
         buf.nbytes += packet.size
         buf.production.record(self.sim.now, packet.size)
-        self.buffered_packets.add(1)
+        self.buffered_packets += 1
         return True
 
     # ------------------------------------------------------------------
@@ -217,7 +217,7 @@ class ElasticBufferManager:
             if entry.record.defer_ack and self.ack_deferred is not None:
                 entry.record.defer_ack = False
                 self.ack_deferred(packet)
-            self.drained_packets.add(1)
+            self.drained_packets += 1
 
     def _drained(self, buf: FlowSlowBuffer, size: int) -> None:
         """One packet of ``buf`` left on-NIC memory for the host."""

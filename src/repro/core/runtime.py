@@ -25,7 +25,6 @@ from ..hw import DmaWrite, Host
 from ..io_arch.base import FlowRx, IOArchitecture, RxRecord
 from ..net.packet import Flow, Packet
 from ..sim import SimulationError
-from ..sim.stats import Counter
 from .admission import AdmissionController
 from .config import CeioConfig
 from .credit import CreditController
@@ -97,15 +96,15 @@ class CeioArchitecture(IOArchitecture):
         #: keeping the tick O(active flows) with thousands registered.
         self._touched: set = set()
         self._inactive_scan_pos = 0
-        self.fast_packets = Counter("ceio.fast_packets")
-        self.slow_packets = Counter("ceio.slow_packets")
-        self.overdraft = Counter("ceio.overdraft")
-        self.upgrades = Counter("ceio.upgrades")
-        self.degrades = Counter("ceio.degrades")
+        self.fast_packets = 0.0
+        self.slow_packets = 0.0
+        self.overdraft = 0.0
+        self.upgrades = 0.0
+        self.degrades = 0.0
         #: Graceful-degradation counters (repro.faults recovery paths).
-        self.credit_reclaimed = Counter("ceio.credit_reclaimed")
-        self.swring_holes = Counter("ceio.swring_holes")
-        self.spilled = Counter("ceio.spilled")
+        self.credit_reclaimed = 0.0
+        self.swring_holes = 0.0
+        self.spilled = 0.0
         #: Overload guardrail (open-loop demand): shed at admission when
         #: per-flow queues exceed the configured limits. None when off.
         self.admission: Optional[AdmissionController] = (
@@ -167,7 +166,7 @@ class CeioArchitecture(IOArchitecture):
     # NIC data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet):
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         fid = packet.flow.flow_id
         state = self.states.get(fid)
         rx = self.flows.get(fid)
@@ -196,8 +195,8 @@ class CeioArchitecture(IOArchitecture):
             # counters yet; the packet over-admits (bounded by poll lag)
             # and borrows against future releases.
             self.credits.consume_overdraft(packet.flow.flow_id, self.sim.now)
-            self.overdraft.add(1)
-        self.fast_packets.add(1)
+            self.overdraft += 1
+        self.fast_packets += 1
         state.swring.note_fast_issued()
         rx.in_use += 1
         self.delivery_inflight += 1
@@ -226,8 +225,8 @@ class CeioArchitecture(IOArchitecture):
             # failure mode the chaos suite exercises.
             self.delivery_inflight -= 1
             self.fast_write_drops += 1
-            self.dma_write_drops.add(1)
-            rx.dropped.add(1)
+            self.dma_write_drops += 1
+            rx.dropped += 1
 
     def _ack_deferred(self, packet: Packet) -> None:
         if self.ack is not None:
@@ -239,7 +238,7 @@ class CeioArchitecture(IOArchitecture):
         packet.delivered_time = t
         record.deliver_time = t
         swring.push_fast(record)
-        rx.delivered.add(1)
+        rx.delivered += 1
         self._notify_ready(packet.flow.flow_id)
 
     def _slow_path(self, packet: Packet, state: CeioFlowState, rx: FlowRx):
@@ -253,7 +252,7 @@ class CeioArchitecture(IOArchitecture):
             if self.config.spill_to_dram:
                 yield from self._spill_to_dram(packet, state, rx, record)
             else:
-                self.buffer_manager.slow_drops.add(1)
+                self.buffer_manager.slow_drops += 1
                 self._drop(packet, rx)
             return
         if self.states.get(packet.flow.flow_id) is not state:
@@ -263,9 +262,9 @@ class CeioArchitecture(IOArchitecture):
             self.buffer_manager.forget_flow(packet.flow.flow_id)
             self._drop(packet, rx)
             return
-        self.slow_packets.add(1)
+        self.slow_packets += 1
         rx.in_use += 1
-        rx.delivered.add(1)
+        rx.delivered += 1
         if self.config.phase_exclusivity:
             state.swring.push_slow(record)
         else:
@@ -279,7 +278,7 @@ class CeioArchitecture(IOArchitecture):
         p = self.buffer_manager.mark_probability(packet.flow.flow_id)
         if p >= 1.0:
             record.defer_ack = True
-            self.rx_accepted.add(1)  # accepted, ACK deferred to the drain
+            self.rx_accepted += 1  # accepted, ACK deferred to the drain
         else:
             mark = state.cca_marking or (p > 0
                                          and self._mark_rng.random() < p)
@@ -297,10 +296,10 @@ class CeioArchitecture(IOArchitecture):
         reads the buffer.
         """
         record.path = "host"
-        self.spilled.add(1)
-        self.slow_packets.add(1)
+        self.spilled += 1
+        self.slow_packets += 1
         rx.in_use += 1
-        rx.delivered.add(1)
+        rx.delivered += 1
         if self.config.phase_exclusivity:
             entry = state.swring.push_slow(record)
         else:
@@ -328,8 +327,8 @@ class CeioArchitecture(IOArchitecture):
             # The spilled entry can never become host-resident; account the
             # loss to the flow (delivery counters already balanced at
             # admission, so only the flow-visible drop is recorded).
-            self.dma_write_drops.add(1)
-            rx.dropped.add(1)
+            self.dma_write_drops += 1
+            rx.dropped += 1
 
     # ------------------------------------------------------------------
     # Host software API
@@ -357,7 +356,7 @@ class CeioArchitecture(IOArchitecture):
         if records or not state.swring.has_nonresident:
             return records
         # Synchronous ablation: the CPU stalls on the PCIe round trip.
-        self.driver.sync_fetches.add(1)
+        self.driver.sync_fetches += 1
         yield from self.driver._drain_once(state)
         return state.swring.pop_ready(max_packets)
 
@@ -477,7 +476,7 @@ class CeioArchitecture(IOArchitecture):
                     and now - state.barrier_stuck_since
                     > cfg.swring_stuck_timeout):
                 released = state.swring.release_barrier_holes()
-                self.swring_holes.add(released)
+                self.swring_holes += released
                 state.barrier_stuck_since = None
                 state.barrier_progress = -1
                 self._touched.add(fid)
@@ -493,7 +492,7 @@ class CeioArchitecture(IOArchitecture):
         if now - acct.last_activity > timeout:
             lost = self.credits.reclaim_inflight(fid, now)
             if lost:
-                self.credit_reclaimed.add(lost)
+                self.credit_reclaimed += lost
                 state.watchdog_backoff = min(
                     state.watchdog_backoff * 2.0,
                     cfg.credit_watchdog_backoff_cap)
@@ -509,7 +508,7 @@ class CeioArchitecture(IOArchitecture):
         self.steering.set_action(fid, SteeringAction.SLOW_PATH)
         state.degraded_since = self.sim.now
         state.swring.set_barrier()
-        self.degrades.add(1)
+        self.degrades += 1
 
     def pin_slow(self, flow: Flow) -> None:
         """Force a flow onto the slow path ("setting its credit to zero",
@@ -558,7 +557,7 @@ class CeioArchitecture(IOArchitecture):
         state.cca_marking = False
         state.swring.clear_barrier()
         self.credits.set_donating(fid, False)
-        self.upgrades.add(1)
+        self.upgrades += 1
 
     def on_drain_complete(self, state: CeioFlowState) -> None:
         """Called by the driver when a drain leaves the slow ring empty."""
@@ -585,8 +584,8 @@ class CeioArchitecture(IOArchitecture):
     # Introspection for experiments
     # ------------------------------------------------------------------
     def fast_fraction(self) -> float:
-        total = self.fast_packets.value + self.slow_packets.value
-        return self.fast_packets.value / total if total else 0.0
+        total = self.fast_packets + self.slow_packets
+        return self.fast_packets / total if total else 0.0
 
     # ------------------------------------------------------------------
     # Conservation auditing (repro.audit)
@@ -602,15 +601,15 @@ class CeioArchitecture(IOArchitecture):
 
         delivery = ledger.account("arch.delivery", "packets",
                                   barrier_safe=True)
-        delivery.debit("accepted", self.rx_accepted)
+        delivery.debit("accepted", (self, "rx_accepted"))
         delivery.credit("delivered",
-                        lambda: sum(rx.delivered.value for rx in rxs.values()))
+                        lambda: sum(rx.delivered for rx in rxs.values()))
         delivery.credit("inflight", (self, "delivery_inflight"))
         delivery.credit("fast_write_drops", (self, "fast_write_drops"))
 
         rings = ledger.account("arch.app_rings", "packets", barrier_safe=True)
         rings.debit("delivered",
-                    lambda: sum(rx.delivered.value for rx in rxs.values()))
+                    lambda: sum(rx.delivered for rx in rxs.values()))
         rings.credit("popped",
                      lambda: sum(st.swring.popped for st in states.values()))
         rings.credit("ring_occupancy",
@@ -618,8 +617,8 @@ class CeioArchitecture(IOArchitecture):
 
         desc = ledger.account("arch.descriptors", "descriptors",
                               barrier_safe=True)
-        desc.debit("accepted", self.rx_accepted)
-        desc.credit("released", self.released_records)
+        desc.debit("accepted", (self, "rx_accepted"))
+        desc.credit("released", (self, "released_records"))
         desc.credit("in_use", lambda: sum(rx.in_use for rx in rxs.values()))
 
         barrier = ledger.account("ceio.fast_barrier", "packets",
@@ -648,7 +647,7 @@ class CeioArchitecture(IOArchitecture):
 
         elastic = ledger.account("ceio.elastic_entries", "packets",
                                  barrier_safe=True)
-        elastic.debit("buffered", bm.buffered_packets)
+        elastic.debit("buffered", (bm, "buffered_packets"))
         elastic.credit("removed", (bm, "audit_removed"))
         elastic.credit("forgotten", (bm, "forgotten_entries"))
         # Still on the NIC = slow-path SW-ring entries awaiting a drain, read

@@ -23,7 +23,6 @@ from typing import Iterator
 from ..net.dctcp import DctcpSender
 from ..net.packet import Flow
 from ..sim import Interrupt, Simulator
-from ..sim.stats import Counter
 
 __all__ = ["DemandSource"]
 
@@ -36,8 +35,7 @@ class DemandSource:
         self.sim = sim
         self.sender = sender
         self.arrivals = arrivals
-        self.messages_submitted = Counter(
-            f"{sender.flow.name}.submitted")
+        self.messages_submitted = 0.0
         self._running = False
         self._proc = None
 
@@ -69,6 +67,6 @@ class DemandSource:
                 if not self._running:
                     return
                 self.sender.submit_message(self.flow.make_message())
-                self.messages_submitted.add(1)
+                self.messages_submitted += 1
         except Interrupt:
             return

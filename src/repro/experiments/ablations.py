@@ -101,7 +101,7 @@ def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     if params["kind"] == "mpq":
         return {"mpps": m.involved_mpps,
                 "high_fraction": arch.high_fraction(),
-                "demotions": arch.demotions.value}
+                "demotions": arch.demotions}
     return {"mpps": m.involved_mpps}
 
 

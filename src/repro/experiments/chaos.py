@@ -126,7 +126,7 @@ def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "pre": pre.involved_mpps,
         "during": during.involved_mpps,
         "post": [m.involved_mpps for m in posts],
-        "dropped_writes": endpoint.host.nic.dma.dropped_writes.value,
+        "dropped_writes": endpoint.host.nic.dma.dropped_writes,
         # Per-flow drops summed over every measured window — includes the
         # silently-lost DMA writes that baseline/shring/hostcc previously
         # failed to account into Measurement.dropped.
@@ -135,9 +135,9 @@ def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
             len((m.audit or {}).get("violations", ())) for m in windows),
     }
     for attr in ("credit_reclaimed", "swring_holes", "spilled"):
-        counter = getattr(endpoint.io_arch, attr, None)
-        if counter is not None:
-            out[attr] = counter.value
+        count = getattr(endpoint.io_arch, attr, None)
+        if count is not None:
+            out[attr] = count
     return out
 
 

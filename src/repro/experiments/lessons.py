@@ -56,7 +56,7 @@ def _rpc_throughput(zero_copy: bool, quick: bool, seed: int) -> float:
         SaturatingSource(bed.sim, sender, outstanding=96).start()
     horizon = 400 * US if quick else 800 * US
     bed.run(until=horizon)
-    total = sum(s.requests.value for s in servers)
+    total = sum(s.requests for s in servers)
     return total / horizon * 1e3  # Mpps
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ..sim.stats import Counter
 from .plan import FaultSpec
 
 __all__ = ["FaultController", "install_plan"]
@@ -72,7 +71,7 @@ class FaultController:
         #: :class:`~repro.workloads.topo_scenario.TopoScenario`), needed
         #: only by ``apps`` faults.
         self.scenario = scenario
-        self.windows_opened = Counter("faults.windows")
+        self.windows_opened = 0.0
         self._procs = []
         self._armed = False
 
@@ -97,7 +96,7 @@ class FaultController:
         if spec.start > 0:
             yield spec.start
         on()
-        self.windows_opened.add(1)
+        self.windows_opened += 1
         if spec.finite:
             yield spec.duration
             off()

@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from ..io_arch.base import IOArchitecture, RxRecord
 from ..net.packet import Flow
-from ..sim.stats import Counter
 
 __all__ = ["Mempool", "EthDev", "RX_BURST_MAX"]
 
@@ -35,7 +34,7 @@ class Mempool:
         self.capacity = capacity
         self.buf_size = buf_size
         self._free = capacity
-        self.alloc_failures = Counter(f"{name}.alloc_failures")
+        self.alloc_failures = 0.0
 
     @property
     def available(self) -> int:
@@ -47,7 +46,7 @@ class Mempool:
 
     def alloc(self, count: int = 1) -> bool:
         if count > self._free:
-            self.alloc_failures.add(1)
+            self.alloc_failures += 1
             return False
         self._free -= count
         return True
@@ -66,8 +65,8 @@ class EthDev:
         self.mempool = mempool or Mempool(
             "default", capacity=1 << 20,
             buf_size=arch.host.config.io_buf_size)
-        self.rx_burst_calls = Counter("ethdev.rx_bursts")
-        self.tx_packets = Counter("ethdev.tx_packets")
+        self.rx_burst_calls = 0.0
+        self.tx_packets = 0.0
 
     def rx_queue_setup(self, flow: Flow) -> None:
         """Bind a flow to a receive queue (rte_eth_rx_queue_setup)."""
@@ -79,7 +78,7 @@ class EthDev:
         Generator so that architectures with blocking receive semantics can
         stall the caller; the common case returns immediately.
         """
-        self.rx_burst_calls.add(1)
+        self.rx_burst_calls += 1
         records = yield from self.arch.recv_burst(flow, max_packets)
         if records:
             self.mempool.alloc(len(records))
@@ -88,7 +87,9 @@ class EthDev:
     def tx_burst(self, count: int) -> None:
         """Transmit-side accounting (responses leave on an uncontended
         reverse path; their CPU cost is charged by the application)."""
-        self.tx_packets.add(count)
+        if count < 0:
+            raise ValueError(f"tx_burst count must be non-negative: {count}")
+        self.tx_packets += count
 
     def free(self, records: List[RxRecord]) -> None:
         """Return mbufs to the pool and descriptors to the architecture."""

@@ -24,7 +24,6 @@ from typing import Dict, List
 from ..io_arch.base import IOArchitecture, RxRecord
 from ..net.packet import Flow
 from ..sim import Simulator, Store
-from ..sim.stats import Counter
 
 __all__ = ["QpType", "WorkCompletion", "CompletionQueue", "QueuePair",
            "RdmaEndpoint"]
@@ -58,14 +57,14 @@ class CompletionQueue:
     def __init__(self, sim: Simulator, depth: int = 4096):
         self.sim = sim
         self._cq = Store(sim, capacity=depth, name="cq")
-        self.overflows = Counter("cq.overflows")
+        self.overflows = 0.0
 
     def __len__(self) -> int:
         return len(self._cq)
 
     def push(self, wc: WorkCompletion) -> None:
         if not self._cq.try_put(wc):
-            self.overflows.add(1)
+            self.overflows += 1
 
     def poll(self, max_wc: int) -> List[WorkCompletion]:
         """Non-blocking poll (ibv_poll_cq)."""
@@ -86,12 +85,14 @@ class QueuePair:
         self.flow = flow
         self.qp_type = qp_type
         self.cq = cq
-        self.posted_recvs = Counter(f"qp{flow.flow_id}.posted")
+        self.posted_recvs = 0.0
         arch.register_flow(flow)
 
     def post_recv(self, count: int) -> None:
         """Post receive WQEs (descriptor budget is owned by the arch)."""
-        self.posted_recvs.add(count)
+        if count < 0:
+            raise ValueError(f"post_recv count must be non-negative: {count}")
+        self.posted_recvs += count
 
 
 class RdmaEndpoint:
@@ -119,7 +120,7 @@ class RdmaEndpoint:
         self.burst = burst
         self.qps: Dict[int, QueuePair] = {}
         self._partial: Dict[int, List[RxRecord]] = {}
-        self.messages_completed = Counter("rdma.messages")
+        self.messages_completed = 0.0
         self._proc = None
 
     def create_qp(self, flow: Flow, qp_type: QpType = QpType.RC) -> QueuePair:
@@ -160,4 +161,4 @@ class RdmaEndpoint:
                 byte_len = sum(r.packet.payload for r in parts)
                 self.cq.push(WorkCompletion(qp.flow, mid, byte_len,
                                             parts, self.sim.now))
-                self.messages_completed.add(1)
+                self.messages_completed += 1

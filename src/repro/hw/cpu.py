@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..sim import Simulator
-from ..sim.stats import Counter
 from .config import CacheConfig, CpuConfig
 from .dram import Dram
 
@@ -30,8 +29,8 @@ class Core:
         self.llc = llc
         self.dram = dram
         self.busy_ns = 0.0
-        self.reads = Counter(f"core{index}.reads")
-        self.read_misses = Counter(f"core{index}.read_misses")
+        self.reads = 0.0
+        self.read_misses = 0.0
         #: Fault seam (repro.faults hw.cpu "slowdown"): execution-time
         #: multiplier modelling preemption by another tenant; 1.0 healthy.
         self.slowdown = 1.0
@@ -51,13 +50,13 @@ class Core:
         """
         hit_fraction = self.llc.cpu_read(key, nbytes)
         cfg = self.cache_config
-        self.reads.add(1)
+        self.reads += 1
         if hit_fraction >= 1.0:
             return cfg.hit_latency, False
         missed_bytes = max(cfg.line, int(nbytes * (1.0 - hit_fraction)))
         dram_ns = self.dram.latency_estimate(missed_bytes, self.sim.now)
         self.dram.record_demand(self.sim.now, missed_bytes)
-        self.read_misses.add(1)
+        self.read_misses += 1
         latency = (hit_fraction * cfg.hit_latency
                    + (1.0 - hit_fraction) * cfg.miss_penalty + dram_ns)
         return latency, True

@@ -9,7 +9,7 @@ one of the two resources the paper's analysis (§2.2) says LLC misses burn.
 from __future__ import annotations
 
 from ..sim import Resource, Simulator
-from ..sim.stats import Counter, RateMeter, TimeWeightedGauge
+from ..sim.stats import RateMeter, TimeWeightedGauge
 from .config import DramConfig
 
 __all__ = ["Dram"]
@@ -20,8 +20,8 @@ class Dram:
         self.sim = sim
         self.config = config
         self._channels = Resource(sim, capacity=config.channels, name="dram")
-        self.bytes_read = Counter("dram.bytes_read")
-        self.bytes_written = Counter("dram.bytes_written")
+        self.bytes_read = 0.0
+        self.bytes_written = 0.0
         self.bandwidth_meter = RateMeter("dram.bw", window=10_000.0)
         self.queue_gauge = TimeWeightedGauge("dram.queue")
 
@@ -40,7 +40,7 @@ class Dram:
         return min(1.0,
                    self.bandwidth_meter.rate(now) / self.effective_bandwidth)
 
-    def _access(self, nbytes: int, counter: Counter):
+    def _access(self, nbytes: int, write: bool):
         """Process: one DRAM access of ``nbytes``."""
         self.queue_gauge.adjust(self.sim.now, +1)
         yield self._channels.request()
@@ -50,16 +50,19 @@ class Dram:
         finally:
             self._channels.release()
             self.queue_gauge.adjust(self.sim.now, -1)
-        counter.add(nbytes)
+        if write:
+            self.bytes_written += nbytes
+        else:
+            self.bytes_read += nbytes
         self.bandwidth_meter.record(self.sim.now, nbytes)
 
     def read(self, nbytes: int):
         """Process: read ``nbytes`` (yield from / yield sim.process(...))."""
-        return self._access(nbytes, self.bytes_read)
+        return self._access(nbytes, False)
 
     def write(self, nbytes: int):
         """Process: write ``nbytes``."""
-        return self._access(nbytes, self.bytes_written)
+        return self._access(nbytes, True)
 
     def latency_estimate(self, nbytes: int, now: float) -> float:
         """Closed-form expected latency used by non-process fast paths.
@@ -74,5 +77,8 @@ class Dram:
 
     def record_demand(self, now: float, nbytes: int, write: bool = False) -> None:
         """Account bandwidth for accesses modelled in closed form."""
-        (self.bytes_written if write else self.bytes_read).add(nbytes)
+        if write:
+            self.bytes_written += nbytes
+        else:
+            self.bytes_read += nbytes
         self.bandwidth_meter.record(now, nbytes)

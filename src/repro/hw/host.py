@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import RngRegistry, Simulator, StatRegistry
+from ..sim import RngRegistry, Simulator
 from .cache import build_llc
 from .config import HostConfig
 from .cpu import CpuComplex
@@ -37,7 +37,6 @@ class Host:
         #: standalone default keeps direct ``Host(sim)`` construction
         #: deterministic.
         self.rng = rng if rng is not None else RngRegistry(0)
-        self.stats = StatRegistry()
         self.llc = build_llc(self.config.cache)
         self.dram = Dram(sim, self.config.dram)
         self.pcie = PcieLink(sim, self.config.pcie)

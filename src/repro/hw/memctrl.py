@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim import Simulator
-from ..sim.stats import Counter
 from .dram import Dram
 from .iio import IioBuffer
 from .pcie import PcieLink
@@ -66,12 +65,12 @@ class MemoryController:
         self.llc = llc
         self.dram = dram
         self.pcie = pcie
-        self.writes_completed = Counter("memctrl.writes")
-        self.writeback_bytes = Counter("memctrl.writebacks")
+        self.writes_completed = 0.0
+        self.writeback_bytes = 0.0
         # Conservation meters (repro.audit): every completed write either
         # delivered to an I/O-architecture descriptor or had no consumer.
-        self.deliveries = Counter("memctrl.deliveries")
-        self.no_deliver = Counter("memctrl.no_deliver")
+        self.deliveries = 0.0
+        self.no_deliver = 0.0
         self._proc = sim.process(self._drain_loop(), name="memctrl")
 
     def _drain_loop(self):
@@ -91,16 +90,16 @@ class MemoryController:
                     yield fill + evicted / self.WRITEBACK_BANDWIDTH
                     self.dram.record_demand(self.sim.now, evicted,
                                             write=True)
-                    self.writeback_bytes.add(evicted)
+                    self.writeback_bytes += evicted
                 else:
                     yield fill
             else:
                 yield from self.dram.write(write.nbytes)
             iio.complete(entry)
             self.pcie.release_write_credits(write.nbytes)
-            self.writes_completed.add(1)
+            self.writes_completed += 1
             if write.deliver is not None:
-                self.deliveries.add(1)
+                self.deliveries += 1
                 write.deliver(self.sim.now)
             else:
-                self.no_deliver.add(1)
+                self.no_deliver += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..sim import Simulator, Store, TokenBucket
-from ..sim.stats import Counter, TimeWeightedGauge
+from ..sim.stats import TimeWeightedGauge
 from .config import NicConfig
 from .iio import IioBuffer
 from .memctrl import DmaWrite
@@ -36,13 +36,13 @@ class OnNicMemory:
         self._bandwidth = TokenBucket(sim, rate=config.memory_bandwidth,
                                       burst=256 * 1024, name="nicmem.bw")
         self.used_gauge = TimeWeightedGauge("nicmem.used")
-        self.bytes_written = Counter("nicmem.bytes_written")
-        self.bytes_read = Counter("nicmem.bytes_read")
+        self.bytes_written = 0.0
+        self.bytes_read = 0.0
         # Conservation meters (repro.audit): every reservation and every
         # free, at face value — a double free shows up as freed > allocated
         # rather than vanishing into the max(0, ...) clamp below.
-        self.allocated_bytes = Counter("nicmem.allocated")
-        self.freed_bytes = Counter("nicmem.freed")
+        self.allocated_bytes = 0.0
+        self.freed_bytes = 0.0
 
     @property
     def used(self) -> int:
@@ -57,13 +57,13 @@ class OnNicMemory:
         if self._used + nbytes > self.capacity:
             return False
         self._used += nbytes
-        self.allocated_bytes.add(nbytes)
+        self.allocated_bytes += nbytes
         self.used_gauge.update(self.sim.now, self._used)
         return True
 
     def free_bytes(self, nbytes: int) -> None:
         self._used = max(0, self._used - nbytes)
-        self.freed_bytes.add(nbytes)
+        self.freed_bytes += nbytes
         self.used_gauge.update(self.sim.now, self._used)
 
     def write(self, nbytes: int):
@@ -75,13 +75,13 @@ class OnNicMemory:
         must wait for the data).
         """
         yield self._bandwidth.take(nbytes)
-        self.bytes_written.add(nbytes)
+        self.bytes_written += nbytes
 
     def read(self, nbytes: int):
         """Process: read from on-board memory (pre-DMA to host)."""
         yield self._bandwidth.take(nbytes)
         yield self.config.memory_latency
-        self.bytes_read.add(nbytes)
+        self.bytes_read += nbytes
 
     def bandwidth_take(self, nbytes: int):
         """Bandwidth-reservation event for an overlapped streaming read."""
@@ -99,17 +99,17 @@ class DmaEngine:
         self.sim = sim
         self.pcie = pcie
         self.iio = iio
-        self.writes_issued = Counter("dma.writes")
-        self.reads_issued = Counter("dma.reads")
+        self.writes_issued = 0.0
+        self.reads_issued = 0.0
         # Fault seams (repro.faults hw.nic): "dma_stall" pushes
         # ``stall_until`` forward; "descriptor_drop" installs a predicate
         # that silently loses writes. Both are inert when healthy.
         self.stall_until = 0.0
         self.drop_filter = None
-        self.dropped_writes = Counter("dma.dropped_writes")
+        self.dropped_writes = 0.0
         # Conservation meters (repro.audit): requests = dropped + pending
         # (stalled / waiting for credits / on the wire) + issued.
-        self.requests = Counter("dma.requests")
+        self.requests = 0.0
         self.pending_writes = 0
 
     def write_to_host(self, write: DmaWrite):
@@ -122,13 +122,13 @@ class DmaEngine:
         bandwidth; credits and wire are taken without suspending when
         they are available.
         """
-        self.requests.add(1)
+        self.requests += 1
         if self.drop_filter is not None and self.drop_filter(write):
             # The drop verdict is synchronous (before any yield), so the
             # caller observes ``write.dropped`` the moment this returns and
             # can account the loss to the owning flow.
             write.dropped = True
-            self.dropped_writes.add(1)
+            self.dropped_writes += 1
             return
         self.pending_writes += 1
         if self.sim.now < self.stall_until:
@@ -136,7 +136,7 @@ class DmaEngine:
         yield from self.pcie.acquire_write_credits(write.nbytes)
         yield from self.pcie.write_issue(write.nbytes)
         self.pending_writes -= 1
-        self.writes_issued.add(1)
+        self.writes_issued += 1
         self.iio.inbound_inflight += 1
         self.sim.call_later(self.pcie.write_latency_event(), self.iio.put,
                             write, write.nbytes)
@@ -157,9 +157,9 @@ class DmaEngine:
         yield self.sim.all_of([nicmem_take, wire_take])
         yield (nic_memory.config.memory_latency
                + self.pcie.config.read_latency + self.pcie.extra_latency)
-        nic_memory.bytes_read.add(nbytes)
+        nic_memory.bytes_read += nbytes
         self.pcie.account_read(nbytes)
-        self.reads_issued.add(1)
+        self.reads_issued += 1
 
 
 class ArmCores:
@@ -217,10 +217,10 @@ class Nic:
         self._mac_bytes = 0
         self._mac_pkts = 0
         self.handler = None  # installed by an IOArchitecture
-        self.rx_packets = Counter("nic.rx_packets")
-        self.rx_bytes = Counter("nic.rx_bytes")
-        self.dropped_packets = Counter("nic.dropped")
-        self.handled_packets = Counter("nic.handled")
+        self.rx_packets = 0.0
+        self.rx_bytes = 0.0
+        self.dropped_packets = 0.0
+        self.handled_packets = 0.0
         #: 1 while a packet is inside the handler generator (at most one —
         #: a single firmware pipeline); the audit slack for the window
         #: between entering ``on_packet`` and its admit/drop decision.
@@ -234,10 +234,10 @@ class Nic:
 
     def receive(self, packet) -> bool:
         """Called by the network link on packet arrival. Returns False on drop."""
-        self.rx_packets.add(1)
-        self.rx_bytes.add(packet.size)
+        self.rx_packets += 1
+        self.rx_bytes += packet.size
         if self.handler is None or self._mac_bytes + packet.size > MAC_BUFFER_BYTES:
-            self.dropped_packets.add(1)
+            self.dropped_packets += 1
             self._notify_drop(packet)
             return False
         self._mac_bytes += packet.size
@@ -261,7 +261,7 @@ class Nic:
             self.handler_inflight = 1
             yield from self.handler.on_packet(packet)
             self.handler_inflight = 0
-            self.handled_packets.add(1)
+            self.handled_packets += 1
             self._mac_bytes -= packet.size
             self._mac_pkts -= 1
             self.mac_gauge.update(self.sim.now, self._mac_bytes)

@@ -14,7 +14,7 @@ Models the three properties the paper's data path depends on:
 from __future__ import annotations
 
 from ..sim import Container, Simulator, TokenBucket
-from ..sim.stats import Counter, RateMeter
+from ..sim.stats import RateMeter
 from .config import PcieConfig
 
 __all__ = ["PcieLink"]
@@ -32,13 +32,13 @@ class PcieLink:
         self._credits = Container(sim, capacity=config.posted_credits,
                                   init=config.posted_credits,
                                   name="pcie.credits")
-        self.bytes_written = Counter("pcie.bytes_written")
-        self.bytes_read = Counter("pcie.bytes_read")
+        self.bytes_written = 0.0
+        self.bytes_read = 0.0
         self.bandwidth_meter = RateMeter("pcie.bw", window=10_000.0)
         # Conservation meters (repro.audit): acquired = released +
         # (capacity - level), i.e. no credit is ever minted or destroyed.
-        self.credits_acquired = Counter("pcie.credits_acquired")
-        self.credits_released = Counter("pcie.credits_released")
+        self.credits_acquired = 0.0
+        self.credits_released = 0.0
         #: Fault seam (repro.faults hw.pcie "latency"): extra in-flight
         #: nanoseconds added to every transaction; 0.0 when healthy.
         self.extra_latency = 0.0
@@ -56,13 +56,13 @@ class PcieLink:
         amount = min(payload, self.config.posted_credits)
         if not self._credits.try_get(amount):
             yield self._credits.get(amount)
-        self.credits_acquired.add(amount)
+        self.credits_acquired += amount
 
     def release_write_credits(self, payload: int) -> None:
         """Credits return when the IIO entry drains (memctrl calls this)."""
         amount = min(payload, self.config.posted_credits)
         if self._credits.try_put(amount):
-            self.credits_released.add(amount)
+            self.credits_released += amount
 
     def write_issue(self, payload: int):
         """Process: serialise a posted write onto the wire.
@@ -76,7 +76,7 @@ class PcieLink:
         wire = self.config.wire_bytes(payload)
         if not self._wire.try_take(wire):
             yield self._wire.take(wire)
-        self.bytes_written.add(payload)
+        self.bytes_written += payload
         self.bandwidth_meter.record(self.sim.now, wire)
 
     def write_latency_event(self):
@@ -105,6 +105,6 @@ class PcieLink:
         return self._wire.take(self.config.wire_bytes(payload))
 
     def account_read(self, payload: int) -> None:
-        self.bytes_read.add(payload)
+        self.bytes_read += payload
         self.bandwidth_meter.record(self.sim.now,
                                     self.config.wire_bytes(payload))

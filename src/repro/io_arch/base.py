@@ -22,7 +22,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from ..hw import DmaWrite, Host
 from ..net.packet import Flow, Packet
-from ..sim.stats import Counter, Histogram
+from ..sim.stats import Histogram
 
 __all__ = ["RxRecord", "FlowRx", "IOArchitecture"]
 
@@ -61,12 +61,12 @@ class FlowRx:
         #: Buffers owned by the I/O path right now (descriptor accounting):
         #: incremented when a DMA is issued, decremented on app release.
         self.in_use = 0
-        self.delivered = Counter(f"{flow.name}.delivered")
-        self.dropped = Counter(f"{flow.name}.rx_dropped")
-        self.duplicates = Counter(f"{flow.name}.duplicates")
-        self.shed = Counter(f"{flow.name}.shed")
-        self.processed = Counter(f"{flow.name}.processed")
-        self.processed_bytes = Counter(f"{flow.name}.processed_bytes")
+        self.delivered = 0.0
+        self.dropped = 0.0
+        self.duplicates = 0.0
+        self.shed = 0.0
+        self.processed = 0.0
+        self.processed_bytes = 0.0
         self.latency = Histogram(f"{flow.name}.latency")
         #: Open-loop flows measure latency from message *submission*
         #: (set by the scenario compiler for demand-driven tenants) so
@@ -99,8 +99,8 @@ class FlowRx:
         Latency is measured from the packet's *first* transmission, so
         loss-recovery delay shows up in the tail where it belongs.
         """
-        self.processed.add(1)
-        self.processed_bytes.add(record.packet.payload)
+        self.processed += 1
+        self.processed_bytes += record.packet.payload
         if self.latency_from_submit and record.packet.submit_time >= 0:
             origin = record.packet.submit_time
         else:
@@ -126,20 +126,20 @@ class IOArchitecture:
         #: top of every ``on_packet`` and on MAC tail drops), balanced
         #: against accepted + dropped + shed + duplicates by the
         #: ``arch.admission`` audit account.
-        self.rx_offered = Counter(f"{self.name}.offered")
-        self.rx_accepted = Counter(f"{self.name}.accepted")
-        self.rx_dropped = Counter(f"{self.name}.dropped")
+        self.rx_offered = 0.0
+        self.rx_accepted = 0.0
+        self.rx_dropped = 0.0
         #: Packets deliberately load-shed by admission control (ACKed so
         #: the sender moves on, never delivered). Zero for architectures
         #: without guardrails.
-        self.rx_shed = Counter(f"{self.name}.shed")
+        self.rx_shed = 0.0
         # Conservation meters (repro.audit). ``_all_rx`` retains per-flow
         # state across unregister_flow so flow sums stay conserved when a
         # worker crashes mid-run (orphan deliveries still mutate it).
         self._all_rx: Dict[int, FlowRx] = {}
-        self.dma_write_drops = Counter(f"{self.name}.dma_write_drops")
-        self.released_records = Counter(f"{self.name}.released")
-        self.popped_records = Counter(f"{self.name}.popped")
+        self.dma_write_drops = 0.0
+        self.released_records = 0.0
+        self.popped_records = 0.0
         #: Packets accepted whose DMA write has not yet delivered/dropped.
         self.delivery_inflight = 0
         # Ready-flow notification queue: lets a server thread poll "any
@@ -172,7 +172,7 @@ class IOArchitecture:
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet):
         """Default data path: take a descriptor, DMA with DDIO, deliver."""
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or rx.descriptors_free <= 0:
             self._drop(packet, rx)
@@ -185,7 +185,7 @@ class IOArchitecture:
         """Suppress a spuriously retransmitted packet (already accepted):
         re-ACK it so the sender advances, but do not deliver it twice."""
         if rx.is_duplicate(packet.seq):
-            rx.duplicates.add(1)
+            rx.duplicates += 1
             if self.ack is not None:
                 self.ack(packet)
             return True
@@ -196,11 +196,11 @@ class IOArchitecture:
         """MAC-buffer tail drop notification (no ACK => sender sees loss)."""
         # Counted offered: a MAC-dropped packet never reaches on_packet,
         # but it was offered to this receive stack all the same.
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         rx = self.flows.get(packet.flow.flow_id)
         if rx is not None:
-            rx.dropped.add(1)
-        self.rx_dropped.add(1)
+            rx.dropped += 1
+        self.rx_dropped += 1
 
     # ------------------------------------------------------------------
     # Host-software-facing API (polled by the frameworks)
@@ -212,7 +212,7 @@ class IOArchitecture:
         while rx.ring and len(batch) < max_packets:
             batch.append(rx.ring.popleft())
         if batch:
-            self.popped_records.add(len(batch))
+            self.popped_records += len(batch)
         return batch
 
     def recv_burst(self, flow: Flow, max_packets: int):
@@ -231,7 +231,7 @@ class IOArchitecture:
             rx = self._all_rx.get(record.flow.flow_id)
             if rx is not None:
                 rx.in_use -= 1
-                self.released_records.add(1)
+                self.released_records += 1
             self.host.llc.release(record.key)
 
     def app_overhead_cycles(self) -> float:
@@ -243,9 +243,9 @@ class IOArchitecture:
     # Shared machinery
     # ------------------------------------------------------------------
     def _drop(self, packet: Packet, rx: Optional[FlowRx]) -> None:
-        self.rx_dropped.add(1)
+        self.rx_dropped += 1
         if rx is not None:
-            rx.dropped.add(1)
+            rx.dropped += 1
         # No ACK: the sender's CCA discovers the loss.
 
     def _shed(self, packet: Packet, rx: Optional[FlowRx]) -> None:
@@ -255,14 +255,14 @@ class IOArchitecture:
         write, or DDIO occupancy on it. The deliberate counterpart of
         :meth:`_drop` — metered separately so offered load reconciles as
         accepted + dropped + shed + duplicates."""
-        self.rx_shed.add(1)
+        self.rx_shed += 1
         if rx is not None:
-            rx.shed.add(1)
+            rx.shed += 1
         if self.ack is not None:
             self.ack(packet)
 
     def _accept(self, packet: Packet, extra_mark: bool = False) -> None:
-        self.rx_accepted.add(1)
+        self.rx_accepted += 1
         if self.ack is not None:
             self.ack(packet, extra_mark)
 
@@ -283,7 +283,7 @@ class IOArchitecture:
             packet.delivered_time = now
             record.deliver_time = now
             self._deliver_record(rx, record)
-            rx.delivered.add(1)
+            rx.delivered += 1
 
         write = DmaWrite(record.key, packet.size, ddio=ddio, deliver=deliver,
                          flow_id=packet.flow.flow_id)
@@ -294,8 +294,8 @@ class IOArchitecture:
             # not retransmit) and the descriptor leaks until release — the
             # realistic failure mode. Account the loss to the flow.
             self.delivery_inflight -= 1
-            self.dma_write_drops.add(1)
-            rx.dropped.add(1)
+            self.dma_write_drops += 1
+            rx.dropped += 1
 
     def _deliver_record(self, rx: FlowRx, record: RxRecord) -> None:
         """Make a completed record visible to host software. Subclasses
@@ -364,22 +364,22 @@ class IOArchitecture:
         rxs = self._all_rx
         delivery = ledger.account("arch.delivery", "packets",
                                   barrier_safe=True)
-        delivery.debit("accepted", self.rx_accepted)
+        delivery.debit("accepted", (self, "rx_accepted"))
         delivery.credit("delivered",
-                        lambda: sum(rx.delivered.value for rx in rxs.values()))
+                        lambda: sum(rx.delivered for rx in rxs.values()))
         delivery.credit("inflight", (self, "delivery_inflight"))
-        delivery.credit("dma_write_drops", self.dma_write_drops)
+        delivery.credit("dma_write_drops", (self, "dma_write_drops"))
 
         rings = ledger.account("arch.app_rings", "packets", barrier_safe=True)
         rings.debit("delivered",
-                    lambda: sum(rx.delivered.value for rx in rxs.values()))
-        rings.credit("popped", self.popped_records)
+                    lambda: sum(rx.delivered for rx in rxs.values()))
+        rings.credit("popped", (self, "popped_records"))
         rings.credit("ring_occupancy", self._audit_ring_occupancy)
 
         desc = ledger.account("arch.descriptors", "descriptors",
                               barrier_safe=True)
-        desc.debit("accepted", self.rx_accepted)
-        desc.credit("released", self.released_records)
+        desc.debit("accepted", (self, "rx_accepted"))
+        desc.credit("released", (self, "released_records"))
         desc.credit("in_use", lambda: sum(rx.in_use for rx in rxs.values()))
 
         self._register_admission_account(ledger)
@@ -394,12 +394,12 @@ class IOArchitecture:
         rxs = self._all_rx
         admission = ledger.account("arch.admission", "packets",
                                    barrier_safe=True, bounded=True)
-        admission.debit("offered", self.rx_offered)
-        admission.credit("accepted", self.rx_accepted)
-        admission.credit("dropped", self.rx_dropped)
-        admission.credit("shed", self.rx_shed)
+        admission.debit("offered", (self, "rx_offered"))
+        admission.credit("accepted", (self, "rx_accepted"))
+        admission.credit("dropped", (self, "rx_dropped"))
+        admission.credit("shed", (self, "rx_shed"))
         admission.credit("duplicates",
-                         lambda: sum(rx.duplicates.value
+                         lambda: sum(rx.duplicates
                                      for rx in rxs.values()))
         admission.slack("in_handler", (self.host.nic, "handler_inflight"))
 

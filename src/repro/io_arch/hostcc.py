@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..hw import Host
 from ..sim import TokenBucket
-from ..sim.stats import Counter
 from ..sim.units import US
 from ..net.packet import Packet
 from .base import IOArchitecture
@@ -64,7 +63,7 @@ class HostccArch(IOArchitecture):
         #: ``--seed`` perturbs HostCC's marking like every other
         #: stochastic component (it used to mint a fixed-seed Random).
         self._rng = host.rng.stream("hostcc.ecn")
-        self.congestion_events = Counter("hostcc.congestion_events")
+        self.congestion_events = 0.0
         self._ctl_proc = self.sim.process(self._control_loop(),
                                           name="hostcc-ctl")
 
@@ -77,7 +76,7 @@ class HostccArch(IOArchitecture):
         return self._congested
 
     def on_packet(self, packet: Packet):
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or rx.descriptors_free <= 0:
             self._drop(packet, rx)
@@ -104,7 +103,7 @@ class HostccArch(IOArchitecture):
             if (iio_fill > cfg.iio_high or pcie_util > cfg.pcie_high
                     or dram_util > cfg.dram_high):
                 if not self._congested:
-                    self.congestion_events.add(1)
+                    self.congestion_events += 1
                 self._congested = True
                 self._pacer.set_rate(max(1.0,
                                          self._pacer.rate * cfg.decrease))

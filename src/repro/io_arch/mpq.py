@@ -22,7 +22,6 @@ from typing import Dict, List
 
 from ..hw import Host
 from ..net.packet import Packet
-from ..sim.stats import Counter
 from ..sim.units import MS
 from .base import IOArchitecture
 
@@ -52,11 +51,11 @@ class MpqArch(IOArchitecture):
         self.config = config or MpqConfig()
         self._bytes_sent: Dict[int, int] = {}
         self._high_in_use = 0
-        self.demotions = Counter("mpq.demotions")
-        self.high_packets = Counter("mpq.high_packets")
-        self.low_packets = Counter("mpq.low_packets")
+        self.demotions = 0.0
+        self.high_packets = 0.0
+        self.low_packets = 0.0
         # Conservation meter (repro.audit): high-class slot recycles.
-        self.high_released = Counter("mpq.high_released")
+        self.high_released = 0.0
         self._aging_proc = self.sim.process(self._aging_loop(),
                                             name="mpq-aging")
 
@@ -77,7 +76,7 @@ class MpqArch(IOArchitecture):
                    * self.config.high_budget_fraction)
 
     def on_packet(self, packet: Packet):
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         fid = packet.flow.flow_id
         rx = self.flows.get(fid)
         if rx is None or rx.descriptors_free <= 0:
@@ -88,35 +87,35 @@ class MpqArch(IOArchitecture):
         before = self.priority(fid)
         self._bytes_sent[fid] = self._bytes_sent.get(fid, 0) + packet.size
         if self.priority(fid) > before:
-            self.demotions.add(1)
+            self.demotions += 1
         if before == 0 and self._high_in_use < self.high_budget:
             # Highest class: DDIO fast path.
             self._high_in_use += 1
-            self.high_packets.add(1)
+            self.high_packets += 1
             yield from self._dma_to_host(packet, rx, ddio=True, path="fast")
         else:
             # Decayed (or budget-full): DRAM-bound low-priority path.
-            self.low_packets.add(1)
+            self.low_packets += 1
             yield from self._dma_to_host(packet, rx, ddio=False, path="low")
 
     def release(self, records) -> None:
         for record in records:
             if record.path == "fast" and self._high_in_use > 0:
                 self._high_in_use -= 1
-                self.high_released.add(1)
+                self.high_released += 1
         super().release(records)
 
     def audit_register(self, ledger) -> None:
         super().audit_register(ledger)
         high = ledger.account("mpq.high_slots", "descriptors",
                               barrier_safe=True)
-        high.debit("admitted", self.high_packets)
-        high.credit("released", self.high_released)
+        high.debit("admitted", (self, "high_packets"))
+        high.credit("released", (self, "high_released"))
         high.credit("in_use", (self, "_high_in_use"))
 
     def high_fraction(self) -> float:
-        total = self.high_packets.value + self.low_packets.value
-        return self.high_packets.value / total if total else 0.0
+        total = self.high_packets + self.low_packets
+        return self.high_packets / total if total else 0.0
 
     def _aging_loop(self):
         while True:

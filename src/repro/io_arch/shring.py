@@ -22,7 +22,6 @@ from typing import List
 
 from ..hw import Host
 from ..net.packet import Flow, Packet
-from ..sim.stats import Counter
 from .base import IOArchitecture, RxRecord
 
 __all__ = ["ShringConfig", "ShringArch"]
@@ -69,13 +68,13 @@ class ShringArch(IOArchitecture):
         #: process, and the draws must not.
         self._guard_rng = host.rng
         self._guard_streams: dict = {}
-        self.ring_full_drops = Counter("shring.ring_full_drops")
-        self.guard_marks = Counter("shring.guard_marks")
+        self.ring_full_drops = 0.0
+        self.guard_marks = 0.0
         # Conservation meters (repro.audit): every admitted shared-ring
         # slot is either released or still in use — a slot that is neither
         # has leaked (the descriptor_drop chaos narrative).
-        self.shared_admitted = Counter("shring.shared_admitted")
-        self.shared_released = Counter("shring.shared_released")
+        self.shared_admitted = 0.0
+        self.shared_released = 0.0
 
     @property
     def shared_in_use(self) -> int:
@@ -101,19 +100,19 @@ class ShringArch(IOArchitecture):
         return self.config.dispatch_cycles
 
     def on_packet(self, packet: Packet):
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or self.shared_free <= 0:
-            self.ring_full_drops.add(1)
+            self.ring_full_drops += 1
             self._drop(packet, rx)
             return
         if self._dedup(packet, rx):
             return
         self._shared_in_use += 1
-        self.shared_admitted.add(1)
+        self.shared_admitted += 1
         guard = self._guard_mark(packet.flow.flow_id)
         if guard:
-            self.guard_marks.add(1)
+            self.guard_marks += 1
         yield from self._dma_to_host(packet, rx, ddio=True, extra_mark=guard)
 
     def _deliver_record(self, rx, record: RxRecord) -> None:
@@ -129,7 +128,7 @@ class ShringArch(IOArchitecture):
         while self._shared_ring and len(batch) < max_packets:
             batch.append(self._shared_ring.popleft())
         if batch:
-            self.popped_records.add(len(batch))
+            self.popped_records += len(batch)
         return batch
 
     def _guard_mark(self, flow_id: int) -> bool:
@@ -146,7 +145,7 @@ class ShringArch(IOArchitecture):
         super().release(records)
         self._shared_in_use -= len(records)
         if records:
-            self.shared_released.add(len(records))
+            self.shared_released += len(records)
 
     def _audit_ring_occupancy(self) -> int:
         return len(self._shared_ring)
@@ -155,6 +154,6 @@ class ShringArch(IOArchitecture):
         super().audit_register(ledger)
         shared = ledger.account("shring.shared_slots", "descriptors",
                                 barrier_safe=True)
-        shared.debit("admitted", self.shared_admitted)
-        shared.credit("released", self.shared_released)
+        shared.debit("admitted", (self, "shared_admitted"))
+        shared.credit("released", (self, "shared_released"))
         shared.credit("in_use", (self, "_shared_in_use"))

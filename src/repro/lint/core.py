@@ -98,7 +98,7 @@ class Rule:
 
 #: Attribute-call names that mean "this module schedules on the engine".
 SCHEDULING_ATTRS = frozenset({
-    "call_later", "call_at", "schedule", "process", "timeout",
+    "call_later", "call_at", "process", "timeout",
     "spawn_loop", "any_of", "all_of", "run_process",
 })
 

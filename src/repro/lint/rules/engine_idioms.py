@@ -7,7 +7,7 @@ reject:
   process generator (a string, a container literal, an explicit
   ``None``) — the kernel raises at runtime, but only on the execution
   path that reaches the yield;
-- ``call_later``/``call_at``/``schedule`` with a lambda that closes over
+- ``call_later``/``call_at`` with a lambda that closes over
   a loop variable — every scheduled callback sees the *last* iteration's
   value, the classic late-binding bug (bind with positional args
   instead: ``sim.call_later(d, fn, x)``);
@@ -18,7 +18,7 @@ D105 catches dropped ownership:
 - ``sim.process(gen())`` as a bare statement discards the Process
   handle, so nothing can ever ``interrupt()`` it or observe its result —
   keep it (e.g. on ``self``);
-- a ``call_later``/``call_at``/``schedule`` handle bound to a local that
+- a ``call_later``/``call_at`` handle bound to a local that
   is never read again — either :meth:`Simulator.cancel` it somewhere or
   do not bind it;
 - ``sim.timeout(...)`` / ``sim.event()`` as a bare statement creates an
@@ -34,7 +34,7 @@ from ..core import Finding, ModuleInfo, Rule, attr_chain, register
 
 __all__ = ["EngineIdioms", "DroppedHandles"]
 
-_SCHED_CALLS = {"call_later", "call_at", "schedule"}
+_SCHED_CALLS = {"call_later", "call_at"}
 _BAD_YIELD_LITERALS = (ast.List, ast.Dict, ast.Set, ast.Tuple)
 
 
@@ -159,7 +159,7 @@ class EngineIdioms(Rule):
                 if isinstance(fn, ast.Attribute):
                     if fn.attr in _SCHED_CALLS:
                         self._lambda_capture(node)
-                    if fn.attr in ("call_later", "schedule", "timeout"):
+                    if fn.attr in ("call_later", "timeout"):
                         self._negative_delay(node)
                 self.generic_visit(node)
 

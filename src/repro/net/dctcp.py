@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..sim import Simulator
-from ..sim.stats import Counter
 from ..sim.units import US
 from .packet import Flow, Message, Packet
 
@@ -90,10 +89,10 @@ class DctcpSender:
         self._msg_events: Dict[int, object] = {}
         self._msg_objects: Dict[int, Message] = {}
 
-        self.packets_sent = Counter(f"{flow.name}.sent")
-        self.packets_acked = Counter(f"{flow.name}.acked")
-        self.retransmits = Counter(f"{flow.name}.retx")
-        self.timeouts = Counter(f"{flow.name}.rto")
+        self.packets_sent = 0.0
+        self.packets_acked = 0.0
+        self.retransmits = 0.0
+        self.timeouts = 0.0
         self._rto_proc = sim.process(self._rto_loop(),
                                      name=f"{flow.name}-rto")
 
@@ -144,7 +143,7 @@ class DctcpSender:
             self.inflight_bytes += packet.size
         self.inflight[packet.seq] = (packet, self.sim.now)
         self.inflight.move_to_end(packet.seq)
-        self.packets_sent.add(1)
+        self.packets_sent += 1
         self.egress(packet)
 
     def _retransmit(self, seq: int) -> None:
@@ -157,7 +156,7 @@ class DctcpSender:
         # are immutable from the sender's side (see Packet.clone).
         packet = packet.clone()
         packet.retransmitted = True
-        self.retransmits.add(1)
+        self.retransmits += 1
         self._dup_counts.pop(seq, None)
         self._transmit(packet)
 
@@ -170,7 +169,7 @@ class DctcpSender:
             return  # duplicate/stale ACK
         packet, sent_time = entry
         self.inflight_bytes = max(0, self.inflight_bytes - packet.size)
-        self.packets_acked.add(1)
+        self.packets_acked += 1
         self._dup_counts.pop(seq, None)
 
         rtt_sample = self.sim.now - sent_time
@@ -266,7 +265,7 @@ class DctcpSender:
                 continue
             oldest_seq, (packet, sent_time) = next(iter(self.inflight.items()))
             if self.sim.now - sent_time >= self.rto:
-                self.timeouts.add(1)
+                self.timeouts += 1
                 self.ssthresh = max(self.config.min_cwnd, self.cwnd / 2)
                 self.cwnd = self.config.min_cwnd
                 self.alpha = min(1.0, self.alpha + 0.5)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim import Simulator, Store
-from ..sim.stats import Counter, TimeWeightedGauge
+from ..sim.stats import TimeWeightedGauge
 
 __all__ = ["Link", "SwitchPort"]
 
@@ -38,12 +38,12 @@ class Link:
         self.deliver = deliver
         self.name = name
         self._queue = Store(sim, name=f"{name}.q")
-        self.tx_packets = Counter(f"{name}.tx")
-        self.tx_bytes = Counter(f"{name}.tx_bytes")
+        self.tx_packets = 0.0
+        self.tx_bytes = 0.0
         # Fault seam (repro.faults net.link): callable(packet) -> drop-kind
         # string or None; installed only while a fault window is open.
         self.fault = None
-        self.fault_dropped = Counter(f"{name}.fault_dropped")
+        self.fault_dropped = 0.0
         #: Optional Tracer; every drop emits a "link.drop" event through it.
         self.tracer = None
         self._egress_proc = sim.process(self._egress(), name=f"{name}-egress")
@@ -54,7 +54,7 @@ class Link:
         if self.fault is not None:
             kind = self.fault(packet)
             if kind is not None:
-                self.fault_dropped.add(1)
+                self.fault_dropped += 1
                 _trace_drop(self.tracer, self.name, kind, packet)
                 return
         self._queue.try_put(packet)
@@ -66,8 +66,8 @@ class Link:
             if packet is None:
                 packet = yield queue.get()
             yield packet.size / self.rate
-            self.tx_packets.add(1)
-            self.tx_bytes.add(packet.size)
+            self.tx_packets += 1
+            self.tx_bytes += packet.size
             if self.deliver is not None:
                 # Propagation does not occupy the link: schedule delivery
                 # (allocation-free; the packet rides as the callable's arg).
@@ -96,10 +96,10 @@ class SwitchPort:
         self._queue = Store(sim, name=f"{name}.q")
         self._queued_bytes = 0
         self.queue_gauge = TimeWeightedGauge(f"{name}.queue")
-        self.rx_offered = Counter(f"{name}.rx_offered")
-        self.tx_packets = Counter(f"{name}.tx")
-        self.marked_packets = Counter(f"{name}.marked")
-        self.dropped_packets = Counter(f"{name}.dropped")
+        self.rx_offered = 0.0
+        self.tx_packets = 0.0
+        self.marked_packets = 0.0
+        self.dropped_packets = 0.0
         # Conservation occupancy (repro.audit): packets queued or in
         # serialisation, and packets on the wire (tx'd, not yet delivered).
         self.queued_packets = 0
@@ -114,7 +114,7 @@ class SwitchPort:
         self._wire_send = self._wire_schedule
         # Fault seam + drop tracing, as on Link.
         self.fault = None
-        self.fault_dropped = Counter(f"{name}.fault_dropped")
+        self.fault_dropped = 0.0
         self.tracer = None
         self._egress_proc = sim.process(self._egress(), name=f"{name}-egress")
 
@@ -123,20 +123,20 @@ class SwitchPort:
         return self._queued_bytes
 
     def send(self, packet) -> None:
-        self.rx_offered.add(1)
+        self.rx_offered += 1
         if self.fault is not None:
             kind = self.fault(packet)
             if kind is not None:
-                self.fault_dropped.add(1)
+                self.fault_dropped += 1
                 _trace_drop(self.tracer, self.name, kind, packet)
                 return
         if self._queued_bytes + packet.size > self.buffer_bytes:
-            self.dropped_packets.add(1)
+            self.dropped_packets += 1
             _trace_drop(self.tracer, self.name, "tail", packet)
             return
         if self._queued_bytes > self.ecn_threshold:
             packet.ecn_marked = True
-            self.marked_packets.add(1)
+            self.marked_packets += 1
         self._queued_bytes += packet.size
         self.queued_packets += 1
         self.queue_gauge.update(self.sim.now, self._queued_bytes)
@@ -152,7 +152,7 @@ class SwitchPort:
             self._queued_bytes -= packet.size
             self.queued_packets -= 1
             self.queue_gauge.update(self.sim.now, self._queued_bytes)
-            self.tx_packets.add(1)
+            self.tx_packets += 1
             self.wire_inflight += 1
             self._wire_send(packet)
 

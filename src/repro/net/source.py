@@ -9,7 +9,6 @@ distribution and network burst) can swap flows at runtime.
 from __future__ import annotations
 
 from ..sim import Interrupt, Simulator
-from ..sim.stats import Counter
 from .dctcp import DctcpSender
 from .packet import Flow
 
@@ -29,8 +28,7 @@ class SaturatingSource:
         self.sim = sim
         self.sender = sender
         self.outstanding = outstanding
-        self.messages_completed = Counter(
-            f"{sender.flow.name}.messages")
+        self.messages_completed = 0.0
         self._running = False
         self._loops = []
 
@@ -61,7 +59,7 @@ class SaturatingSource:
         while self._running:
             done = self.sender.submit_message(self.flow.make_message())
             yield done
-            self.messages_completed.add(1)
+            self.messages_completed += 1
 
 
 class OpenLoopSource:
@@ -77,8 +75,7 @@ class OpenLoopSource:
         self.rate = rate_msgs_per_ns
         self.rng = rng
         self.jitter = jitter
-        self.messages_submitted = Counter(
-            f"{sender.flow.name}.submitted")
+        self.messages_submitted = 0.0
         self._running = False
         self._proc = None
 
@@ -112,6 +109,6 @@ class OpenLoopSource:
                 if not self._running:
                     return
                 self.sender.submit_message(self.flow.make_message())
-                self.messages_submitted.add(1)
+                self.messages_submitted += 1
         except Interrupt:
             return

@@ -13,14 +13,7 @@ from .engine import (
 from .resources import Container, Resource, Store, TokenBucket
 from .rng import RngRegistry
 from .trace import NullTracer, TraceEvent, Tracer
-from .stats import (
-    Counter,
-    Histogram,
-    RateMeter,
-    StatRegistry,
-    TimeSeries,
-    TimeWeightedGauge,
-)
+from .stats import Histogram, RateMeter, TimeWeightedGauge
 from . import units
 
 __all__ = [
@@ -28,8 +21,7 @@ __all__ = [
     "AnyOf", "AllOf", "SimulationError",
     "Store", "Container", "Resource", "TokenBucket",
     "RngRegistry",
-    "Counter", "TimeWeightedGauge", "Histogram", "RateMeter",
-    "TimeSeries", "StatRegistry",
+    "TimeWeightedGauge", "Histogram", "RateMeter",
     "NullTracer", "TraceEvent", "Tracer",
     "units",
 ]

@@ -761,10 +761,6 @@ class Simulator:
         handle[2] = _cancelled
         handle[3] = _EMPTY
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> list:
-        """Back-compat alias for :meth:`call_later`."""
-        return self.call_later(delay, fn, *args)
-
     # -- sanitizer checks -------------------------------------------------
     def _debug_check_delay(self, delay: float) -> None:
         """Debug-only scheduling guard: closed simulator, NaN delay."""

@@ -1,9 +1,13 @@
-"""Measurement primitives: counters, gauges, histograms, rate meters.
+"""Measurement primitives: gauges, histograms, rate meters.
 
-Every device model exposes its observable state through these classes so
-experiments read metrics uniformly. Percentiles use an HDR-style
-log-linear-bucket histogram: exact enough for P99.9 reporting at a bounded
-memory cost, insensitive to sample count.
+Counts (packets, bytes, misses...) are not here: a counter is a plain
+float attribute on the component that owns it, initialised to ``0.0`` and
+incremented in place (``self.rx_packets += 1``), which the audit ledger
+reads as an ``(owner, "field")`` source. This module holds the metrics
+that need more than a sum: time-weighted levels, windowed rates and
+latency percentiles. Percentiles use an HDR-style log-linear-bucket
+histogram: exact enough for P99.9 reporting at a bounded memory cost,
+insensitive to sample count.
 """
 
 from __future__ import annotations
@@ -11,39 +15,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 __all__ = [
-    "Counter",
     "TimeWeightedGauge",
     "Histogram",
     "HistogramSnapshot",
     "RateMeter",
-    "TimeSeries",
-    "StatRegistry",
     "percentile_from_counts",
 ]
-
-
-class Counter:
-    """A monotonically increasing count (packets, bytes, misses...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("Counter.add() amount must be non-negative")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
 
 
 class TimeWeightedGauge:
@@ -302,60 +282,3 @@ class RateMeter:
     def mean_rate(self, now: float) -> float:
         return self.total / now if now > 0 else 0.0
 
-
-class TimeSeries:
-    """A recorded sequence of (time, value) points for report plotting."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, now: float, value: float) -> None:
-        self.points.append((now, value))
-
-    def times(self) -> List[float]:
-        return [t for t, _v in self.points]
-
-    def values(self) -> List[float]:
-        return [v for _t, v in self.points]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-class StatRegistry:
-    """Flat namespace of named metrics for one simulation run."""
-
-    def __init__(self) -> None:
-        self._stats: Dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_make(name, Counter)
-
-    def gauge(self, name: str, t0: float = 0.0) -> TimeWeightedGauge:
-        return self._get_or_make(name, lambda n: TimeWeightedGauge(n, t0=t0))
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        return self._get_or_make(name, lambda n: Histogram(n, **kwargs))
-
-    def rate_meter(self, name: str, **kwargs) -> RateMeter:
-        return self._get_or_make(name, lambda n: RateMeter(n, **kwargs))
-
-    def timeseries(self, name: str) -> TimeSeries:
-        return self._get_or_make(name, TimeSeries)
-
-    def _get_or_make(self, name: str, factory):
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = factory(name)
-            self._stats[name] = stat
-        return stat
-
-    def get(self, name: str):
-        return self._stats.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._stats)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stats

@@ -58,7 +58,6 @@ from ..net.dctcp import DctcpConfig, DctcpSender
 from ..net.link import SwitchPort
 from ..net.packet import Flow, Packet
 from ..sim import RngRegistry, Simulator
-from ..sim.stats import Counter
 from .graph import LinkSpec, Topology
 
 __all__ = ["Fabric", "HostEndpoint", "HostRng", "SwitchNode", "port_plan"]
@@ -111,10 +110,33 @@ class HostRng:
         return self._registry.spawn(self.prefix + name)
 
 
+class Forwarder:
+    """Ingress dispatch at ``next_switch``, called with each packet an
+    upstream egress delivers: enter the switch's event domain, count the
+    handoff in ``count``, then send on the flow's pre-chosen egress out
+    of that switch. The domain switch charges the enqueue (and any
+    egress wake-up) to the switch that owns the queue, which is what
+    lets a peer shard replay this callback identically."""
+
+    __slots__ = ("sim", "domain", "next_port", "next_switch", "count")
+
+    def __init__(self, fabric: "Fabric", next_switch: str):
+        self.sim = fabric.sim
+        self.domain = fabric._domain_of_switch[next_switch]
+        self.next_port = fabric._next_port
+        self.next_switch = next_switch
+        self.count = 0.0
+
+    def __call__(self, packet: Packet) -> None:
+        self.sim.set_domain(self.domain)
+        self.count += 1
+        self.next_port[(packet.flow.flow_id, self.next_switch)].send(packet)
+
+
 class SwitchNode:
     """One switch of a compiled fabric: its used egress ports (creation
-    order = audit port index) and, for interior ports, the forwarded-
-    packet counters the conservation accounts balance against."""
+    order = audit port index) and, for interior ports, the forwarders
+    whose packet counts the conservation accounts balance against."""
 
     __slots__ = ("name", "ports", "forwarded")
 
@@ -122,9 +144,10 @@ class SwitchNode:
         self.name = name
         #: neighbor node name -> egress SwitchPort, in creation order.
         self.ports: Dict[str, SwitchPort] = {}
-        #: neighbor switch name -> Counter of packets this egress handed
-        #: to that switch's ingress dispatch (interior ports only).
-        self.forwarded: Dict[str, Counter] = {}
+        #: neighbor switch name -> the forwarder this egress hands
+        #: packets to (that switch's ingress dispatch; interior ports
+        #: only).
+        self.forwarded: Dict[str, Forwarder] = {}
 
     def port_index(self, neighbor: str) -> int:
         return list(self.ports).index(neighbor)
@@ -255,9 +278,7 @@ class Fabric:
         #: whose delivery runs in a peer shard, and locally-owned ingress
         #: dispatches fed by a peer shard's egress.
         self._cut_egress: List[Tuple[str, str, SwitchPort]] = []
-        self._cut_ingress: Dict[Tuple[str, str], Callable] = {}
-        self._cut_ingress_counters: Dict[Tuple[str, str],
-                                         Tuple[str, Counter]] = {}
+        self._cut_ingress: Dict[Tuple[str, str], Forwarder] = {}
         #: Switch -> its egress neighbours in port-creation order, for
         #: *every* switch (scoped builds replay the full plan), so any
         #: shard can name a remote switch's audit port index.
@@ -340,7 +361,7 @@ class Fabric:
         build materialises only ports owned by scoped switches, records
         every switch's port order for cross-shard audit naming, and
         splits cut links into an egress half (local port, channel
-        emitter) and an ingress half (forwarded counter + dispatch)."""
+        emitter) and an ingress half (the counting forwarder)."""
         topo = self.topology
         plan = port_plan(topo, self._tables)
         for (sw, nbr), link in plan.items():
@@ -348,14 +369,10 @@ class Fabric:
             nbr_is_switch = nbr in self._switch_set
             if not self.is_local_switch(sw):
                 # Peer-owned egress; if it feeds a local switch, build
-                # the ingress half (the forwarded counter lives with the
+                # the ingress half (the forwarded count lives with the
                 # switch that *receives* the packets).
                 if nbr_is_switch and self.is_local_switch(nbr):
-                    counter = Counter(f"{link.name}:{sw}>{nbr}.forwarded")
-                    self._cut_ingress[(sw, nbr)] = \
-                        self._make_forwarder(counter, nbr)
-                    self._cut_ingress_counters[(sw, nbr)] = (
-                        f"{link.name}:{sw}>{nbr}", counter)
+                    self._cut_ingress[(sw, nbr)] = Forwarder(self, nbr)
                 continue
             node = self.switches[sw]
             cut = nbr_is_switch and not self.is_local_switch(nbr)
@@ -369,9 +386,7 @@ class Fabric:
                 name = f"{link.name}:{sw}>{nbr}"
             else:
                 endpoint = None
-                counter = Counter(f"{link.name}:{sw}>{nbr}.forwarded")
-                node.forwarded[nbr] = counter
-                deliver = self._make_forwarder(counter, nbr)
+                deliver = node.forwarded[nbr] = Forwarder(self, nbr)
                 name = f"{link.name}:{sw}>{nbr}"
             with self.switch_domain(sw):
                 port = SwitchPort(
@@ -383,24 +398,6 @@ class Fabric:
                 endpoint.port = port
             if cut:
                 self._cut_egress.append((sw, nbr, port))
-
-    def _make_forwarder(self, counter: Counter,
-                        next_switch: str) -> Callable[[Packet], None]:
-        """Ingress dispatch at ``next_switch``: enter its event domain,
-        count the handoff, then send on the flow's pre-chosen egress out
-        of that switch. The domain switch charges the enqueue (and any
-        egress wake-up) to the switch that owns the queue, which is what
-        lets a peer shard replay this callback identically."""
-        next_port = self._next_port
-        sim = self.sim
-        domain = self._domain_of_switch[next_switch]
-
-        def deliver(packet: Packet) -> None:
-            sim.set_domain(domain)
-            counter.add(1)
-            next_port[(packet.flow.flow_id, next_switch)].send(packet)
-
-        return deliver
 
     # ------------------------------------------------------------------
     # Flows
@@ -635,8 +632,8 @@ class Fabric:
         self.sim.post_keyed(when, seq, exec_, sender, pkt_seq, marked)
 
     # ------------------------------------------------------------------
-    def interior_ports(self) -> List[Tuple[str, int, SwitchPort, Counter]]:
-        """(switch, port index, port, forwarded counter) for every
+    def interior_ports(self) -> List[Tuple[str, int, SwitchPort, Forwarder]]:
+        """(switch, port index, port, forwarder) for every
         switch-to-switch egress whose both ends are local, in creation
         order — the audit hook."""
         out = []
@@ -655,15 +652,14 @@ class Fabric:
             out.append((sw, self.switches[sw].port_index(nbr), port, nbr))
         return out
 
-    def cut_ingresses(self) -> List[Tuple[str, int, str, Counter]]:
-        """(peer switch, peer port index, peer switch name, forwarded
-        counter) for every locally-owned boundary ingress half. The
+    def cut_ingresses(self) -> List[Tuple[str, int, str, Forwarder]]:
+        """(peer switch, peer port index, peer switch name, forwarder)
+        for every locally-owned boundary ingress half. The
         port index is computed from the replayed full port plan, so it
         names the same ``switch.<peer>.port.<i>`` account the peer (and
         the single kernel) uses."""
         out = []
-        for (src_sw, dst_sw), (_name, counter) in \
-                sorted(self._cut_ingress_counters.items()):
+        for (src_sw, dst_sw), forwarder in sorted(self._cut_ingress.items()):
             index = self._port_order[src_sw].index(dst_sw)
-            out.append((src_sw, index, dst_sw, counter))
+            out.append((src_sw, index, dst_sw, forwarder))
         return out

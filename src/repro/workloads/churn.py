@@ -120,15 +120,15 @@ class UdChurnScenario:
 
         run_slots(cfg.warmup)
         window = MeasurementWindow(self.endpoint, self.arch)
-        fast_mark = (self.arch.fast_packets.value
+        fast_mark = (self.arch.fast_packets
                      if hasattr(self.arch, "fast_packets") else 0.0)
-        slow_mark = (self.arch.slow_packets.value
+        slow_mark = (self.arch.slow_packets
                      if hasattr(self.arch, "slow_packets") else 0.0)
         run_slots(cfg.duration)
         measurement = window.finish()
         if hasattr(self.arch, "fast_packets"):
-            fast = self.arch.fast_packets.value - fast_mark
-            slow = self.arch.slow_packets.value - slow_mark
+            fast = self.arch.fast_packets - fast_mark
+            slow = self.arch.slow_packets - slow_mark
             fast_fraction = fast / (fast + slow) if fast + slow else 0.0
         else:
             fast_fraction = 1.0

@@ -101,7 +101,7 @@ class MeasurementWindow:
         self._flow_marks: Dict[int, Dict[str, float]] = {}
         llc = testbed.host.llc.stats
         self._llc_mark = (llc.cpu_lines_read, llc.cpu_lines_missed)
-        self._drop_mark = arch.rx_dropped.value
+        self._drop_mark = arch.rx_dropped
         for fid, rx in arch.flows.items():
             self._mark_flow(fid, rx)
         # Announce the open window so late flow registration is either
@@ -111,9 +111,9 @@ class MeasurementWindow:
 
     def _mark_flow(self, fid: int, rx: FlowRx) -> None:
         self._flow_marks[fid] = {
-            "processed": rx.processed.value,
-            "bytes": rx.processed_bytes.value,
-            "dropped": rx.dropped.value,
+            "processed": rx.processed,
+            "bytes": rx.processed_bytes,
+            "dropped": rx.dropped,
         }
         # Fresh histogram so percentiles exclude warm-up samples.
         rx.latency = Histogram(rx.latency.name)
@@ -139,9 +139,9 @@ class MeasurementWindow:
             mark = self._flow_marks.get(fid)
             if mark is None:
                 continue
-            d_proc = rx.processed.value - mark["processed"]
-            d_bytes = rx.processed_bytes.value - mark["bytes"]
-            d_drop = rx.dropped.value - mark["dropped"]
+            d_proc = rx.processed - mark["processed"]
+            d_bytes = rx.processed_bytes - mark["bytes"]
+            d_drop = rx.dropped - mark["dropped"]
             pps = d_proc / duration
             bps = d_bytes / duration
             total_pps += pps

@@ -129,9 +129,9 @@ def arch_extras(arch) -> Dict[str, float]:
     extras: Dict[str, float] = {}
     for attr in ("fast_packets", "slow_packets", "overdraft",
                  "ring_full_drops", "guard_marks", "congestion_events"):
-        counter = getattr(arch, attr, None)
-        if counter is not None:
-            extras[attr] = counter.value
+        count = getattr(arch, attr, None)
+        if count is not None:
+            extras[attr] = count
     if hasattr(arch, "fast_fraction"):
         extras["fast_fraction"] = arch.fast_fraction()
     return extras

@@ -76,7 +76,7 @@ class SloTracker:
         if target is not None:
             self._targets[tenant] = target
         self._prev[id(rx)] = (rx.latency, rx.latency.snapshot(),
-                              rx.processed.value, rx.shed.value)
+                              rx.processed, rx.shed)
 
     def set_target(self, tenant: str, target: SloTarget) -> None:
         self._targets[tenant] = target
@@ -108,10 +108,10 @@ class SloTracker:
                     snap, p_proc, p_shed = None, prev[2], prev[3]
                 for i, n in enumerate(hist.delta_counts(snap)):
                     counts[i] += n
-                d_processed += rx.processed.value - p_proc
-                d_shed += rx.shed.value - p_shed
+                d_processed += rx.processed - p_proc
+                d_shed += rx.shed - p_shed
                 self._prev[id(rx)] = (hist, hist.snapshot(),
-                                      rx.processed.value, rx.shed.value)
+                                      rx.processed, rx.shed)
             self.windows.append({
                 "t_us": now / US,
                 "tenant": tenant,

@@ -484,8 +484,8 @@ class TopoScenario:
         fields, so closed-loop ``asdict`` bytes (and the goldens pinned
         on them) cannot move."""
         arch = self.fabric.endpoints[name].io_arch
-        measurement.extras["offered"] = arch.rx_offered.value
-        measurement.extras["shed"] = arch.rx_shed.value
+        measurement.extras["offered"] = arch.rx_offered
+        measurement.extras["shed"] = arch.rx_shed
         tracker = self.slo_trackers.get(name)
         if tracker is None:
             return

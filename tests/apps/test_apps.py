@@ -48,13 +48,13 @@ def test_kvstore_populated_and_real_ops():
     assert kv.get(key) is not None
     kv.put(key, b"x" * 64)
     assert kv.get(key) == b"x" * 64
-    assert kv.hits.value == 2
+    assert kv.hits == 2
 
 
 def test_kvstore_get_miss_counted():
     kv = KvStore(entries=1)
     assert kv.get(b"missing-key-....") is None
-    assert kv.misses.value == 1
+    assert kv.misses == 1
 
 
 def test_kvstore_handler_charges_cycles():
@@ -66,7 +66,7 @@ def test_kvstore_handler_charges_cycles():
 
     cycles = kv.handle(Ctx())
     assert cycles > KvStore.LOOKUP_CYCLES - 1
-    assert kv.gets.value + kv.puts.value == 1
+    assert kv.gets + kv.puts == 1
 
 
 def test_kv_request_payload_matches_paper():
@@ -89,8 +89,8 @@ def test_erpc_server_processes_and_accounts():
     saturate(bed, flow)
     bed.run(until=200 * US)
     rx = arch.flows[flow.flow_id]
-    assert server.requests.value > 100
-    assert rx.processed.value == server.requests.value
+    assert server.requests > 100
+    assert rx.processed == server.requests
     assert rx.latency.count > 0
     assert core.busy_ns > 0
 
@@ -107,7 +107,7 @@ def test_erpc_rdma_transport_costs_more_cpu():
         server.start()
         saturate(bed, flow, outstanding=64)
         bed.run(until=300 * US)
-        results[transport] = server.requests.value
+        results[transport] = server.requests
     assert results["dpdk"] > results["rdma"]
 
 
@@ -132,9 +132,9 @@ def test_erpc_stop_halts_processing():
     bed.run(until=100 * US)
     server.stop()
     bed.run(until=150 * US)
-    count = server.requests.value
+    count = server.requests
     bed.run(until=250 * US)
-    assert server.requests.value == count
+    assert server.requests == count
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_echo_server_echoes():
     server.start()
     saturate(bed, flow)
     bed.run(until=200 * US)
-    assert server.echoed.value > 100
+    assert server.echoed > 100
 
 
 def test_shared_echo_server_serves_multiple_flows():
@@ -163,8 +163,8 @@ def test_shared_echo_server_serves_multiple_flows():
     worker = SharedEchoServer(arch, bed.host.cpu.allocate())
     worker.start()
     bed.run(until=300 * US)
-    assert worker.echoed.value > 100
-    processed = {f.flow_id: arch.flows[f.flow_id].processed.value
+    assert worker.echoed > 100
+    processed = {f.flow_id: arch.flows[f.flow_id].processed
                  for f in flows}
     assert all(v > 0 for v in processed.values()), processed
 
@@ -184,13 +184,13 @@ def test_linefs_writes_chunks_and_releases():
     server.start()
     saturate(bed, flow, outstanding=4)
     bed.run(until=300 * US)
-    assert server.chunks_written.value > 5
-    assert server.bytes_written.value == server.chunks_written.value * 8000
+    assert server.chunks_written > 5
+    assert server.bytes_written == server.chunks_written * 8000
     rx = arch.flows[flow.flow_id]
     # Buffers recycled after replication+logging (the server is slower than
     # the line, so a backlog remains — but processed chunks must have been
     # released).
-    assert rx.in_use <= rx.delivered.value - server.chunks_written.value * 8
+    assert rx.in_use <= rx.delivered - server.chunks_written * 8
 
 
 def test_linefs_detach_flow():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.audit.ledger import Account, Ledger, read_source
-from repro.sim.stats import Counter
 
 
 class Box:
@@ -11,24 +10,28 @@ class Box:
         self.n = n
 
 
+class Flows:
+    """A component's counters: plain float fields, incremented in place."""
+
+    def __init__(self):
+        self.inflow = 0.0
+        self.outflow = 0.0
+
+
 def test_read_source_kinds():
-    counter = Counter("c")
-    counter.add(3)
-    assert read_source(counter) == 3
     assert read_source((Box(7), "n")) == 7
     assert read_source(lambda: 11.5) == 11.5
 
 
 def test_exact_account_balances():
-    inflow = Counter("in")
-    outflow = Counter("out")
+    flows = Flows()
     resident = Box(0)
     acct = (Account("layer", "packets")
-            .debit("inflow", inflow)
-            .credit("outflow", outflow)
+            .debit("inflow", (flows, "inflow"))
+            .credit("outflow", (flows, "outflow"))
             .credit("resident", (resident, "n")))
-    inflow.add(10)
-    outflow.add(6)
+    flows.inflow += 10
+    flows.outflow += 6
     resident.n = 4
     snap = acct.snapshot()
     assert snap["ok"]
@@ -38,15 +41,14 @@ def test_exact_account_balances():
 
 
 def test_exact_account_detects_leak_in_both_directions():
-    inflow = Counter("in")
-    outflow = Counter("out")
-    acct = Account("layer", "packets").debit("in", inflow).credit(
-        "out", outflow)
-    inflow.add(5)
-    outflow.add(3)
+    flows = Flows()
+    acct = Account("layer", "packets").debit("in", (flows, "inflow")).credit(
+        "out", (flows, "outflow"))
+    flows.inflow += 5
+    flows.outflow += 3
     snap = acct.snapshot()
     assert not snap["ok"] and snap["delta"] == 2
-    outflow.add(4)
+    flows.outflow += 4
     snap = acct.snapshot()
     assert not snap["ok"] and snap["delta"] == -2
 
@@ -59,20 +61,19 @@ def test_tolerance_absorbs_float_dust():
 
 
 def test_bounded_account_allows_slack_but_not_negative_delta():
-    inflow = Counter("in")
-    outflow = Counter("out")
+    flows = Flows()
     window = Box(1)
     acct = (Account("handler", "packets", bounded=True)
-            .debit("in", inflow).credit("out", outflow)
+            .debit("in", (flows, "inflow")).credit("out", (flows, "outflow"))
             .slack("window", (window, "n")))
-    inflow.add(4)
-    outflow.add(3)
+    flows.inflow += 4
+    flows.outflow += 3
     assert acct.snapshot()["ok"]          # delta 1 <= slack 1
-    inflow.add(1)
+    flows.inflow += 1
     assert not acct.snapshot()["ok"]      # delta 2 > slack 1
     window.n = 2
     assert acct.snapshot()["ok"]
-    outflow.add(5)
+    flows.outflow += 5
     assert not acct.snapshot()["ok"]      # delta -3 < 0: bounded is one-sided
 
 
@@ -84,6 +85,37 @@ def test_capacity_invariant_shape():
     assert acct.snapshot()["ok"]
     occupancy.n = 101
     assert not acct.snapshot()["ok"]
+
+
+def test_float_source_rejected_at_registration():
+    # A wiring line left as ``nic.rx_packets`` passes the field's current
+    # value, which would otherwise be read as a stale number forever.
+    flows = Flows()
+    acct = Account("nic.mac", "packets")
+    with pytest.raises(TypeError, match="'nic.mac'.*'received'"):
+        acct.debit("received", flows.inflow)
+    with pytest.raises(TypeError, match="'nic.mac'.*'handled'"):
+        acct.credit("handled", ("inflow", flows))
+    with pytest.raises(TypeError, match="'nic.mac'.*'window'"):
+        acct.slack("window", 1)
+
+
+def test_misspelt_attribute_rejected_at_registration():
+    acct = Account("nic.mac", "packets")
+    with pytest.raises(AttributeError,
+                       match="'nic.mac'.*'received'.*'inflwo'"):
+        acct.debit("received", (Flows(), "inflwo"))
+
+
+def test_callable_and_existing_attribute_sources_accepted():
+    flows = Flows()
+    acct = (Account("layer", "packets")
+            .debit("inflow", (flows, "inflow"))
+            .credit("outflow", lambda: flows.outflow)
+            .slack("window", (Box(1), "n")))
+    flows.inflow += 2
+    flows.outflow += 2
+    assert acct.snapshot()["ok"]
 
 
 def test_unknown_unit_rejected():

@@ -11,23 +11,29 @@ from repro.audit import (
     pending_report_count,
     record_report,
 )
-from repro.sim.stats import Counter
+
+
+class _Counts:
+    """Plain float counter fields, as the instrumented components keep."""
+
+    def __init__(self):
+        self.handled = 0.0
+        self.accepted = 0.0
+        self.dropped = 0.0
 
 
 def _broken_ledger():
     """NIC handled 100 packets but the architecture only accounted 97 —
     three packets vanished between the handler and the rings."""
     ledger = Ledger()
-    handled = Counter("handled")
-    handled.add(100)
-    accepted = Counter("accepted")
-    accepted.add(90)
-    dropped = Counter("dropped")
-    dropped.add(7)
+    counts = _Counts()
+    counts.handled += 100
+    counts.accepted += 90
+    counts.dropped += 7
     (ledger.account("nic.handler", "packets", barrier_safe=True)
-     .debit("handled", handled)
-     .credit("accepted", accepted)
-     .credit("dropped", dropped))
+     .debit("handled", (counts, "handled"))
+     .credit("accepted", (counts, "accepted"))
+     .credit("dropped", (counts, "dropped")))
     (ledger.account("net.wire", "packets")
      .debit("transmitted", lambda: 100)
      .credit("received", lambda: 100))

@@ -52,7 +52,7 @@ def test_descriptor_drop_run_still_balances(arch):
     measurement = scenario.run_measure()["host"]
     assert measurement.audit["ok"], measurement.audit["violations"]
     if arch != "shring":  # shring wedges on ring-full before the window
-        assert _endpoint(scenario).host.nic.dma.dropped_writes.value > 0
+        assert _endpoint(scenario).host.nic.dma.dropped_writes > 0
 
 
 @pytest.mark.parametrize("arch", ["baseline", "hostcc"])
@@ -61,7 +61,7 @@ def test_dma_drops_reach_measurement_dropped(arch):
     measurement-level drops for the non-CEIO backends too."""
     scenario = _scenario(arch, faults=_drop_plan())
     measurement = scenario.run_measure()["host"]
-    assert _endpoint(scenario).io_arch.dma_write_drops.value > 0
+    assert _endpoint(scenario).io_arch.dma_write_drops > 0
     assert measurement.dropped > 0
     assert sum(fm.dropped for fm in measurement.flows) == measurement.dropped
 
@@ -72,7 +72,7 @@ def test_corrupted_meter_is_caught_with_named_delta():
     report = scenario.reconciler.check(now=scenario.fabric.sim.now)
     assert report.ok
     # Forge three accepted packets that no layer ever handled.
-    _endpoint(scenario).io_arch.rx_accepted.add(3)
+    _endpoint(scenario).io_arch.rx_accepted += 3
     report = scenario.reconciler.check(now=scenario.fabric.sim.now)
     assert not report.ok
     messages = [v["message"] for v in report.violations]

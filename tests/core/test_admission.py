@@ -50,7 +50,7 @@ def test_admission_disabled_by_default():
     arch = scenario.fabric.endpoints["s0"].io_arch
     assert arch.admission is None
     scenario.run_measure()
-    assert arch.rx_shed.value == 0
+    assert arch.rx_shed == 0
 
 
 def test_overload_sheds_and_the_admission_account_reconciles():
@@ -61,32 +61,32 @@ def test_overload_sheds_and_the_admission_account_reconciles():
     measurement = scenario.run_measure()["s0"]
 
     # Demand far above the service ceiling: the guard must engage.
-    assert arch.rx_shed.value > 0
-    assert arch.admission.shed.value == arch.rx_shed.value
+    assert arch.rx_shed > 0
+    assert arch.admission.shed == arch.rx_shed
 
     # Offered == accepted + dropped + shed + duplicates, exactly.
-    duplicates = sum(rx.duplicates.value for rx in arch._all_rx.values())
-    assert arch.rx_offered.value == (arch.rx_accepted.value
-                                     + arch.rx_dropped.value
-                                     + arch.rx_shed.value + duplicates)
+    duplicates = sum(rx.duplicates for rx in arch._all_rx.values())
+    assert arch.rx_offered == (arch.rx_accepted
+                                     + arch.rx_dropped
+                                     + arch.rx_shed + duplicates)
 
     # Per-flow shed meters sum to the architecture total.
-    assert sum(rx.shed.value for rx in arch._all_rx.values()) \
-        == arch.rx_shed.value
+    assert sum(rx.shed for rx in arch._all_rx.values()) \
+        == arch.rx_shed
 
     # The cross-layer audit (including arch.admission) balances.
     assert measurement.audit["ok"] is True
     assert measurement.audit["violations"] == []
-    assert measurement.extras["shed"] == arch.rx_shed.value
-    assert measurement.extras["offered"] == arch.rx_offered.value
+    assert measurement.extras["shed"] == arch.rx_shed
+    assert measurement.extras["offered"] == arch.rx_offered
 
 
 def test_underload_sheds_nothing():
     scenario = compile_scenario(_spec(4.0, guarded=True))
     arch = scenario.fabric.endpoints["s0"].io_arch
     scenario.run_measure()
-    assert arch.rx_shed.value == 0
-    assert arch.admission.offered.value == arch.admission.admitted.value
+    assert arch.rx_shed == 0
+    assert arch.admission.offered == arch.admission.admitted
 
 
 def test_shed_acks_complete_messages_without_delivery():
@@ -98,9 +98,9 @@ def test_shed_acks_complete_messages_without_delivery():
     scenario.run_measure()
     # The shed ACK is unmarked, so the lossless fabric sees no
     # retransmits: nothing arrives twice.
-    assert sum(rx.duplicates.value for rx in arch._all_rx.values()) == 0
+    assert sum(rx.duplicates for rx in arch._all_rx.values()) == 0
     # No flow starved and none exempt: shedding is pressure-driven
     # back-off on every flow, not a blanket drop of one victim.
     for rx in arch._all_rx.values():
-        assert rx.processed.value > 0
-        assert rx.shed.value > 0
+        assert rx.processed > 0
+        assert rx.shed > 0

@@ -32,7 +32,7 @@ def test_buffering_accounts_bytes_and_memory():
     _buffer(sim, manager, flow, range(4))
     assert manager.slow_bytes(flow.flow_id) == 4 * 1042
     assert host.nic.memory.used == 4 * 1042
-    assert manager.buffered_packets.value == 4
+    assert manager.buffered_packets == 4
 
 
 def test_mark_probability_zero_below_band():
@@ -96,8 +96,8 @@ def test_on_nic_memory_exhaustion_counts_overflow():
     assert results == [True, False, False]
     # The manager reports overflow; the caller decides spill-vs-drop and
     # owns slow_drops.
-    assert manager.overflow_events.value == 2
-    assert manager.slow_drops.value == 0
+    assert manager.overflow_events == 2
+    assert manager.slow_drops == 0
 
 
 def test_chaos_tracks_concurrently_buffered_flows():

@@ -60,7 +60,7 @@ def test_fast_path_consumes_credits_and_delivers():
     flow, _src = add_flow(bed, arch)
     bed.run(until=100 * US)
     state = arch.states[flow.flow_id]
-    assert arch.fast_packets.value > 0
+    assert arch.fast_packets > 0
     # Packets delivered through the SW ring in order.
     records = arch.rx_burst(flow, 64)
     seqs = [r.packet.seq for r in records]
@@ -71,8 +71,8 @@ def test_credit_exhaustion_degrades_to_slow_path():
     bed, arch = build(llc=64 * 1024)  # tiny budget: 16 credits
     flow, _src = add_flow(bed, arch, outstanding=64)
     bed.run(until=200 * US)  # nothing consumes => credits exhaust
-    assert arch.degrades.value >= 1
-    assert arch.slow_packets.value > 0
+    assert arch.degrades >= 1
+    assert arch.slow_packets > 0
     assert arch.steering.get(flow.flow_id).action is SteeringAction.SLOW_PATH
     assert bed.host.nic.memory.used > 0
 
@@ -89,7 +89,7 @@ def test_slow_path_preserves_order_end_to_end():
         arch.release(records)
     fresh = [s for s in seqs]
     assert fresh == sorted(fresh), "SW ring must deliver in order"
-    assert arch.slow_packets.value > 0, "slow path must have engaged"
+    assert arch.slow_packets > 0, "slow path must have engaged"
     state = arch.states[flow.flow_id]
     assert state.swring.out_of_order == 0
 
@@ -109,7 +109,7 @@ def test_drain_and_upgrade_back_to_fast_path():
         if arch.steering.get(flow.flow_id).action is SteeringAction.FAST_PATH:
             break
     assert arch.steering.get(flow.flow_id).action is SteeringAction.FAST_PATH
-    assert arch.upgrades.value >= 1
+    assert arch.upgrades >= 1
 
 
 def test_lazy_release_waits_for_message_boundary():
@@ -150,15 +150,15 @@ def test_pin_slow_and_unpin():
     arch.pin_slow(flow)
     bed.run(until=100 * US)
     assert arch.steering.get(flow.flow_id).action is SteeringAction.SLOW_PATH
-    assert arch.slow_packets.value > 0
-    fast_before = arch.fast_packets.value
+    assert arch.slow_packets > 0
+    fast_before = arch.fast_packets
     arch.unpin(flow)
     for _ in range(50):
         bed.run(until=bed.sim.now + 10 * US)
         arch.release(arch.rx_burst(flow, 256))
-        if arch.fast_packets.value > fast_before:
+        if arch.fast_packets > fast_before:
             break
-    assert arch.fast_packets.value > fast_before
+    assert arch.fast_packets > fast_before
 
 
 def test_donation_redirects_bypass_credits():
@@ -176,7 +176,7 @@ def test_overdraft_borrowed_not_leaked():
     bed, arch = build(llc=64 * 1024)
     flow, _src = add_flow(bed, arch, outstanding=64)
     bed.run(until=300 * US)
-    assert arch.overdraft.value > 0
+    assert arch.overdraft > 0
     assert arch.credits.audit() == pytest.approx(arch.credits.total)
 
 
@@ -192,7 +192,7 @@ def test_sync_ablation_recv_burst_blocks_on_fetch():
     bed, arch = build(config, llc=64 * 1024)
     flow, _src = add_flow(bed, arch, outstanding=64)
     bed.run(until=200 * US)
-    assert arch.slow_packets.value > 0
+    assert arch.slow_packets > 0
 
     def consumer(sim):
         got = []
@@ -208,6 +208,6 @@ def test_sync_ablation_recv_burst_blocks_on_fetch():
     while not proc.triggered:
         bed.sim.step()
     got = proc.value
-    assert arch.driver.sync_fetches.value > 0
+    assert arch.driver.sync_fetches > 0
     seqs = [r.packet.seq for r in got]
     assert seqs == sorted(seqs)

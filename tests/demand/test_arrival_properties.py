@@ -151,7 +151,7 @@ def test_admission_conserves_offered(ring_limit, slow_limit, ops):
         else:
             shed += 1
             assert depth >= ring_limit or slow_bytes >= slow_limit
-    assert ctl.offered.value == len(ops)
-    assert ctl.admitted.value == admitted
-    assert ctl.shed.value == shed
-    assert ctl.offered.value == ctl.admitted.value + ctl.shed.value
+    assert ctl.offered == len(ops)
+    assert ctl.admitted == admitted
+    assert ctl.shed == shed
+    assert ctl.offered == ctl.admitted + ctl.shed

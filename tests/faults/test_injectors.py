@@ -60,12 +60,12 @@ def test_link_loss_window_drops_then_restores():
     assert testbed.port.fault is not None      # window open
     testbed.run(until=100 * US)
     assert testbed.port.fault is None          # restored exactly
-    assert controller.windows_opened.value == 1
-    dropped = testbed.port.fault_dropped.value
+    assert controller.windows_opened == 1
+    dropped = testbed.port.fault_dropped
     assert dropped > 0
     # Retransmissions recover every loss: all 60 messages complete.
-    assert sender.packets_acked.value >= 60
-    assert sender.retransmits.value > 0
+    assert sender.packets_acked >= 60
+    assert sender.retransmits > 0
 
 
 def test_link_loss_is_deterministic_across_runs():
@@ -76,8 +76,8 @@ def test_link_loss_is_deterministic_across_runs():
                       magnitude=0.5),)))
         pump(testbed, sender, n=40)
         testbed.run(until=200 * US)
-        return (testbed.port.fault_dropped.value,
-                sender.retransmits.value, sender.packets_acked.value)
+        return (testbed.port.fault_dropped,
+                sender.retransmits, sender.packets_acked)
 
     assert run_once() == run_once()
 
@@ -91,9 +91,9 @@ def test_link_loss_flow_filter_spares_other_flows():
         pump(testbed, sender, n=20)
     testbed.run(until=100 * US)
     f1 = senders[1]
-    assert testbed.port.fault_dropped.value > 0
-    assert f1.retransmits.value == 0
-    assert f1.packets_acked.value >= 20
+    assert testbed.port.fault_dropped > 0
+    assert f1.retransmits == 0
+    assert f1.packets_acked >= 20
 
 
 def test_burst_loss_drops_in_bursts():
@@ -105,7 +105,7 @@ def test_burst_loss_drops_in_bursts():
     pump(testbed, sender, n=80, gap=500.0)
     testbed.run(until=300 * US)
     # Bad-state loss probability 1.0: every drop is part of a burst.
-    assert testbed.port.fault_dropped.value > 1
+    assert testbed.port.fault_dropped > 1
 
 
 def test_pcie_latency_adds_and_restores_exactly():
@@ -160,10 +160,10 @@ def test_descriptor_drop_loses_deliveries_silently():
     testbed.run(until=200 * US)
     dma = testbed.host.nic.dma
     rx = testbed.io_arch.flows[testbed.flows[0].flow_id]
-    assert dma.dropped_writes.value > 0
+    assert dma.dropped_writes > 0
     assert dma.drop_filter is None             # restored
     # The silent part: packets were ACKed (accepted) but never delivered.
-    assert rx.delivered.value < sender.packets_acked.value
+    assert rx.delivered < sender.packets_acked
 
 
 def test_cpu_slowdown_scales_targeted_core_and_restores():
@@ -251,9 +251,9 @@ def test_nic_dma_stall_defers_issue_to_window_end():
     issue_one_write(sim, host)
     dma = host.nic.dma
     sim.run(until=999.0)
-    assert dma.pending_writes == 1 and dma.writes_issued.value == 0
+    assert dma.pending_writes == 1 and dma.writes_issued == 0
     landing_time(sim, host, 1000.0 + host.config.pcie.write_latency)
-    assert dma.pending_writes == 0 and dma.writes_issued.value == 1
+    assert dma.pending_writes == 0 and dma.writes_issued == 1
 
 
 def test_descriptor_drop_counts_the_write_and_never_lands_it():
@@ -264,6 +264,6 @@ def test_descriptor_drop_counts_the_write_and_never_lands_it():
     sim.run()
     dma = host.nic.dma
     assert write.dropped
-    assert dma.dropped_writes.value == 1 and dma.writes_issued.value == 0
+    assert dma.dropped_writes == 1 and dma.writes_issued == 0
     assert host.iio.occupancy_gauge.max == 0
-    assert host.memctrl.writes_completed.value == 0
+    assert host.memctrl.writes_completed == 0

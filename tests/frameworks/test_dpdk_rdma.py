@@ -38,7 +38,7 @@ def test_mempool_alloc_free_cycle():
     assert pool.alloc(3)
     assert pool.in_use == 3
     assert not pool.alloc(2)
-    assert pool.alloc_failures.value == 1
+    assert pool.alloc_failures == 1
     pool.free(3)
     assert pool.available == 4
 
@@ -80,7 +80,7 @@ def test_ethdev_rx_burst_and_free_roundtrip():
     dev.free(records)
     assert dev.mempool.in_use == 0
     dev.tx_burst(len(records))
-    assert dev.tx_packets.value == len(records)
+    assert dev.tx_packets == len(records)
 
 
 def test_ethdev_rx_queue_setup_registers_flow():
@@ -110,7 +110,7 @@ def test_cq_overflow_counted():
     cq = CompletionQueue(bed.sim, depth=1)
     cq.push("a")
     cq.push("b")
-    assert cq.overflows.value == 1
+    assert cq.overflows == 1
 
 
 def test_cq_wait_blocks_until_completion():
@@ -122,7 +122,7 @@ def test_cq_wait_blocks_until_completion():
         return wc, sim.now
 
     proc = bed.sim.process(waiter(bed.sim))
-    bed.sim.schedule(500, lambda: cq.push("done"))
+    bed.sim.call_later(500, lambda: cq.push("done"))
     bed.sim.run()
     assert proc.value == ("done", 500.0)
 
@@ -146,7 +146,7 @@ def test_endpoint_assembles_messages_into_completions():
         assert wc.records[-1].packet.last_in_message
         seqs = [r.packet.seq for r in wc.records]
         assert seqs == sorted(seqs)
-    assert endpoint.messages_completed.value >= len(completions)
+    assert endpoint.messages_completed >= len(completions)
 
 
 def test_endpoint_destroy_qp_stops_service():
@@ -161,4 +161,18 @@ def test_endpoint_destroy_qp_stops_service():
     endpoint.destroy_qp(flow)
     assert flow.flow_id not in endpoint.qps
     qp.post_recv(8)
-    assert qp.posted_recvs.value == 8
+    assert qp.posted_recvs == 8
+
+
+def test_negative_counts_rejected():
+    bed, arch = build_bed()
+    dev = EthDev(arch)
+    with pytest.raises(ValueError, match="tx_burst"):
+        dev.tx_burst(-1)
+    assert dev.tx_packets == 0.0
+    flow = Flow(FlowKind.CPU_BYPASS, message_payload=1000)
+    bed.add_flow(flow)
+    qp = RdmaEndpoint(arch, CompletionQueue(bed.sim)).create_qp(flow)
+    with pytest.raises(ValueError, match="post_recv"):
+        qp.post_recv(-2)
+    assert qp.posted_recvs == 0.0

@@ -141,7 +141,7 @@ def test_pcie_credits_block_writer_until_released():
         return sim.now
 
     proc = sim.process(writer(sim))
-    sim.schedule(500, lambda: host.pcie.release_write_credits(4096))
+    sim.call_later(500, lambda: host.pcie.release_write_credits(4096))
     sim.run()
     assert proc.value == 500.0
 
@@ -177,7 +177,7 @@ def test_dma_write_without_ddio_goes_to_dram():
     sim.process(proc(sim))
     sim.run()
     assert not host.llc.is_resident("pkt0")
-    assert host.dram.bytes_written.value == 2048
+    assert host.dram.bytes_written == 2048
 
 
 def test_ddio_eviction_generates_writeback_traffic():
@@ -192,7 +192,7 @@ def test_ddio_eviction_generates_writeback_traffic():
 
     sim.process(proc(sim))
     sim.run()
-    assert host.memctrl.writeback_bytes.value >= 8 * 2048
+    assert host.memctrl.writeback_bytes >= 8 * 2048
 
 
 def test_iio_occupancy_tracked():
@@ -237,7 +237,7 @@ def test_iio_full_back_pressure_keeps_order_and_conservation():
     assert delivered == list(range(32))
     assert host.iio.inbound_inflight == 0
     assert host.iio.occupancy_gauge.max == 2 * 2048
-    assert host.pcie.credits_acquired.value == host.pcie.credits_released.value
+    assert host.pcie.credits_acquired == host.pcie.credits_released
     report = _dma_path_report(host)
     assert report.ok, report.violations
 
@@ -262,7 +262,7 @@ def test_posted_write_calendar_cost():
 
     sim.process(writer(sim))
     executed = sim.run_until(n * gap + 10 * gap, inclusive=True)
-    assert host.memctrl.writes_completed.value == n
+    assert host.memctrl.writes_completed == n
     # Start-up of the writer, memory-controller and firmware processes,
     # the writer's exit, and one resume of the writer's own gap per write.
     assert executed == 4 + n * (ENTRIES_PER_WRITE + 1)
@@ -335,7 +335,7 @@ def test_core_copy_to_app_buffer_costs_time_and_bandwidth():
 
     duration = sim.run_process(proc(sim))
     assert duration > 0
-    assert host.dram.bytes_written.value == 4096
+    assert host.dram.bytes_written == 4096
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +370,14 @@ def test_nic_dispatches_packets_to_handler():
         assert host.nic.receive(_Pkt(1024))
     sim.run()
     assert len(handler.seen) == 5
-    assert host.nic.rx_packets.value == 5
+    assert host.nic.rx_packets == 5
 
 
 def test_nic_drops_without_handler():
     sim = Simulator()
     host = Host(sim)
     assert not host.nic.receive(_Pkt(1024))
-    assert host.nic.dropped_packets.value == 1
+    assert host.nic.dropped_packets == 1
 
 
 def test_nic_mac_buffer_overflow_drops_and_notifies():

@@ -67,7 +67,7 @@ def test_pcie_utilization_reflects_traffic():
     sim.process(producer(sim))
     sim.run()
     assert host.pcie.utilization(sim.now) > 0.0
-    assert host.pcie.bytes_written.value == 50 * 2048
+    assert host.pcie.bytes_written == 50 * 2048
 
 
 def test_memctrl_delivery_order_preserved():
@@ -102,7 +102,7 @@ def test_writeback_stalls_drain_under_thrash():
 
     sim.process(producer(sim))
     sim.run(until=10_000)
-    assert host.memctrl.writeback_bytes.value > 0
+    assert host.memctrl.writeback_bytes > 0
     assert host.iio.occupancy_gauge.max > 0
 
 
@@ -125,5 +125,5 @@ def test_on_nic_memory_write_read_bandwidth_shared():
     total = 9 * 64 * 1024
     expected = (total - 256 * 1024) / mem.config.memory_bandwidth
     assert sim.now - t0 >= expected
-    assert mem.bytes_written.value == 8 * 64 * 1024
-    assert mem.bytes_read.value == 64 * 1024
+    assert mem.bytes_written == 8 * 64 * 1024
+    assert mem.bytes_read == 64 * 1024

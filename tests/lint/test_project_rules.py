@@ -147,7 +147,7 @@ def test_d108_resolves_sources_against_cross_module_class(tmp_path):
 
             def wire(ledger, nic: Nic):
                 acct = ledger.account("nic", "packets")
-                acct.debit("rx", nic.rx_packets)
+                acct.debit("rx", (nic, "rx_packets"))
                 acct.credit("buffered", (nic, "buffered_pkts"))
         """,
     })
@@ -166,7 +166,7 @@ def test_d108_clean_when_every_source_resolves(tmp_path):
 
             def wire(ledger, nic: Nic):
                 acct = ledger.account("nic", "packets")
-                acct.debit("rx", nic.rx_packets)
+                acct.debit("rx", (nic, "rx_packets"))
                 acct.credit("dropped", (nic, "dropped_packets"))
         """,
     })

@@ -65,13 +65,13 @@ def test_rto_recovers_every_message_under_burst_loss(shape):
     testbed.sim.process(proc(testbed.sim))
     testbed.run(until=HORIZON)
 
-    lost = testbed.port.fault_dropped.value
+    lost = testbed.port.fault_dropped
     # (a) wire losses are repaired by retransmission, not ignored. (Not
     # one-to-one: a drop can hit a spurious retransmission whose original
     # already got through, needing no further repair.)
     if lost > 0:
-        assert sender.retransmits.value > 0
+        assert sender.retransmits > 0
     # (b, c) no permanent stall: every message completed in the horizon.
     assert len(done_events) == N_MESSAGES
     assert all(event.triggered for event in done_events)
-    assert sender.packets_acked.value >= N_MESSAGES
+    assert sender.packets_acked >= N_MESSAGES

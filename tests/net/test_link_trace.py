@@ -35,7 +35,7 @@ def test_fault_drops_emit_attributed_trace_events():
                   magnitude=1.0),)))
     testbed.run(until=100 * US)
     drops = tracer.category("link.drop")
-    assert len(drops) == testbed.port.fault_dropped.value > 0
+    assert len(drops) == testbed.port.fault_dropped > 0
     flow_id = testbed.flows[0].flow_id
     seqs = set()
     for event in drops:
@@ -58,8 +58,8 @@ def test_no_tracer_means_no_events_and_same_drops():
             FaultSpec("net.link", "loss", start=5 * US, duration=20 * US,
                       magnitude=0.5),)))
         testbed.run(until=100 * US)
-        return (testbed.port.fault_dropped.value,
-                sender.packets_acked.value, len(tracer.events))
+        return (testbed.port.fault_dropped,
+                sender.packets_acked, len(tracer.events))
 
     dropped_t, acked_t, events_t = run(True)
     dropped_n, acked_n, events_n = run(False)

@@ -113,7 +113,7 @@ def test_switch_marks_above_threshold():
     assert len(got) == 5
     # Packets enqueued while queue > 2000B get CE-marked.
     assert sum(p.ecn_marked for p in got) == 2
-    assert port.marked_packets.value == 2
+    assert port.marked_packets == 2
 
 
 def test_switch_tail_drop_when_full():
@@ -126,7 +126,7 @@ def test_switch_tail_drop_when_full():
         port.send(pkt)
     sim.run()
     assert len(got) == 2
-    assert port.dropped_packets.value == 3
+    assert port.dropped_packets == 3
 
 
 def test_switch_queue_gauge_tracks_occupancy():

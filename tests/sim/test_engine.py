@@ -128,7 +128,7 @@ def test_event_fail_raises_in_waiter():
         return "no exception"
 
     proc = sim.process(waiter(sim, ev))
-    sim.schedule(1, lambda: ev.fail(ValueError("boom")))
+    sim.call_later(1, lambda: ev.fail(ValueError("boom")))
     sim.run()
     assert proc.value == "boom"
 
@@ -292,7 +292,7 @@ def test_interrupt_detaches_original_target():
         resumed.append(("end", sim.now))
 
     proc = sim.process(sleeper(sim))
-    sim.schedule(5, lambda: proc.interrupt())
+    sim.call_later(5, lambda: proc.interrupt())
     sim.run()
     assert resumed == [("interrupt", 5.0), ("end", 105.0)]
 
@@ -339,8 +339,8 @@ def test_all_of_empty_fires_immediately():
 def test_schedule_runs_plain_callable():
     sim = Simulator()
     hits = []
-    sim.schedule(3, lambda: hits.append(sim.now))
-    sim.schedule(1, lambda: hits.append(sim.now))
+    sim.call_later(3, lambda: hits.append(sim.now))
+    sim.call_later(1, lambda: hits.append(sim.now))
     sim.run()
     assert hits == [1.0, 3.0]
 
@@ -348,7 +348,7 @@ def test_schedule_runs_plain_callable():
 def test_peek_reports_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
-    sim.schedule(4, lambda: None)
+    sim.call_later(4, lambda: None)
     assert sim.peek() == 0.0 or sim.peek() <= 4.0  # init event first
     sim.run()
     assert sim.peek() == float("inf")

@@ -17,7 +17,7 @@ def test_any_of_propagates_failure():
             return str(exc)
 
     proc = sim.process(waiter(sim))
-    sim.schedule(5, lambda: bad.fail(RuntimeError("broken")))
+    sim.call_later(5, lambda: bad.fail(RuntimeError("broken")))
     sim.run()
     assert proc.value == "broken"
 
@@ -33,7 +33,7 @@ def test_all_of_propagates_failure():
             return str(exc)
 
     proc = sim.process(waiter(sim))
-    sim.schedule(5, lambda: bad.fail(RuntimeError("oops")))
+    sim.call_later(5, lambda: bad.fail(RuntimeError("oops")))
     sim.run()
     assert proc.value == "oops"
 
@@ -119,10 +119,10 @@ def test_nested_process_failure_propagates_to_parent():
 def test_same_time_events_fifo_across_mixed_sources():
     sim = Simulator()
     order = []
-    sim.schedule(5, lambda: order.append("first-scheduled"))
+    sim.call_later(5, lambda: order.append("first-scheduled"))
     ev = sim.timeout(5)
     ev.add_callback(lambda _e: order.append("second-timeout"))
-    sim.schedule(5, lambda: order.append("third-scheduled"))
+    sim.call_later(5, lambda: order.append("third-scheduled"))
     sim.run()
     assert order == ["first-scheduled", "second-timeout", "third-scheduled"]
 
@@ -131,7 +131,7 @@ def test_run_to_exact_until_with_event_at_until():
     """Events exactly at `until` are NOT processed (strict bound)."""
     sim = Simulator()
     hits = []
-    sim.schedule(10, lambda: hits.append(1))
+    sim.call_later(10, lambda: hits.append(1))
     sim.run(until=10)
     # The event at t=10 fires only when the clock is allowed past it.
     assert sim.now == 10.0
@@ -150,6 +150,6 @@ def test_interrupt_cause_none_by_default():
             return intr.cause
 
     proc = sim.process(sleeper(sim))
-    sim.schedule(1, proc.interrupt)
+    sim.call_later(1, proc.interrupt)
     sim.run()
     assert proc.value is None

@@ -6,7 +6,7 @@ produce identical event ordering, end to end. These tests pin that down
 with digests captured on the pre-refactor kernel:
 
 - a packet-level dctcp/link trace (every delivery at the switch egress,
-  timestamped), exercising processes, timeouts, stores, and ``schedule``;
+  timestamped), exercising processes, timeouts, stores, and ``call_later``;
 - a reduced fig09 simulation point (the full NIC-PCIe-LLC-CPU stack),
   executed through the runner at ``--jobs 1`` and ``--jobs 4``.
 
@@ -80,7 +80,7 @@ def dctcp_link_trace_digest() -> str:
         sender = senders[packet.flow.flow_id]
         seq, marked = packet.seq, packet.ecn_marked
         # Reverse path: fixed-delay ACK, like HostEndpoint.ack().
-        sim.schedule(600.0, lambda: sender.on_ack(seq, marked))
+        sim.call_later(600.0, lambda: sender.on_ack(seq, marked))
 
     port = SwitchPort(sim, rate=gbps(200), propagation=0.6 * US,
                       deliver=deliver, buffer_bytes=60_000,
@@ -91,9 +91,9 @@ def dctcp_link_trace_digest() -> str:
         sender.submit_message(Message(1000, count=200))
     sim.run(until=200 * US)
     trace.append(f"end now={sim.now!r} "
-                 f"tx={port.tx_packets.value!r} "
-                 f"marked={port.marked_packets.value!r} "
-                 f"dropped={port.dropped_packets.value!r}")
+                 f"tx={port.tx_packets!r} "
+                 f"marked={port.marked_packets!r} "
+                 f"dropped={port.dropped_packets!r}")
     for fid, sender in sorted(senders.items()):
         trace.append(f"sender f={fid} cwnd={sender.cwnd!r} "
                      f"alpha={sender.alpha!r}")

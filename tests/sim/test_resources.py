@@ -62,7 +62,7 @@ def test_store_get_blocks_when_empty():
         return item, sim.now
 
     proc = sim.process(consumer(sim, store))
-    sim.schedule(7, lambda: store.try_put("late"))
+    sim.call_later(7, lambda: store.try_put("late"))
     sim.run()
     assert proc.value == ("late", 7.0)
 
@@ -157,8 +157,8 @@ def test_container_get_blocks_until_put():
         return sim.now
 
     proc = sim.process(getter(sim, c))
-    sim.schedule(5, lambda: c.try_put(2))
-    sim.schedule(9, lambda: c.try_put(2))
+    sim.call_later(5, lambda: c.try_put(2))
+    sim.call_later(9, lambda: c.try_put(2))
     sim.run()
     assert proc.value == 9.0
 
@@ -212,7 +212,7 @@ def test_container_put_blocks_at_capacity():
         return sim.now
 
     proc = sim.process(putter(sim, c))
-    sim.schedule(4, lambda: c.try_get(3))
+    sim.call_later(4, lambda: c.try_get(3))
     sim.run()
     assert proc.value == 4.0
     assert c.level == 5
@@ -359,7 +359,7 @@ def test_token_bucket_set_rate_mid_wait():
     proc = sim.process(taker(sim, tb))
     # After 10 ns, 10 tokens accrued; speed up x10 => remaining 90 tokens
     # in 9 ns, finishing at t=19.
-    sim.schedule(10, lambda: tb.set_rate(10.0))
+    sim.call_later(10, lambda: tb.set_rate(10.0))
     sim.run()
     assert proc.value == pytest.approx(19.0)
 
@@ -373,8 +373,8 @@ def test_token_bucket_zero_rate_pauses():
         return sim.now
 
     proc = sim.process(taker(sim, tb))
-    sim.schedule(1, lambda: tb.set_rate(0.0))
-    sim.schedule(50, lambda: tb.set_rate(1.0))
+    sim.call_later(1, lambda: tb.set_rate(0.0))
+    sim.call_later(50, lambda: tb.set_rate(1.0))
     sim.run()
     # 1 token by t=1, stalled until t=50, 4 more tokens by t=54.
     assert proc.value == pytest.approx(54.0)

@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Histogram, RateMeter, StatRegistry, TimeSeries, TimeWeightedGauge
-
-
-def test_counter_accumulates():
-    c = Counter("pkts")
-    c.add()
-    c.add(4)
-    assert c.value == 5
-    c.reset()
-    assert c.value == 0
-
-
-def test_counter_rejects_negative():
-    c = Counter()
-    with pytest.raises(ValueError):
-        c.add(-1)
+from repro.sim import Histogram, RateMeter, TimeWeightedGauge
 
 
 def test_gauge_time_weighted_mean():
@@ -124,31 +109,3 @@ def test_rate_meter_mean_rate():
     m.record(1.0, 10.0)
     assert m.mean_rate(10.0) == pytest.approx(1.0)
 
-
-def test_timeseries_records_points():
-    ts = TimeSeries("x")
-    ts.record(1, 10)
-    ts.record(2, 20)
-    assert ts.times() == [1, 2]
-    assert ts.values() == [10, 20]
-    assert len(ts) == 2
-
-
-def test_registry_returns_same_instance():
-    reg = StatRegistry()
-    c1 = reg.counter("nic.rx")
-    c2 = reg.counter("nic.rx")
-    assert c1 is c2
-    assert "nic.rx" in reg
-    assert reg.names() == ["nic.rx"]
-
-
-def test_registry_distinct_kinds_per_name():
-    reg = StatRegistry()
-    reg.counter("a")
-    reg.histogram("b")
-    reg.gauge("c")
-    reg.rate_meter("d")
-    reg.timeseries("e")
-    assert reg.names() == ["a", "b", "c", "d", "e"]
-    assert reg.get("missing") is None

@@ -7,7 +7,7 @@ def test_tracer_records_with_timestamps():
     sim = Simulator()
     tracer = Tracer(sim)
     tracer.emit("nic.rx", size=64)
-    sim.schedule(10, lambda: tracer.emit("nic.rx", size=128))
+    sim.call_later(10, lambda: tracer.emit("nic.rx", size=128))
     sim.run()
     events = tracer.category("nic.rx")
     assert [e.time for e in events] == [0.0, 10.0]
@@ -62,7 +62,7 @@ def test_tracer_queries():
     sim = Simulator()
     tracer = Tracer(sim)
     for t, cat in [(1, "a"), (2, "b"), (3, "a")]:
-        sim.schedule(t, lambda c=cat: tracer.emit(c))
+        sim.call_later(t, lambda c=cat: tracer.emit(c))
     sim.run()
     assert tracer.counts() == {"a": 2, "b": 1}
     assert tracer.first("b").time == 2.0

@@ -43,7 +43,7 @@ def test_architectures_share_identical_workload():
         scenario.run_measure()
         sent[arch] = {
             rec.flow.name:
-                scenario.fabric.senders[rec.flow.flow_id].packets_sent.value
+                scenario.fabric.senders[rec.flow.flow_id].packets_sent
             for rec in scenario.involved["host"]}
     # Not identical packet counts (feedback differs), but the same flows
     # exist and all sent traffic.

@@ -31,12 +31,12 @@ def test_window_reports_deltas_not_totals():
     bed.add_flow(flow)
     rx = arch.flows[flow.flow_id]
     # Pre-window history that must not count.
-    rx.processed.add(1000)
-    rx.processed_bytes.add(1000 * 500)
+    rx.processed += 1000
+    rx.processed_bytes += 1000 * 500
     window = MeasurementWindow(bed, arch)
     bed.run(until=100 * US)
-    rx.processed.add(10)
-    rx.processed_bytes.add(10 * 500)
+    rx.processed += 10
+    rx.processed_bytes += 10 * 500
     m = window.finish()
     assert m.total_mpps == pytest.approx(10 / (100 * US) * 1e3)
 
@@ -62,10 +62,10 @@ def test_window_separates_involved_and_bypass():
     bed.add_flow(byp)
     window = MeasurementWindow(bed, arch)
     bed.run(until=10 * US)
-    arch.flows[inv.flow_id].processed.add(100)
-    arch.flows[inv.flow_id].processed_bytes.add(100 * 500)
-    arch.flows[byp.flow_id].processed.add(50)
-    arch.flows[byp.flow_id].processed_bytes.add(50 * 1000)
+    arch.flows[inv.flow_id].processed += 100
+    arch.flows[inv.flow_id].processed_bytes += 100 * 500
+    arch.flows[byp.flow_id].processed += 50
+    arch.flows[byp.flow_id].processed_bytes += 50 * 1000
     m = window.finish()
     assert m.involved_mpps > 0
     assert m.bypass_mpps > 0
@@ -80,7 +80,7 @@ def test_window_note_new_flow_midway():
     late = Flow(FlowKind.CPU_INVOLVED, message_payload=500)
     bed.add_flow(late, late_ok=True)
     window.note_new_flow(late)
-    arch.flows[late.flow_id].processed.add(7)
+    arch.flows[late.flow_id].processed += 7
     bed.run(until=20 * US)
     m = window.finish()
     assert m.flow(late.name) is not None
