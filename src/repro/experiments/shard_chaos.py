@@ -13,8 +13,8 @@ every spine hop) across the ceio / shring / baseline architectures:
   mode agree byte-for-byte (the channel site is coordinator-level, so
   its determinism gate is inline == process, not sharded == single);
 - **kill points** run process mode with a seeded
-  :class:`~repro.runner.shardpool.ShardPoolConfig` kill plan — workers
-  shot at randomized barrier windows — and assert the journal-replay
+  :class:`~repro.runner.shardpool.ShardPoolConfig` kill plan — worker
+  shards shot at randomized barrier windows — and assert the journal-replay
   recovery reproduces the undisturbed run byte-for-byte, with
   ``shard_restarted`` / ``shard_replay_done`` attributed in the runlog
   and the merged audit reconciling to zero violations.
@@ -31,11 +31,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..faults import FaultPlan, FaultSpec
-from ..runner.shardpool import ShardPoolConfig
+from ..runner.shardpool import ShardPoolConfig, worker_shards
 from ..runner.sweep import Point, make_point, run_points_serial
+from ..scenario import build_topology, validate
 from ..shard import run_sharded
 from ..sim.rng import RngRegistry
 from ..sim.units import US
+from ..topo import partition
 from ..workloads.topo_scenario import TopoScenario
 from .report import ExperimentResult
 
@@ -172,13 +174,16 @@ def _run_kill_point(params: Mapping[str, Any],
     rng = RngRegistry(seed).stream(f"shard_chaos.kill.{arch}")
     windows = sorted(rng.sample(range(1, max(2, rounds - 1)),
                                 min(N_KILLS, max(1, rounds - 2))))
-    kill_plan = tuple((w, rng.randrange(SHARDS)) for w in windows)
+    spec = _spec(arch, seed, quick, faults)
+    workers = worker_shards(partition(build_topology(validate(spec)),
+                                      SHARDS))
+    kill_plan = tuple((w, rng.choice(workers)) for w in windows)
     with tempfile.TemporaryDirectory() as tmp:
         runlog = Path(tmp) / "runlog.jsonl"
         cfg = ShardPoolConfig(restart_backoff_s=0.0, runlog=str(runlog),
                               kill_plan=kill_plan)
-        recovered = run_sharded(_spec(arch, seed, quick, faults), SHARDS,
-                                mode="process", pool_config=cfg)
+        recovered = run_sharded(spec, SHARDS, mode="process",
+                                pool_config=cfg)
         with open(runlog, encoding="utf-8") as fh:
             events = [json.loads(line)["event"] for line in fh]
     return {

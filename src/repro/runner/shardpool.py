@@ -1,19 +1,26 @@
 """Process-backed shard execution with runlog heartbeats and recovery.
 
-One long-lived worker process per shard kernel, driven over pipes by the
-coordinator (:func:`repro.shard.run_sharded` with ``mode="process"``).
+The coordinator (:func:`repro.shard.run_sharded` with
+``mode="process"``) runs the plan's heaviest cell in its own process
+and one long-lived worker process per other cell, driven over pipes:
+each barrier window it issues the workers' commands, advances its own
+kernel, then collects the replies. With ``N`` shards that is ``N``
+busy processes, not ``N + 1``, and the coordinator's routing work
+overlaps the workers' windows instead of waiting on them.
 The point pool (:mod:`repro.runner.pool`) polices sweep points between
 process boundaries; this module applies the same supervision *inside*
-one sharded run, where the failure unit is a shard, not a point:
+one sharded run, where the failure unit is a worker shard, not a point
+(the hosted shard cannot die apart from the coordinator):
 
 - **heartbeats** — at most every ``heartbeat_s`` of wall time, one
   ``shard_heartbeat`` runlog event per shard records its simulated time
   and cumulative event count, so a shard that stops progressing is
   visible (its ``events_executed`` flatlines while the others grow);
-- **stall attribution** — a shard that leaves the coordinator waiting
-  longer than ``stall_s`` gets a ``shard_stall`` event naming it (and a
-  ``shard_resume`` when it recovers), instead of the whole run
-  surfacing as an opaque point timeout;
+- **stall attribution** — a worker that leaves the coordinator waiting
+  longer than ``stall_s`` *after the hosted kernel's window* gets a
+  ``shard_stall`` event naming it (and a ``shard_resume`` when it
+  recovers), instead of the whole run surfacing as an opaque point
+  timeout;
 - **journal-replay recovery** — a worker that dies mid-window, or
   overruns ``timeout_s``, is *restarted*: a fresh worker rebuilds the
   shard kernel from the scenario and deterministically replays the
@@ -47,7 +54,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .shardjournal import ShardJournal
 
-__all__ = ["ShardPoolConfig", "ProcessShards"]
+__all__ = ["ShardPoolConfig", "ProcessShards", "check_kill_plan",
+           "worker_shards"]
 
 _POLL_S = 0.05
 
@@ -59,9 +67,11 @@ _CLOSE_JOIN_S = 5.0
 class ShardPoolConfig:
     #: Minimum wall-clock seconds between heartbeat event batches.
     heartbeat_s: float = 5.0
-    #: Seconds of worker unresponsiveness before a stall is logged.
+    #: Seconds a worker may keep the coordinator waiting, counted from
+    #: the end of the hosted kernel's window, before a stall is logged.
     stall_s: float = 30.0
-    #: Hard per-reply budget in seconds (``None`` = wait, logging stalls).
+    #: Hard per-reply budget in seconds, counted the same way (``None``
+    #: = wait, logging stalls).
     timeout_s: Optional[float] = None
     #: multiprocessing start method (``None`` = platform default).
     start_method: Optional[str] = None
@@ -77,8 +87,28 @@ class ShardPoolConfig:
     #: Chaos hook: ``(window_index, shard)`` pairs — kill that shard's
     #: worker right after the coordinator issues that barrier window's
     #: advance command (0-based), exercising the recovery path
-    #: deterministically (``--shard-kill`` on the scenario CLI).
+    #: deterministically (``--shard-kill`` on the scenario CLI). Every
+    #: shard must be one of :func:`worker_shards`.
     kill_plan: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
+
+
+def worker_shards(plan) -> Tuple[int, ...]:
+    """The shards :class:`ProcessShards` runs in worker processes: every
+    cell but the plan's heaviest, which the coordinator runs itself."""
+    return tuple(i for i in range(plan.n_shards) if i != plan.heaviest)
+
+
+def check_kill_plan(plan, kill_plan) -> None:
+    """Reject a kill plan entry with a negative window or a shard that
+    is not a worker of ``plan`` (out of range, or the hosted shard)."""
+    workers = worker_shards(plan)
+    for entry in kill_plan:
+        window, shard = entry
+        if window < 0 or shard not in workers:
+            raise ValueError(
+                f"kill_plan entry {tuple(entry)!r}: needs a window >= 0 "
+                f"and a worker shard {list(workers)} (shard "
+                f"{plan.heaviest} runs in the coordinator)")
 
 
 def _shard_worker(conn, normal, shards: int, index: int) -> None:
@@ -104,9 +134,7 @@ def _shard_worker(conn, normal, shards: int, index: int) -> None:
             cmd = msg[0]
             if cmd == "advance":
                 _cmd, horizon, inclusive, inbox = msg
-                for item in inbox:
-                    kernel.inject(item)
-                executed, out = kernel.advance(horizon, inclusive)
+                executed, out = kernel.advance(horizon, inclusive, inbox)
                 conn.send(("advanced", executed, out))
             elif cmd == "open":
                 kernel.open_windows()
@@ -133,44 +161,63 @@ class _ShardDead(Exception):
 
 
 class ProcessShards:
-    """The shard-executor protocol of :mod:`repro.shard.coordinator`,
-    backed by one worker process per shard, with journal-replay
-    recovery of dead workers."""
+    """The shard-executor protocol of :mod:`repro.shard.coordinator`:
+    the heaviest cell's kernel runs in this process, every other cell in
+    a worker process, with journal-replay recovery of dead workers."""
 
     def __init__(self, normal: Dict[str, Any], plan, config=None):
         self.config = config or ShardPoolConfig()
         self.plan = plan
         self.n = plan.n_shards
+        #: The shard whose kernel runs in this process.
+        self.hosted = plan.heaviest
+        self.workers = worker_shards(plan)
+        check_kill_plan(plan, self.config.kill_plan)
         self._normal = dict(normal)
         self._runlog_path = (Path(self.config.runlog)
                              if self.config.runlog else None)
         self._closed = False
         self._last_events = [0] * self.n
         self._last_beat = time.monotonic()
+        # The hosted shard's entry stays empty: it has no worker to
+        # replay into.
         self.journal = ShardJournal(self.n)
         self._restarts = [0] * self.n
         # Per shard: the unacknowledged command as ``(kind, frame)``.
         self._inflight: List[Optional[Tuple[str, bytes]]] = [None] * self.n
         self._window = 0
         self._log({"event": "shard_pool_start", "shards": self.n,
-                   "plan": plan.describe()})
+                   "hosted": self.hosted, "plan": plan.describe()})
         self._ctx = (multiprocessing.get_context(self.config.start_method)
                      if self.config.start_method
                      else multiprocessing.get_context())
         self._conns: List[Any] = [None] * self.n
         self._procs: List[Any] = [None] * self.n
-        for i in range(self.n):
+        for i in self.workers:
             self._spawn(i)
+        # Built while the workers build theirs.
+        from ..shard.kernel import ShardKernel
+        try:
+            self.kernel = ShardKernel(self._normal, plan, self.hosted)
+        except BaseException:
+            self.close()
+            raise
         for i in range(self.n):
-            while True:
-                try:
-                    reply = self._recv(i)
-                except _ShardDead as exc:
-                    self._respawn(i, str(exc))
-                    continue
-                self._log({"event": "shard_ready", "shard": i,
-                           "hosts": reply[1]})
-                break
+            if i == self.hosted:
+                hosts = sorted(self.kernel.fabric.endpoints)
+            else:
+                hosts = self._handshake(i)
+            self._log({"event": "shard_ready", "shard": i,
+                       "hosts": hosts})
+
+    def _handshake(self, index: int) -> List[str]:
+        """Wait for worker ``index``'s ready reply (respawning it if it
+        dies first); returns the hosts it built."""
+        while True:
+            try:
+                return self._recv(index)[1]
+            except _ShardDead as exc:
+                self._respawn(index, str(exc))
 
     def _spawn(self, index: int) -> None:
         """Start (or re-start) shard ``index``'s worker process. The
@@ -347,21 +394,25 @@ class ProcessShards:
     # -- executor protocol ----------------------------------------------
     def advance(self, horizon: float, inclusive: bool,
                 inboxes: List[List[Tuple]]) -> List[List[Tuple]]:
-        """Run one barrier window on every shard concurrently."""
+        """Run one barrier window on every shard: the workers' windows
+        run while this process advances the hosted kernel."""
         window = self._window
         self._window += 1
-        for i in range(self.n):
+        for i in self.workers:
             self._issue(i, ("advance", horizon, inclusive, inboxes[i]))
         for kill_window, shard in self.config.kill_plan:
-            if kill_window == window and 0 <= shard < self.n:
+            if kill_window == window:
                 proc = self._procs[shard]
                 if proc.is_alive():
                     proc.kill()
-        outs = []
-        for i in range(self.n):
+        outs: List[List[Tuple]] = [[] for _ in range(self.n)]
+        executed, outs[self.hosted] = self.kernel.advance(
+            horizon, inclusive, inboxes[self.hosted])
+        self._last_events[self.hosted] += executed
+        for i in self.workers:
             reply = self._collect(i)
             self._last_events[i] += reply[1]
-            outs.append(reply[2])
+            outs[i] = reply[2]
         now = time.monotonic()
         if now - self._last_beat >= self.config.heartbeat_s:
             self._last_beat = now
@@ -373,9 +424,10 @@ class ProcessShards:
 
     def open_windows(self) -> None:
         """Open measurement windows on every shard."""
-        for i in range(self.n):
+        for i in self.workers:
             self._issue(i, ("open",))
-        for i in range(self.n):
+        self.kernel.open_windows()
+        for i in self.workers:
             self._collect(i)
 
     def finish(self) -> List[Tuple]:
@@ -383,14 +435,15 @@ class ProcessShards:
         ``finish`` is not journaled (nothing ever replays past it); a
         worker dying mid-export replays to the last barrier and the
         re-issued ``finish`` exports the identical state."""
-        for i in range(self.n):
+        for i in self.workers:
             self._issue(i, ("finish",))
-        finals = []
-        for i in range(self.n):
-            reply = self._collect(i)
-            finals.append(reply[1:])
+        finals: List[Tuple] = [()] * self.n
+        finals[self.hosted] = self.kernel.finish()
+        for i in self.workers:
+            finals[i] = self._collect(i)[1:]
+        for i, final in enumerate(finals):
             self._log({"event": "shard_done", "shard": i,
-                       "events_executed": reply[4]})
+                       "events_executed": final[3]})
         return finals
 
     def close(self) -> None:

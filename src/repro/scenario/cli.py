@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from .schema import ScenarioError, canonical, validate
+from .schema import ScenarioError, build_topology, canonical, validate
 from .templates import TEMPLATE_NAMES, describe, template
 
 __all__ = ["main"]
@@ -83,7 +83,8 @@ def _cmd_run(args) -> int:
         from ..shard import run_sharded
         pool_config = None
         if args.shard_mode == "process":
-            from ..runner.shardpool import ShardPoolConfig
+            from ..runner.shardpool import ShardPoolConfig, check_kill_plan
+            from ..topo.partition import partition
             try:
                 kill_plan = tuple(
                     (int(w), int(s)) for w, _, s in
@@ -91,6 +92,13 @@ def _cmd_run(args) -> int:
             except ValueError:
                 print("error: --shard-kill takes WINDOW:SHARD "
                       "(integers)", file=sys.stderr)
+                return 1
+            try:
+                check_kill_plan(
+                    partition(build_topology(normal), args.shards),
+                    kill_plan)
+            except ValueError as exc:
+                print(f"error: --shard-kill: {exc}", file=sys.stderr)
                 return 1
             pool_config = ShardPoolConfig(
                 runlog=args.runlog,

@@ -36,7 +36,7 @@ from ..topo.graph import (DEFAULT_BUFFER, DEFAULT_DELAY,
 
 __all__ = ["ScenarioError", "SCHEMA_VERSION", "ARCHES", "WORKLOADS",
            "TOPOLOGY_KINDS", "validate", "normalize", "canonical",
-           "build_topology", "fault_plan_of"]
+           "build_topology", "flow_source", "fault_plan_of"]
 
 SCHEMA_VERSION = 1
 
@@ -560,9 +560,25 @@ def canonical(data: Any) -> str:
                       separators=(",", ":"))
 
 
+def flow_source(topology: Topology, tenant: Mapping[str, Any],
+                index: int) -> str:
+    """The client host of ``tenant``'s ``index``-th flow: round robin
+    over ``sources``, else the client hosts, else every other host."""
+    sources = list(tenant["sources"]) or [
+        spec.name for spec in topology.client_hosts]
+    if not sources:
+        sources = [spec.name for spec in topology.hosts.values()
+                   if spec.name != tenant["host"]]
+    return sources[index % len(sources)]
+
+
 def build_topology(data: Mapping[str, Any]) -> Topology:
     """Build the :class:`Topology` a (partially) validated scenario
-    names. Accepts either a full scenario or ``{"topology": {...}}``."""
+    names. Accepts either a full scenario or ``{"topology": {...}}``.
+
+    A full scenario's tenants also set ``Topology.flow_endpoints``: each
+    flow counts once at its server and once at its source, which is the
+    load :func:`repro.topo.partition` balances shard cells by."""
     section = data["topology"]
     kind = section["kind"]
     params = dict(section.get("params", {}))
@@ -578,7 +594,14 @@ def build_topology(data: Mapping[str, Any]) -> Topology:
     }
     builder = {"two_host": two_host, "star": star,
                "leaf_spine": leaf_spine, "fat_tree": fat_tree}[kind]
-    return builder(**params, **common)
+    topology = builder(**params, **common)
+    for tenant in data.get("tenants", ()):
+        for index in range(tenant["flows"]):
+            for host in (tenant["host"],
+                         flow_source(topology, tenant, index)):
+                topology.flow_endpoints[host] = \
+                    topology.flow_endpoints.get(host, 0) + 1
+    return topology
 
 
 def fault_plan_of(normal: Mapping[str, Any]) -> FaultPlan:

@@ -19,8 +19,9 @@ key the single kernel would have used, sharded measurements — and the
 to the single-kernel run at the same seed, for any shard count.
 
 Execution modes: ``inline`` (all kernels in this process; the
-deterministic reference) and ``process`` (one worker per shard with
-runlog heartbeats; :mod:`repro.runner.shardpool`).
+deterministic reference) and ``process`` (the heaviest cell in the
+coordinator, one worker process per other cell, with runlog
+heartbeats; :mod:`repro.runner.shardpool`).
 """
 
 from .coordinator import InlineShards, run_sharded

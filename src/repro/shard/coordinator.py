@@ -60,13 +60,8 @@ class InlineShards:
                 inboxes: List[List[Tuple]]) -> List[List[Tuple]]:
         """Inject each kernel's inbox, run one window on every kernel,
         and return the per-kernel outboxes."""
-        outs = []
-        for kernel, inbox in zip(self.kernels, inboxes):
-            for msg in inbox:
-                kernel.inject(msg)
-            _executed, out = kernel.advance(horizon, inclusive)
-            outs.append(out)
-        return outs
+        return [kernel.advance(horizon, inclusive, inbox)[1]
+                for kernel, inbox in zip(self.kernels, inboxes)]
 
     def open_windows(self) -> None:
         """Open measurement windows on every kernel."""
@@ -125,7 +120,8 @@ def run_sharded(spec: Mapping[str, Any], shards: int,
     Returns the ``{host: metrics}`` mapping of
     :meth:`TopoScenario.run`, byte-identical as sorted JSON to the
     single-kernel result at the same seed. ``mode`` selects the inline
-    reference executor or one worker process per shard
+    reference executor or the process pool — the heaviest cell in this
+    process, a worker process per other cell
     (:class:`repro.runner.shardpool.ProcessShards`, configured by
     ``pool_config``). ``stats``, when given a dict, is filled with the
     partition summary, barrier-round count, and per-shard event counts

@@ -25,7 +25,7 @@ which is what makes sharded measurements byte-identical.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..audit import record_report
 from ..topo.partition import ShardPlan
@@ -92,11 +92,14 @@ class ShardKernel:
             ordinal, pkt_seq, marked = payload
             self.fabric.inject_ack(ordinal, when, seq, pkt_seq, marked)
 
-    def advance(self, horizon: float,
-                inclusive: bool = False) -> Tuple[int, List[Tuple]]:
-        """Run one conservative window up to ``horizon`` (exclusive, or
+    def advance(self, horizon: float, inclusive: bool = False,
+                inbox: Iterable[Tuple] = ()) -> Tuple[int, List[Tuple]]:
+        """Inject ``inbox`` (the peers' messages for this window), run
+        one conservative window up to ``horizon`` (exclusive, or
         inclusive at a phase's final barrier) and drain the outbox.
         Returns ``(events executed, emitted messages)``."""
+        for msg in inbox:
+            self.inject(msg)
         executed = self.sim.run_until(horizon, inclusive=inclusive)
         if self.sim.debug and self.scenario.reconciler is not None:
             self._debug_barrier()

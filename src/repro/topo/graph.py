@@ -129,6 +129,10 @@ class Topology:
         if len(set(self.switches)) != len(self.switches):
             raise ValueError("duplicate switch names")
         self.legacy_names = legacy_names
+        #: host -> flow endpoints at that host, set by
+        #: :func:`repro.scenario.build_topology` from the scenario's
+        #: tenants; empty when the topology carries no traffic.
+        self.flow_endpoints: Dict[str, int] = {}
 
         self.links: Tuple[LinkSpec, ...] = ()
         self._adjacent: Dict[str, List[LinkSpec]] = {

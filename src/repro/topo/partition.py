@@ -14,10 +14,14 @@ The partition is a pure function of ``(topology, shards)``:
 - the *atom* is a switch plus its attached hosts (hosts are never
   separated from their attachment switch — host uplinks may have zero
   delay and therefore zero lookahead);
-- seeds are the ``shards`` heaviest atoms (host count, ties by switch
-  name); cells then grow greedily — the lightest cell claims its
-  lowest-named unassigned neighbour — which keeps cells connected and
-  balanced by host count with fully sorted tie-breaks;
+- an atom's *weight* is the number of flow endpoints under its switch
+  (``Topology.flow_endpoints``: each tenant flow counts once at its
+  server's switch and once at its source's), or its host count when the
+  topology carries no flows;
+- seeds are the ``shards`` heaviest atoms (ties by switch name); cells
+  then grow greedily — the lightest cell claims its lowest-named
+  unassigned neighbour — which keeps cells connected and balanced by
+  weight with fully sorted tie-breaks;
 - requesting more shards than there are switches clamps to one switch
   per shard (a single-switch topology is unsplittable and yields one
   cell, making sharded execution degenerate-but-correct there).
@@ -56,16 +60,25 @@ class ShardPlan:
     #: Conservative window, ns: min over cut links of
     #: ``min(delay, reverse_delay)``; ``inf`` when nothing is cut.
     lookahead: float
+    #: Per cell, in shard-index order: the summed weight of its atoms.
+    loads: Tuple[int, ...]
 
     @property
     def n_shards(self) -> int:
         return len(self.cells)
+
+    @property
+    def heaviest(self) -> int:
+        """The index of the cell with the largest load (ties to the
+        lowest index)."""
+        return max(range(self.n_shards), key=lambda i: (self.loads[i], -i))
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe summary (for runlogs and benchmark records)."""
         return {
             "shards": self.n_shards,
             "cells": [list(cell) for cell in self.cells],
+            "loads": list(self.loads),
             "cut_links": [link.name for link in self.cut_links],
             "lookahead_ns": self.lookahead,
         }
@@ -85,10 +98,12 @@ def partition(topology: Topology, shards: int) -> ShardPlan:
     weight = {sw: 0 for sw in switches}
     for host in topology.hosts:
         attach, _ = topology.attachment(host)
-        weight[attach] += 1
+        weight[attach] += (topology.flow_endpoints.get(host, 0)
+                           if topology.flow_endpoints else 1)
 
     if n == 1:
         cells: List[List[str]] = [switches]
+        loads = [sum(weight.values())]
     else:
         # Heaviest atoms seed the cells; ties break on switch name.
         seeds = sorted(switches, key=lambda sw: (-weight[sw], sw))[:n]
@@ -148,4 +163,5 @@ def partition(topology: Topology, shards: int) -> ShardPlan:
         domain_of_switch=domain_of_switch,
         cut_links=cut,
         lookahead=horizon,
+        loads=tuple(loads),
     )

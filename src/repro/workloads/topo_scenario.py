@@ -35,7 +35,7 @@ from ..demand import (DemandSource, ScaledProfile, poisson_times,
 from ..faults import FaultController
 from ..net import Flow, FlowKind, OpenLoopSource, SaturatingSource
 from ..scenario import canonical, fault_plan_of, validate
-from ..scenario.schema import build_topology
+from ..scenario.schema import build_topology, flow_source
 from ..sim.units import US
 from ..topo import Fabric
 from .measure import Measurement, MeasurementWindow
@@ -183,19 +183,13 @@ class TopoScenario:
 
     def _wire_next(self, tenant: Mapping[str, Any], name: str,
                    late_ok: bool = False) -> _FlowRecord:
-        """Wire the tenant's next flow from its next source (round
-        robin over ``sources``, else the client hosts, else every other
-        host)."""
-        sources = list(tenant["sources"]) or [
-            spec.name for spec in self.topology.client_hosts]
-        if not sources:
-            sources = [spec.name for spec in self.topology.hosts.values()
-                       if spec.name != tenant["host"]]
+        """Wire the tenant's next flow from its next source
+        (:func:`~repro.scenario.schema.flow_source`)."""
         index = self._wired.get(tenant["name"], 0)
         self._wired[tenant["name"]] = index + 1
-        return self._add_tenant_flow(tenant, name,
-                                     sources[index % len(sources)],
-                                     late_ok=late_ok)
+        return self._add_tenant_flow(
+            tenant, name, flow_source(self.topology, tenant, index),
+            late_ok=late_ok)
 
     def add_flow(self, tenant_name: str, name: str) -> _FlowRecord:
         """Phase action: wire one more flow of ``tenant_name`` mid-run

@@ -1,11 +1,13 @@
 """Process-mode shard pool: heartbeats, recovery, and teardown.
 
-Contracts: a wedged or dead shard must be attributable in
+Contracts: the coordinator runs the heaviest cell itself and a worker
+process per other cell; a wedged or dead worker must be attributable in
 ``runlog.jsonl`` by shard index (heartbeat/stall/failed events); a
 killed worker is resurrected by journal replay with byte-identical
 results (``shard_restarted`` / ``shard_replay_done``); the journal
 holds each acknowledged command as the exact pickled frame sent to the
-worker; and no worker process or pipe fd survives a failed run.
+worker; a kill plan naming anything but a worker fails when the pool is
+built; and no worker process or pipe fd survives a failed run.
 """
 
 import json
@@ -13,7 +15,8 @@ import pickle
 
 import pytest
 
-from repro.runner.shardpool import ProcessShards, ShardPoolConfig
+from repro.runner.shardpool import (ProcessShards, ShardPoolConfig,
+                                    worker_shards)
 from repro.scenario import validate
 from repro.scenario.schema import build_topology
 from repro.scenario.templates import template
@@ -56,6 +59,15 @@ def _drive(pool, plan, windows=10):
     return issued, pool.finish()
 
 
+def _plan():
+    return partition(build_topology(validate(_quick_spec())), 2)
+
+
+def _worker(plan):
+    """A shard that runs in a worker process under ``plan``."""
+    return worker_shards(plan)[0]
+
+
 def _pool(config=None):
     normal = validate(_quick_spec())
     plan = partition(build_topology(normal), 2)
@@ -69,7 +81,7 @@ def test_journal_holds_the_pickled_frames_of_acknowledged_commands():
     finally:
         pool.close()
     carried = 0
-    for shard in range(plan.n_shards):
+    for shard in worker_shards(plan):
         frames = pool.journal.frames(shard)
         assert all(type(frame) is bytes for frame in frames)
         commands = [pickle.loads(frame) for frame in frames]
@@ -142,13 +154,14 @@ def test_runlog_heartbeats_attribute_each_shard(tmp_path):
 
 def test_timeout_failure_names_the_shard(tmp_path):
     log = tmp_path / "runlog.jsonl"
+    worker = _worker(_plan())
     cfg = ShardPoolConfig(timeout_s=0.0, max_restarts=0,
                           runlog=str(log))
-    with pytest.raises(RuntimeError, match=r"shard 0 failed"):
+    with pytest.raises(RuntimeError, match=rf"shard {worker} failed"):
         run_sharded(_quick_spec(), 2, mode="process", pool_config=cfg)
     records = _events(log)
     failed = [r for r in records if r["event"] == "shard_failed"]
-    assert failed and failed[0]["shard"] == 0
+    assert failed and failed[0]["shard"] == worker
     assert "timeout" in failed[0]["error"]
 
 
@@ -177,10 +190,11 @@ def test_worker_kill_recovers_byte_identically(tmp_path):
 
 def test_restart_budget_exhaustion_fails_the_run(tmp_path):
     log = tmp_path / "runlog.jsonl"
+    worker = _worker(_plan())
     cfg = ShardPoolConfig(restart_backoff_s=0.0, max_restarts=1,
                           runlog=str(log),
-                          kill_plan=tuple((w, 0) for w in range(64)))
-    with pytest.raises(RuntimeError, match=r"shard 0 failed"):
+                          kill_plan=tuple((w, worker) for w in range(64)))
+    with pytest.raises(RuntimeError, match=rf"shard {worker} failed"):
         run_sharded(_quick_spec(), 2, mode="process", pool_config=cfg)
     records = _events(log)
     failed = next(r for r in records if r["event"] == "shard_failed")
@@ -194,11 +208,79 @@ def test_failure_teardown_leaves_no_orphans():
     plan = partition(build_topology(normal), 2)
     pool = ProcessShards(normal, plan,
                          config=ShardPoolConfig(max_restarts=0))
-    procs = list(pool._procs)
+    workers = worker_shards(plan)
+    procs = [pool._procs[i] for i in workers]
     # Wedge the pool after a healthy start: zero reply budget.
     pool.config.timeout_s = 0.0
     with pytest.raises(RuntimeError, match="failed"):
         pool.advance(1000.0, False, [[], []])
     assert all(not p.is_alive() for p in procs)
-    for conn in pool._conns:
-        assert conn.closed
+    for i in workers:
+        assert pool._conns[i].closed
+
+
+def test_the_hosted_cell_is_the_heaviest():
+    pool, plan = _pool()
+    try:
+        assert plan.loads[pool.hosted] == max(plan.loads)
+        assert plan.cells[pool.hosted] == ("leaf0",)
+        assert pool.hosted not in pool.workers
+        assert sorted(pool.workers + (pool.hosted,)) == \
+            list(range(plan.n_shards))
+        # Only the workers are processes.
+        assert pool._procs[pool.hosted] is None
+        assert all(pool._procs[i].is_alive() for i in pool.workers)
+    finally:
+        pool.close()
+
+
+def test_the_hosted_shard_journals_nothing():
+    pool, plan = _pool()
+    try:
+        _drive(pool, plan)
+    finally:
+        pool.close()
+    assert pool.journal.frames(pool.hosted) == ()
+    for shard in pool.workers:
+        assert pool.journal.frames(shard)
+
+
+def test_heartbeats_and_done_cover_every_shard(tmp_path):
+    log = tmp_path / "runlog.jsonl"
+    cfg = ShardPoolConfig(heartbeat_s=0.0, runlog=str(log))
+    inline_stats = {}
+    run_sharded(_quick_spec(), 4, stats=inline_stats)
+    run_sharded(_quick_spec(), 4, mode="process", pool_config=cfg)
+    records = _events(log)
+    start = next(r for r in records if r["event"] == "shard_pool_start")
+    shards = set(range(4))
+    assert start["hosted"] in shards
+    for kind in ("shard_ready", "shard_heartbeat", "shard_done"):
+        assert {r["shard"] for r in records if r["event"] == kind} == \
+            shards, kind
+    done = next(r for r in records if r["event"] == "shard_pool_done")
+    # Every shard's count, the hosted one's included, equals the inline
+    # executor's.
+    assert done["events_executed"] == inline_stats["events"]
+    assert done["restarts"] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("entry", [(3, 2), (3, -1), (-1, 1)],
+                         ids=["out-of-range", "negative-shard",
+                              "negative-window"])
+def test_bad_kill_plan_entry_fails_when_the_pool_is_built(entry):
+    normal = validate(_quick_spec())
+    plan = partition(build_topology(normal), 2)
+    cfg = ShardPoolConfig(kill_plan=((1, _worker(plan)), entry))
+    with pytest.raises(ValueError, match=rf"entry \({entry[0]}, "
+                                         rf"{entry[1]}\)"):
+        ProcessShards(normal, plan, config=cfg)
+
+
+def test_kill_plan_naming_the_hosted_shard_fails():
+    normal = validate(_quick_spec())
+    plan = partition(build_topology(normal), 2)
+    entry = (3, plan.heaviest)
+    cfg = ShardPoolConfig(kill_plan=(entry,))
+    with pytest.raises(ValueError, match="runs in the coordinator"):
+        ProcessShards(normal, plan, config=cfg)

@@ -1,9 +1,12 @@
-"""``python -m repro.scenario`` CLI: validate / show / list-templates."""
+"""``python -m repro.scenario`` CLI: validate / show / list-templates, and
+``run``'s early rejection of a bad ``--shard-kill`` entry."""
 
 import json
 
-from repro.scenario import TEMPLATE_NAMES, canonical, template
+from repro.scenario import (TEMPLATE_NAMES, build_topology, canonical,
+                            template, validate)
 from repro.scenario.cli import main
+from repro.topo import partition
 
 
 def test_list_templates(capsys):
@@ -55,3 +58,18 @@ def test_show_pretty_is_valid_json(capsys):
     assert main(["show", "paper-baseline"]) == 0
     normal = json.loads(capsys.readouterr().out)
     assert normal["name"] == "paper-baseline"
+
+
+def test_run_rejects_a_bad_kill_plan_entry(capsys):
+    hosted = partition(build_topology(validate(
+        template("all-to-all-storage"))), 2).heaviest
+    for kill, error in ((f"5:{hosted}", f"kill_plan entry (5, {hosted})"),
+                        ("5:9", "kill_plan entry (5, 9)"),
+                        ("-1:1", "kill_plan entry (-1, 1)"),
+                        ("x:1", "WINDOW:SHARD")):
+        assert main(["run", "all-to-all-storage", "--shards", "2",
+                     "--shard-mode", "process",
+                     f"--shard-kill={kill}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert error in captured.err

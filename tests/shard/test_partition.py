@@ -2,13 +2,17 @@
 
 The partition must be a pure function of ``(topology, shards)``, keep
 every host with its attachment switch, cut only switch-switch links,
-and refuse any cut whose lookahead would be zero.
+refuse any cut whose lookahead would be zero, and balance cells by the
+flow endpoints under each switch (host count when there are no flows).
 """
 
 import pytest
 
+from repro.scenario import build_topology, template, validate
+from repro.scenario.schema import flow_source
 from repro.topo import leaf_spine, partition, star
 from repro.topo.builders import fat_tree
+from repro.workloads.topo_scenario import TopoScenario
 
 
 def test_partition_is_deterministic():
@@ -95,3 +99,94 @@ def test_zero_reverse_delay_cut_rejected_by_partition():
         partition(topo, 2)
     with pytest.raises(ValueError, match="ack_delay"):
         topo.lookahead()
+
+
+def _incast64():
+    """The 64-host incast: 48 KV flows from the clients of all four
+    leaves into ``l0s0``."""
+    return {
+        "version": 1, "name": "incast-64host", "seed": 0,
+        "topology": {"kind": "leaf_spine",
+                     "params": {"leaves": 4, "spines": 2,
+                                "hosts_per_leaf": 16,
+                                "servers_per_leaf": 1}},
+        "hosts": {"*": {"arch": "ceio", "cores": 50}},
+        "tenants": [{"name": "kv", "workload": "kvstore", "host": "l0s0",
+                     "flows": 48, "payload": 144, "outstanding": 8}],
+        "measure": {"warmup_us": 20.0, "duration_us": 30.0},
+    }
+
+
+def _no_clients():
+    """Every host is a server, so flows come from every other host."""
+    return {
+        "version": 1, "name": "servers-only", "seed": 0,
+        "topology": {"kind": "leaf_spine",
+                     "params": {"leaves": 2, "spines": 1,
+                                "hosts_per_leaf": 2,
+                                "servers_per_leaf": 2}},
+        "tenants": [{"name": "kv", "workload": "kvstore", "host": "l0s0",
+                     "flows": 5}],
+    }
+
+
+def _explicit_sources():
+    spec = template("all-to-all-storage")
+    spec["tenants"][2]["sources"] = ["l1c3", "l0c1"]
+    spec["tenants"][2]["flows"] = 3
+    return spec
+
+
+def _plan_of(spec, shards):
+    return partition(build_topology(validate(spec)), shards)
+
+
+def test_incast64_isolates_the_receiver_leaf():
+    for shards in (2, 4):
+        plan = _plan_of(_incast64(), shards)
+        assert plan.cells[plan.heaviest] == ("leaf0",), shards
+    assert _plan_of(_incast64(), 2).loads == (63, 33)
+
+
+def test_all_to_all_storage_splits_by_flow_endpoints():
+    plan = _plan_of(template("all-to-all-storage"), 2)
+    assert plan.cells == (("leaf0",), ("leaf1", "spine0", "spine1"))
+    assert plan.loads == (16, 12)
+
+
+def test_topology_without_flows_weighs_hosts():
+    topo = leaf_spine(4, 2, 4)
+    assert topo.flow_endpoints == {}
+    assert partition(topo, 2).loads == (8, 8)
+    # A bare topology section (as validate() builds it) carries no flows.
+    section = {"topology": template("all-to-all-storage")["topology"]}
+    assert build_topology(section).flow_endpoints == {}
+
+
+def test_describe_carries_the_cell_loads():
+    plan = _plan_of(_incast64(), 4)
+    summary = plan.describe()
+    assert summary["loads"] == [63, 15, 15, 3]
+    assert len(summary["loads"]) == len(summary["cells"])
+    assert sum(plan.loads) == 2 * 48
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: template("all-to-all-storage"), _explicit_sources,
+    _no_clients, _incast64])
+def test_source_rule_matches_the_wired_flows(make_spec):
+    scenario = TopoScenario(make_spec()).build()
+    topology = scenario.topology
+    fabric = scenario.fabric
+    tenants = scenario.normal["tenants"]
+    want = [flow_source(topology, tenant, i)
+            for tenant in tenants for i in range(tenant["flows"])]
+    got = [fabric.flow_sources[flow.flow_id]
+           for flow in fabric.flows_by_ordinal]
+    assert got == want
+    endpoints = {}
+    for host in fabric.endpoints:
+        for rec in scenario.involved[host] + scenario.bypass[host]:
+            for end in (host, rec.src):
+                endpoints[end] = endpoints.get(end, 0) + 1
+    assert topology.flow_endpoints == endpoints
