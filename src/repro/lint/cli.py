@@ -1,22 +1,19 @@
 """``python -m repro.lint`` — CI-friendly determinism linter.
 
-Exit codes: 0 = clean (every finding suppressed or baselined), 1 = new
-findings (or stale baseline entries under ``--strict-baseline``), 2 =
-usage error. ``--format json`` emits a machine-readable report.
+Exit codes: 0 = clean (every finding fixed or suppressed inline), 1 =
+findings, 2 = usage error (unknown rule code, missing path).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import rules  # noqa: F401  (registers the rule classes)
 from .config import DEFAULT_CONFIG
-from .core import RULES, Finding, lint_paths
-from .suppress import Baseline
+from .core import RULES, lint_paths
 
 __all__ = ["main"]
 
@@ -26,54 +23,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description="Determinism & sim-correctness static analysis "
                     "(per-file rules D101-D106 plus whole-program "
-                    "rules D107-D111).")
+                    "rules D107, D109 and D111).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text", help="report format")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run the per-file pass in N worker processes "
-                             "(the whole-program pass always runs in this "
-                             "process; default: 1)")
-    parser.add_argument("--timing", action="store_true",
-                        help="report per-rule analysis wall-clock on "
-                             "stderr")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="baseline file (default: "
-                             f"{DEFAULT_CONFIG.baseline_name} if present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0")
-    parser.add_argument("--strict-baseline", action="store_true",
-                        help="also fail when baseline entries are stale "
-                             "(match no current finding)")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the baseline keeping only entries "
-                             "that still match a finding (drops stale "
-                             "ones), then report as usual")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
-
-
-def _load_baseline(args) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        path = Path(args.baseline)
-        if not path.exists():
-            if args.update_baseline:
-                return Baseline()
-            print(f"repro.lint: baseline {path} not found", file=sys.stderr)
-            raise SystemExit(2)
-        return Baseline.load(path)
-    default = Path(DEFAULT_CONFIG.baseline_name)
-    return Baseline.load(default) if default.exists() else Baseline()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -93,66 +51,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 2
 
-    if args.jobs < 1:
-        print("repro.lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.prune_baseline and (args.no_baseline or args.update_baseline):
-        print("repro.lint: --prune-baseline conflicts with "
-              "--no-baseline/--update-baseline", file=sys.stderr)
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        print(f"repro.lint: no such path: {', '.join(missing)}",
+              file=sys.stderr)
         return 2
 
-    timings: Optional[Dict[str, float]] = {} if args.timing else None
-    findings = lint_paths(args.paths, DEFAULT_CONFIG, select,
-                          jobs=args.jobs, timings=timings)
-    if args.timing and timings:
-        total = sum(timings.values())
-        for name in sorted(timings, key=lambda n: (-timings[n], n)):
-            print(f"repro.lint: timing {name:>13s} "
-                  f"{timings[name] * 1000.0:9.1f} ms", file=sys.stderr)
-        print(f"repro.lint: timing {'total':>13s} {total * 1000.0:9.1f} ms",
-              file=sys.stderr)
-
-    baseline_path = Path(args.baseline or DEFAULT_CONFIG.baseline_name)
-    if args.update_baseline:
-        Baseline.save(baseline_path, findings)
-        print(f"repro.lint: wrote {len(findings)} finding(s) to "
-              f"{baseline_path}", file=sys.stderr)
-        return 0
-
-    baseline = _load_baseline(args)
-    if baseline is not None:
-        new, accepted, stale = baseline.split(findings)
-    else:
-        new, accepted, stale = list(findings), [], 0
-
-    if args.prune_baseline and baseline is not None:
-        Baseline.save(baseline_path, accepted)
-        print(f"repro.lint: pruned {stale} stale baseline entr"
-              + ("y" if stale == 1 else "ies")
-              + f", kept {len(accepted)} in {baseline_path}",
-              file=sys.stderr)
-        stale = 0
-    elif stale and baseline is not None and args.format == "text":
-        for key in baseline.stale_keys(findings):
-            print(f"repro.lint: stale baseline entry: {key[0]}: "
-                  f"{key[1]} {key[2]}", file=sys.stderr)
-
-    if args.format == "json":
-        print(json.dumps({
-            "findings": [vars(f) for f in new],
-            "baselined": len(accepted),
-            "stale_baseline_entries": stale,
-        }, indent=2))
-    else:
-        for f in new:
-            print(f.render())
-        summary = (f"{len(new)} finding(s), {len(accepted)} baselined, "
-                   f"{stale} stale baseline entr"
-                   + ("y" if stale == 1 else "ies"))
-        print(f"repro.lint: {summary}", file=sys.stderr)
-
-    if new:
-        return 1
-    if stale and args.strict_baseline:
-        return 1
-    return 0
+    findings = lint_paths(args.paths, DEFAULT_CONFIG, select)
+    for f in findings:
+        print(f.render())
+    print(f"repro.lint: {len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0

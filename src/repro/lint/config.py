@@ -55,10 +55,8 @@ class LintConfig:
     wallclock_exempt: Tuple[str, ...] = ("repro.runner", "repro.experiments")
     #: The one module allowed to construct raw RNGs.
     rng_module: str = "repro.sim.rng"
-    #: Default baseline filename, resolved against the working directory.
-    baseline_name: str = ".repro-lint-baseline.json"
 
-    # -- whole-program rule family (D107-D111) ---------------------------
+    # -- whole-program rules (D107, D109, D111) --------------------------
     #: Modules implementing the cross-shard channel protocol. D107's
     #: structural checks (post_keyed/reserve_key placement, _wire_send
     #: installation) apply to these packages.
@@ -70,17 +68,6 @@ class LintConfig:
     #: Functions allowed to install cross-shard emitters (assign to a
     #: ``_wire_send`` / outbox seam), directly or via helpers they call.
     channel_installers: Tuple[str, ...] = ("attach_channels",)
-    #: The architecture base class every concrete arch must extend and
-    #: whose audit hook it must wire up.
-    arch_base: str = "repro.io_arch.base.IOArchitecture"
-    #: Name of the audit hook method on architectures.
-    audit_hook: str = "audit_register"
-    #: The standard account trio every arch's audit hook must register
-    #: when it does not defer to the base implementation via super().
-    standard_accounts: Tuple[str, ...] = ("arch.delivery", "arch.app_rings",
-                                          "arch.descriptors")
-    #: The audit wiring module whose sources D108 resolves.
-    audit_wiring_module: str = "repro.audit.wiring"
     #: Functions allowed to build dynamic RNG stream names (D109): the
     #: host-prefix helper and the fault controllers' per-spec streams.
     stream_helpers: Tuple[str, ...] = (
@@ -88,16 +75,6 @@ class LintConfig:
         "repro.faults.injectors.FaultController.stream",
         "repro.shard.channel.ChannelFaultController.stream",
     )
-    #: Module holding the fault-site registry literal (D110).
-    fault_plan_module: str = "repro.faults.plan"
-    #: Module holding the ``@_handler(site, kind)`` implementations.
-    fault_injector_module: str = "repro.faults.injectors"
-    #: Second handler module: coordinator-layer ``net.channel`` faults.
-    fault_channel_module: str = "repro.shard.channel"
-    #: Documentation page whose site table must match the registry,
-    #: relative to the repository root (located by walking up from the
-    #: fault plan module's source file).
-    fault_docs_page: str = "docs/FAULTS.md"
 
     def is_repro(self, package: str) -> bool:
         return package == "repro" or package.startswith("repro.")

@@ -6,13 +6,12 @@ and a ``check(module)`` generator producing :class:`Finding` objects. A
 its dotted package name, raw lines, inline suppressions, and a lazily
 computed "touches the engine's scheduling API" flag.
 
-Findings flow through two filters before they reach the report: inline
-``# repro: noqa=DXXX`` suppressions (:mod:`repro.lint.suppress`) and the
-committed baseline file.
+Findings pass one filter before they reach the report: inline
+``# repro: noqa=DXXX`` suppressions (:mod:`repro.lint.suppress`).
 
 Rules come in two *scopes*. ``scope = "file"`` rules (D101–D106) see one
 :class:`ModuleInfo` at a time and also run under :func:`lint_source`.
-``scope = "project"`` rules (D107–D111) run only in :func:`lint_paths`,
+``scope = "project"`` rules (D107, D109, D111) run only in :func:`lint_paths`,
 after every file has been parsed, against the resolved
 :class:`~repro.lint.project.Project` view — which is exactly why a
 single-file invocation provably cannot reproduce their findings.
@@ -21,10 +20,9 @@ single-file invocation provably cannot reproduce their findings.
 from __future__ import annotations
 
 import ast
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Type
 
 from .config import DEFAULT_CONFIG, LintConfig
 from .suppress import parse_noqa
@@ -48,11 +46,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def key(self):
-        """Baseline identity: location-independent so that unrelated edits
-        moving a violation up or down a file do not rot the baseline."""
-        return (self.path, self.code, self.message)
 
 
 #: Registered rule classes by code, in registration order.
@@ -146,7 +139,6 @@ class ModuleInfo:
     def __init__(self, path: str, source: str, config: LintConfig,
                  package: Optional[str] = None):
         self.path = path
-        self.source = source
         self.config = config
         self.lines = source.splitlines()
         self.package = package if package is not None \
@@ -214,6 +206,19 @@ def _instantiate_rules(config: LintConfig,
     return rules
 
 
+def _check_module(module: ModuleInfo, rules: List[Rule]) -> List[Finding]:
+    """Run file-scope ``rules`` over one module, dropping suppressed
+    findings."""
+    findings: List[Finding] = []
+    for rule in rules:
+        if not rule.applies(module):
+            continue
+        for f in rule.check(module):
+            if not module.noqa.suppresses(f.line, f.code):
+                findings.append(f)
+    return findings
+
+
 def lint_source(path: str, source: str,
                 config: LintConfig = DEFAULT_CONFIG,
                 select: Optional[Iterable[str]] = None,
@@ -228,64 +233,19 @@ def lint_source(path: str, source: str,
     except SyntaxError as exc:
         return [Finding(path, exc.lineno or 0, (exc.offset or 0) or 1,
                         "E999", f"syntax error: {exc.msg}")]
-    findings: List[Finding] = []
-    for rule in _instantiate_rules(config, select, scope="file"):
-        if not rule.applies(module):
-            continue
-        for f in rule.check(module):
-            if module.noqa.suppresses(f.line, f.code):
-                continue
-            findings.append(f)
-    return sorted(findings)
-
-
-def _check_module(module: ModuleInfo, rules: List[Rule],
-                  timings: Optional[Dict[str, float]]) -> List[Finding]:
-    findings: List[Finding] = []
-    for rule in rules:
-        if not rule.applies(module):
-            continue
-        t0 = time.perf_counter()
-        for f in rule.check(module):
-            if not module.noqa.suppresses(f.line, f.code):
-                findings.append(f)
-        if timings is not None:
-            timings[rule.code] = (timings.get(rule.code, 0.0)
-                                  + time.perf_counter() - t0)
-    return findings
-
-
-def _lint_file_worker(item: Tuple[str, str, Optional[Tuple[str, ...]]]
-                      ) -> Tuple[List[Finding], Dict[str, float]]:
-    """``--jobs`` worker: file-scope pass over one already-read source.
-
-    Runs in a subprocess, so rules must be registered here and only the
-    default config is supported (the CLI never builds another one).
-    """
-    path, source, select = item
-    from . import rules  # noqa: F401  (registers rule classes in the worker)
-    timings: Dict[str, float] = {}
-    try:
-        module = ModuleInfo(path, source, DEFAULT_CONFIG)
-    except SyntaxError as exc:
-        return ([Finding(path, exc.lineno or 0, (exc.offset or 0) or 1,
-                         "E999", f"syntax error: {exc.msg}")], timings)
-    file_rules = _instantiate_rules(DEFAULT_CONFIG, select, scope="file")
-    return _check_module(module, file_rules, timings), timings
+    return sorted(_check_module(
+        module, _instantiate_rules(config, select, scope="file")))
 
 
 def lint_paths(paths: Iterable[str],
                config: LintConfig = DEFAULT_CONFIG,
-               select: Optional[Iterable[str]] = None,
-               jobs: int = 1,
-               timings: Optional[Dict[str, float]] = None) -> List[Finding]:
-    """Lint files/directories; returns sorted findings (pre-baseline).
+               select: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Lint files/directories; returns sorted, suppression-filtered
+    findings.
 
-    Runs the per-file pass (in ``jobs`` worker processes when > 1), then
-    builds the whole-program :class:`~repro.lint.project.Project` over
-    every successfully parsed module and runs the project-scope rules in
-    this process. ``timings``, when given, receives cumulative per-rule
-    wall-clock seconds plus a ``"project-build"`` entry.
+    Runs the per-file pass, then builds the whole-program
+    :class:`~repro.lint.project.Project` over every successfully parsed
+    module and runs the project-scope rules against it.
     """
     findings: List[Finding] = []
     modules: List[ModuleInfo] = []
@@ -303,38 +263,19 @@ def lint_paths(paths: Iterable[str],
                                     (exc.offset or 0) or 1, "E999",
                                     f"syntax error: {exc.msg}"))
 
-    select_t = tuple(select) if select is not None else None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        items = [(m.path, m.source, select_t) for m in modules]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for file_findings, file_timings in pool.map(
-                    _lint_file_worker, items):
-                findings.extend(file_findings)
-                if timings is not None:
-                    for code, secs in file_timings.items():
-                        timings[code] = timings.get(code, 0.0) + secs
-    else:
-        file_rules = _instantiate_rules(config, select, scope="file")
-        for module in modules:
-            findings.extend(_check_module(module, file_rules, timings))
+    file_rules = _instantiate_rules(config, select, scope="file")
+    for module in modules:
+        findings.extend(_check_module(module, file_rules))
 
     project_rules = _instantiate_rules(config, select, scope="project")
     if project_rules:
         from .project import Project
-        t0 = time.perf_counter()
         project = Project(modules)
-        if timings is not None:
-            timings["project-build"] = time.perf_counter() - t0
         for rule in project_rules:
-            t0 = time.perf_counter()
             for f in rule.check_project(project):
                 owner = project.modules_by_path.get(f.path)
                 if owner is not None and \
                         owner.noqa.suppresses(f.line, f.code):
                     continue
                 findings.append(f)
-            if timings is not None:
-                timings[rule.code] = (timings.get(rule.code, 0.0)
-                                      + time.perf_counter() - t0)
     return sorted(findings)

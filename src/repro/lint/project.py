@@ -1,19 +1,16 @@
 """Whole-program view: module graph, symbol table, and call graph.
 
-The per-file pass (PR 3) sees one AST at a time; the cross-module
-contracts this repo lives on — the shard channel protocol, audit-wiring
-source resolution, project-wide RNG stream naming, registry/handler/docs
-agreement — need a resolved view of the *whole* ``src/repro`` tree built
-once per lint run. :class:`Project` provides it:
+The per-file pass sees one AST at a time; the cross-module contracts
+this repo lives on — the shard channel protocol, project-wide RNG stream
+naming, interprocedural nondeterminism taint — need a resolved view of
+the *whole* ``src/repro`` tree built once per lint run. :class:`Project`
+provides it:
 
 - **module graph** — dotted name -> :class:`~repro.lint.core.ModuleInfo`,
   plus each module's import bindings (``import``/``from``/relative forms
   resolved to project-dotted targets);
-- **symbol table** — every class with its attribute set (``self.x``
-  assignments anywhere in the class, class-level assignments,
-  ``__slots__`` strings, method/property names, and
-  ``object.__setattr__(self, "x", ...)`` for frozen dataclasses) and a
-  light attribute/parameter *type* map inferred from constructor calls
+- **symbol table** — every class with its methods and a light
+  attribute/parameter *type* map inferred from constructor calls
   (``self.dma = DmaEngine(...)``) and annotations — resolved through the
   import graph and inherited through resolved bases;
 - **call graph** — function-level edges from direct calls, imported-name
@@ -21,10 +18,9 @@ once per lint run. :class:`Project` provides it:
   typed-local method calls; nested ``def``s add *defines* edges so
   reachability follows closures installed by a protocol entry point.
 
-Everything is resolved **conservatively**: an unresolvable base class
-marks the class *open* (attribute checks pass), an unresolvable callee
-simply contributes no edge. Rules built on this view must only flag what
-the resolved facts prove.
+Everything is resolved **conservatively**: an unresolvable base class or
+callee simply contributes no edge. Rules built on this view must only
+flag what the resolved facts prove.
 """
 
 from __future__ import annotations
@@ -36,16 +32,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .core import ModuleInfo, attr_chain
 
 __all__ = ["ClassInfo", "FunctionInfo", "Project"]
-
-#: Bases that end resolution without opening the class: subclassing these
-#: adds no attributes a conservation/audit rule would ever name.
-_CLOSED_BUILTIN_BASES = frozenset({
-    "object", "Exception", "ValueError", "RuntimeError", "TypeError",
-    "KeyError", "dict", "list", "tuple", "set", "frozenset", "int",
-    "float", "str", "bytes", "Enum", "IntEnum", "NamedTuple", "Protocol",
-    "ABC", "Generic",
-})
-
 
 class FunctionInfo:
     """One function or method: its AST, owner, resolved callees, and the
@@ -74,10 +60,10 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """One class: attributes, attribute types, methods, resolved bases."""
+    """One class: attribute types, methods, resolved bases."""
 
     __slots__ = ("qualname", "module", "name", "node", "base_exprs",
-                 "bases", "attrs", "attr_types", "methods", "open_")
+                 "bases", "attr_types", "methods")
 
     def __init__(self, qualname: str, module: str, name: str,
                  node: ast.ClassDef):
@@ -89,14 +75,9 @@ class ClassInfo:
         self.base_exprs: List[str] = []
         #: Resolved base qualnames (link phase).
         self.bases: List[str] = []
-        #: Every attribute name the class is known to define.
-        self.attrs: Set[str] = set()
         #: attr -> candidate class qualnames (from ctor calls/annotations).
         self.attr_types: Dict[str, Tuple[str, ...]] = {}
         self.methods: Dict[str, FunctionInfo] = {}
-        #: True when some base could not be resolved — attribute checks
-        #: on this class must pass (the base may define anything).
-        self.open_: bool = False
 
 
 def _annotation_names(node: Optional[ast.AST]) -> List[str]:
@@ -214,44 +195,27 @@ class Project:
             chain = attr_chain(base)
             if chain is not None:
                 info.base_exprs.append(chain)
-            else:
-                info.open_ = True  # computed base: anything may be inherited
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.attrs.add(stmt.name)
                 fn = self._collect_function(
                     module, stmt, f"{qual}.{stmt.name}", cls=info,
                     parent=None)
                 info.methods[stmt.name] = fn
                 self._collect_self_attrs(module, info, stmt)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        info.attrs.add(target.id)
-                        if target.id == "__slots__":
-                            info.attrs.update(self._slot_names(stmt.value))
             elif isinstance(stmt, ast.AnnAssign) and \
                     isinstance(stmt.target, ast.Name):
-                info.attrs.add(stmt.target.id)
                 quals = self._resolve_annotation(module.package,
                                                  stmt.annotation)
                 if quals:
                     info.attr_types.setdefault(stmt.target.id, quals)
         self.classes.setdefault(qual, info)
 
-    @staticmethod
-    def _slot_names(value: ast.AST) -> Iterator[str]:
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            for elt in value.elts:
-                if isinstance(elt, ast.Constant) and \
-                        isinstance(elt.value, str):
-                    yield elt.value
-
     def _collect_self_attrs(self, module: ModuleInfo, info: ClassInfo,
                             method: ast.AST) -> None:
+        """Record ``self.x`` attribute types assigned inside ``method``."""
         for node in ast.walk(method):
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
+            targets: List[ast.AST]
+            value: Optional[ast.AST]
             if isinstance(node, ast.Assign):
                 targets, value = list(node.targets), node.value
             elif isinstance(node, ast.AnnAssign):
@@ -263,32 +227,18 @@ class Project:
                         isinstance(t.value, ast.Name) and \
                         t.value.id == "self":
                     info.attr_types.setdefault(t.attr, quals)
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                targets = [node.target]
-            elif isinstance(node, ast.Call):
-                # object.__setattr__(self, "attr", ...) — frozen dataclasses.
-                chain = attr_chain(node.func)
-                if chain is not None and chain.endswith("__setattr__") \
-                        and len(node.args) >= 2 \
-                        and isinstance(node.args[1], ast.Constant) \
-                        and isinstance(node.args[1].value, str):
-                    info.attrs.add(node.args[1].value)
-                continue
             else:
                 continue
-            for target in targets:
-                for t in ast.walk(target):
-                    if isinstance(t, ast.Attribute) and \
-                            isinstance(t.value, ast.Name) and \
-                            t.value.id == "self":
-                        info.attrs.add(t.attr)
-                        if value is not None and len(targets) == 1 and \
-                                not isinstance(target, (ast.Tuple, ast.List)):
-                            quals = self._value_types(module.package, value)
-                            if quals:
-                                info.attr_types.setdefault(t.attr, quals)
+            if value is None or len(targets) != 1 or \
+                    isinstance(targets[0], (ast.Tuple, ast.List)):
+                continue
+            for t in ast.walk(targets[0]):
+                if isinstance(t, ast.Attribute) and \
+                        isinstance(t.value, ast.Name) and \
+                        t.value.id == "self":
+                    quals = self._value_types(module.package, value)
+                    if quals:
+                        info.attr_types.setdefault(t.attr, quals)
 
     def _collect_function(self, module: ModuleInfo, node: ast.AST,
                           qualname: str, cls: Optional[ClassInfo],
@@ -315,8 +265,6 @@ class Project:
             qual = self.resolve(cls.module, expr)
             if qual is not None and qual in self.classes:
                 cls.bases.append(qual)
-            elif expr.rsplit(".", 1)[-1] not in _CLOSED_BUILTIN_BASES:
-                cls.open_ = True
 
     # ------------------------------------------------------------------
     # Phase 4: call graph + local types
@@ -522,20 +470,6 @@ class Project:
             if cls is not None:
                 stack.extend(reversed(cls.bases))
 
-    def class_is_open(self, qual: str) -> bool:
-        return any(self.classes[c].open_ for c in self.iter_mro([qual])
-                   if c in self.classes)
-
-    def class_has_attr(self, qual: str, attr: str) -> Optional[bool]:
-        """True / False, or None when the class is open (unknowable)."""
-        if qual not in self.classes:
-            return None
-        for c in self.iter_mro([qual]):
-            cls = self.classes.get(c)
-            if cls is not None and attr in cls.attrs:
-                return True
-        return None if self.class_is_open(qual) else False
-
     def attr_types_of(self, quals: Sequence[str],
                       attr: str) -> Tuple[str, ...]:
         out: List[str] = []
@@ -546,14 +480,6 @@ class Project:
                     out.extend(cls.attr_types[attr])
                     break
         return tuple(dict.fromkeys(out))
-
-    def subclasses_of(self, base_qual: str) -> List[ClassInfo]:
-        out = []
-        for cls in self.classes.values():
-            if cls.qualname != base_qual and \
-                    base_qual in self.iter_mro([cls.qualname]):
-                out.append(cls)
-        return sorted(out, key=lambda c: c.qualname)
 
     def enclosing_function(self, module: ModuleInfo,
                            node: ast.AST) -> Optional[FunctionInfo]:

@@ -1,4 +1,4 @@
-"""Inline suppressions and the committed baseline.
+"""Inline suppressions: the one way to accept a finding.
 
 Inline form, on the flagged line (a trailing justification is encouraged
 and ignored by the parser)::
@@ -6,24 +6,14 @@ and ignored by the parser)::
     self._registry = {}  # repro: noqa=D106 -- import-time registry
 
 ``# repro: noqa`` with no codes suppresses every rule on that line.
-
-The baseline is a JSON file of *accepted* findings. Matching is by
-``(path, code, message)`` — deliberately ignoring line numbers so that
-unrelated edits do not rot it — and is multiset-aware: two identical
-violations in one file need two baseline entries. ``--update-baseline``
-rewrites the file from the current findings; entries that no longer
-match anything are dropped (and reported as stale beforehand).
 """
 
 from __future__ import annotations
 
-import json
 import re
-from collections import Counter
-from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable
 
-__all__ = ["NoqaMap", "parse_noqa", "Baseline"]
+__all__ = ["NoqaMap", "parse_noqa"]
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:=(?P<codes>[A-Z][A-Z0-9]*(?:\s*,\s*[A-Z][A-Z0-9]*)*))?",
@@ -45,9 +35,6 @@ class NoqaMap:
             return False
         return codes is ALL_CODES or code in codes
 
-    def __len__(self) -> int:
-        return len(self._by_line)
-
 
 def parse_noqa(lines: Iterable[str]) -> NoqaMap:
     by_line: Dict[int, FrozenSet[str]] = {}
@@ -65,67 +52,3 @@ def parse_noqa(lines: Iterable[str]) -> NoqaMap:
                 c.strip() for c in raw.split(",") if c.strip())
     return NoqaMap(by_line)
 
-
-class Baseline:
-    """The committed set of accepted findings."""
-
-    VERSION = 1
-
-    def __init__(self, entries: Iterable[Tuple[str, str, str]] = ()):
-        self._counts: Counter = Counter(entries)
-
-    # -- I/O -------------------------------------------------------------
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {data.get('version')!r} "
-                f"in {path}")
-        return cls((e["path"], e["code"], e["message"])
-                   for e in data.get("findings", []))
-
-    @staticmethod
-    def save(path: Path, findings: Iterable) -> None:
-        payload = {
-            "version": Baseline.VERSION,
-            "comment": "Accepted repro.lint findings. Every entry needs a "
-                       "justification; prefer fixing over baselining.",
-            "findings": [
-                {"path": f.path, "line": f.line, "code": f.code,
-                 "message": f.message}
-                for f in sorted(findings)
-            ],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=False)
-                        + "\n", encoding="utf-8")
-
-    # -- filtering -------------------------------------------------------
-    def split(self, findings: Iterable) -> Tuple[List, List, int]:
-        """Partition ``findings`` into (new, accepted) and count stale
-        baseline entries that matched nothing."""
-        remaining = Counter(self._counts)
-        new, accepted = [], []
-        for f in findings:
-            k = f.key()
-            if remaining.get(k, 0) > 0:
-                remaining[k] -= 1
-                accepted.append(f)
-            else:
-                new.append(f)
-        stale = sum(remaining.values())
-        return new, accepted, stale
-
-    def stale_keys(self, findings: Iterable) -> List[Tuple[str, str, str]]:
-        """The ``(path, code, message)`` entries that match no current
-        finding — the ones :meth:`split` counts as stale, spelled out so
-        the CLI can name them (and ``--prune-baseline`` can drop them)."""
-        remaining = Counter(self._counts)
-        for f in findings:
-            k = f.key()
-            if remaining.get(k, 0) > 0:
-                remaining[k] -= 1
-        return sorted(remaining.elements())
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())

@@ -4,7 +4,9 @@ named who-owes-whom delta."""
 
 import pytest
 
+import repro.core.runtime  # noqa: F401  (registers the "ceio" architecture)
 from repro.faults import FaultPlan, FaultSpec
+from repro.io_arch import ARCHITECTURES
 from repro.sim.units import US
 from repro.workloads import compile_scenario, two_host_spec
 
@@ -33,10 +35,17 @@ def _drop_plan(magnitude=1.0):
                                 magnitude=magnitude),))
 
 
-@pytest.mark.parametrize("arch,n_accounts", [
-    ("ceio", 19), ("baseline", 15), ("shring", 16), ("mpq", 16),
-    ("hostcc", 15),
-])
+#: Accounts each architecture's healthy run checks.
+ACCOUNTS_PER_ARCH = {
+    "ceio": 19, "baseline": 15, "shring": 16, "mpq": 16, "hostcc": 15,
+}
+
+
+def test_every_registered_architecture_is_audited():
+    assert set(ACCOUNTS_PER_ARCH) == set(ARCHITECTURES)
+
+
+@pytest.mark.parametrize("arch,n_accounts", ACCOUNTS_PER_ARCH.items())
 def test_healthy_run_balances(arch, n_accounts):
     scenario = _scenario(arch)
     measurement = scenario.run_measure()["host"]
@@ -44,6 +53,9 @@ def test_healthy_run_balances(arch, n_accounts):
     assert audit is not None
     assert audit["ok"], audit["violations"]
     assert audit["checked"] == n_accounts
+    accounts = scenario.reconciler.ledger.accounts
+    for name in ("arch.delivery", "arch.app_rings", "arch.descriptors"):
+        assert name in accounts
 
 
 @pytest.mark.parametrize("arch", ["ceio", "baseline", "shring", "hostcc"])

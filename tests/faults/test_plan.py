@@ -1,10 +1,16 @@
 """Unit tests for the declarative fault-plan data model."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.faults import FAULT_SITES, FaultPlan, FaultSpec
+from repro.faults import FAULT_SITES, FaultPlan, FaultSpec, injectors
+from repro.shard import channel
+
+FAULTS_DOC = Path(__file__).resolve().parents[2] / "docs" / "FAULTS.md"
+_DOC_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|([^|]*)\|")
 
 
 def test_defaults_and_finite():
@@ -23,6 +29,34 @@ def test_every_registered_site_kind_validates():
             # window (there is no "rest of the run" to restore into).
             kwargs = {"duration": 10.0} if site == "net.channel" else {}
             assert FaultSpec(site, kind, **kwargs).site == site
+
+
+def fault_site_drift(sites, handled, doc_text):
+    """Each way the (site, kind) pairs of ``sites``, the ``handled``
+    pairs and the ``site | kinds`` table rows of ``doc_text`` disagree."""
+    declared = {(site, kind) for site, kinds in sites.items()
+                for kind in kinds}
+    documented = set()
+    for line in doc_text.splitlines():
+        m = _DOC_ROW.match(line.strip())
+        if m is not None:
+            documented |= {(m.group(1), kind) for kind
+                           in re.findall(r"`([^`]+)`", m.group(2))}
+    drift = []
+    for what, pairs in (("handler", set(handled)), ("docs row", documented)):
+        drift += [f"declared {p!r} has no {what}"
+                  for p in sorted(declared - pairs)]
+        drift += [f"{what} {p!r} is not declared"
+                  for p in sorted(pairs - declared)]
+    return drift
+
+
+def test_registry_handlers_and_docs_table_agree():
+    """Every declared (site, kind) has exactly one injector, and the
+    docs/FAULTS.md "Injection sites" table lists the same pairs."""
+    handled = set(injectors._HANDLERS) | set(channel._CHANNEL_HANDLERS)
+    doc_text = FAULTS_DOC.read_text(encoding="utf-8")
+    assert fault_site_drift(FAULT_SITES, handled, doc_text) == []
 
 
 def test_unknown_site_rejected():

@@ -1,16 +1,15 @@
-"""Suppression, baseline handling, CLI exit codes — and the meta-test
-that keeps the repository itself lint-clean."""
+"""Suppression, CLI exit codes — and the meta-test that keeps the
+repository itself lint-clean."""
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import Baseline, lint_source
-from repro.lint.cli import main
+from repro.lint import lint_source
+from repro.lint.cli import _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -89,54 +88,6 @@ def test_noqa_only_applies_to_its_own_line():
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-def test_baseline_split_matches_on_message_not_line():
-    findings = lint_source("x.py", BAD_SIM_MODULE, package="repro.hw.x")
-    assert len(findings) == 2
-    base = Baseline(f.key() for f in findings)
-    # Shift every line: the same findings at new positions stay accepted.
-    shifted = lint_source("x.py", "\n\n" + BAD_SIM_MODULE,
-                          package="repro.hw.x")
-    new, accepted, stale = base.split(shifted)
-    assert new == [] and len(accepted) == 2 and stale == 0
-
-
-def test_baseline_split_reports_new_and_stale():
-    findings = lint_source("x.py", BAD_SIM_MODULE, package="repro.hw.x")
-    base = Baseline(f.key() for f in findings)
-    # Only the D106 remains; the D101 entry goes stale, nothing is new.
-    remaining = lint_source("x.py", "CACHE = {}\n", package="repro.hw.x")
-    new, accepted, stale = base.split(remaining)
-    assert new == []
-    assert [f.code for f in accepted] == ["D106"]
-    assert stale == 1
-
-
-def test_baseline_is_multiset_aware():
-    # Two identical violations need two baseline entries.
-    src = ("def start(sim):\n"
-           "    sim.process(worker(sim))\n"
-           "    sim.process(worker(sim))\n")
-    findings = lint_source("x.py", src, package="repro.hw.x")
-    assert len(findings) == 2
-    assert findings[0].key() == findings[1].key()
-    base = Baseline([findings[0].key()])  # only ONE entry
-    new, accepted, stale = base.split(findings)
-    assert len(new) == 1 and len(accepted) == 1 and stale == 0
-
-
-def test_baseline_roundtrips_through_json(tmp_path):
-    findings = lint_source("x.py", BAD_SIM_MODULE, package="repro.hw.x")
-    path = tmp_path / "baseline.json"
-    Baseline.save(path, findings)
-    loaded = Baseline.load(path)
-    new, accepted, stale = loaded.split(findings)
-    assert new == [] and stale == 0 and len(accepted) == 2
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -154,131 +105,40 @@ def test_cli_exit_one_and_renders_findings(tmp_path):
     assert "D101" in out and "D106" in out
 
 
-def test_cli_update_baseline_then_clean(tmp_path):
-    write_pkg(tmp_path, BAD_SIM_MODULE)
-    baseline = tmp_path / "baseline.json"
-    code, _ = run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-                       "--update-baseline"])
-    assert code == 0
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1 and len(payload["findings"]) == 2
-    # With the baseline in place the same tree is clean...
-    code, out = run_cli([str(tmp_path / "src"), "--baseline", str(baseline)])
-    assert code == 0 and out.strip() == ""
-    # ...but a fresh finding still fails.
-    (tmp_path / "src" / "repro" / "hw" / "extra.py").write_text(
-        "PENDING = []\n")
-    code, out = run_cli([str(tmp_path / "src"), "--baseline", str(baseline)])
-    assert code == 1
-    assert "extra.py" in out
-
-
-def test_cli_strict_baseline_fails_on_stale_entries(tmp_path):
-    write_pkg(tmp_path, BAD_SIM_MODULE)
-    baseline = tmp_path / "baseline.json"
-    run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-             "--update-baseline"])
-    # Fix the violations: the baseline entries go stale.
-    (tmp_path / "src" / "repro" / "hw" / "fixture.py").write_text(
-        "LIMITS = (1,)\n")
-    code, _ = run_cli([str(tmp_path / "src"), "--baseline", str(baseline)])
-    assert code == 0  # stale alone is not an error by default
-    code, _ = run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-                       "--strict-baseline"])
-    assert code == 1
-
-
-def test_cli_names_stale_entries_in_normal_runs(tmp_path):
-    write_pkg(tmp_path, BAD_SIM_MODULE)
-    baseline = tmp_path / "baseline.json"
-    run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-             "--update-baseline"])
-    (tmp_path / "src" / "repro" / "hw" / "fixture.py").write_text(
-        "LIMITS = (1,)\n")
-    code, _, err = run_cli_capturing_stderr(
-        [str(tmp_path / "src"), "--baseline", str(baseline)])
-    assert code == 0
-    assert "stale baseline entry" in err
-    assert "D101" in err and "D106" in err  # each stale entry is named
-
-
-def test_cli_prune_baseline_drops_stale_entries(tmp_path):
-    write_pkg(tmp_path, BAD_SIM_MODULE)
-    baseline = tmp_path / "baseline.json"
-    run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-             "--update-baseline"])
-    # Fix one of the two violations: its entry goes stale.
-    (tmp_path / "src" / "repro" / "hw" / "fixture.py").write_text(
-        "CACHE = {}\n")
-    code, _ = run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-                       "--prune-baseline"])
-    assert code == 0
-    payload = json.loads(baseline.read_text())
-    assert [e["code"] for e in payload["findings"]] == ["D106"]
-    # After pruning, strict mode passes again.
-    code, _ = run_cli([str(tmp_path / "src"), "--baseline", str(baseline),
-                       "--strict-baseline"])
-    assert code == 0
-
-
-def test_cli_prune_baseline_conflicts_are_usage_errors(tmp_path):
-    write_pkg(tmp_path, "LIMITS = (1,)\n")
-    code, _ = run_cli([str(tmp_path / "src"), "--prune-baseline",
-                       "--no-baseline"])
-    assert code == 2
-    code, _ = run_cli([str(tmp_path / "src"), "--prune-baseline",
-                       "--update-baseline"])
-    assert code == 2
-
-
-def test_cli_jobs_matches_serial_run(tmp_path):
-    write_pkg(tmp_path, BAD_SIM_MODULE)
-    serial = run_cli([str(tmp_path / "src"), "--no-baseline"])
-    parallel = run_cli([str(tmp_path / "src"), "--no-baseline",
-                        "--jobs", "2"])
-    assert serial == parallel
-    code, _ = run_cli([str(tmp_path / "src"), "--jobs", "0"])
-    assert code == 2
-
-
-def test_cli_timing_reports_per_rule_wall_clock(tmp_path):
-    write_pkg(tmp_path, "LIMITS = (1,)\n")
-    code, _, err = run_cli_capturing_stderr(
-        [str(tmp_path / "src"), "--no-baseline", "--timing"])
-    assert code == 0
-    assert "timing" in err
-    assert "project-build" in err  # the whole-program pass is measured
-
-
-def test_cli_json_format(tmp_path):
-    write_pkg(tmp_path, "CACHE = {}\n")
-    code, out = run_cli([str(tmp_path / "src"), "--format", "json"])
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["findings"][0]["code"] == "D106"
-    assert payload["findings"][0]["line"] == 1
-
-
 def test_cli_select_unknown_code_is_usage_error(tmp_path):
     write_pkg(tmp_path, "CACHE = {}\n")
     code, _ = run_cli([str(tmp_path / "src"), "--select", "D999"])
     assert code == 2
 
 
+def test_cli_missing_path_is_usage_error(tmp_path):
+    write_pkg(tmp_path, "LIMITS = (1,)\n")
+    missing = tmp_path / "no_such_dir"
+    code, out, err = run_cli_capturing_stderr(
+        [str(tmp_path / "src"), str(missing)])
+    assert code == 2
+    assert str(missing) in err
+    assert out == ""
+
+
+def test_cli_takes_only_paths_select_and_list_rules():
+    dests = {a.dest for a in _build_parser()._actions} - {"help"}
+    assert dests == {"paths", "select", "list_rules"}
+
+
 def test_cli_list_rules():
     code, out = run_cli(["--list-rules"])
     assert code == 0
-    for rule_code in ("D101", "D102", "D103", "D104", "D105", "D106",
-                      "D107", "D108", "D109", "D110", "D111"):
-        assert rule_code in out
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == ["D101", "D102", "D103", "D104", "D105", "D106",
+                      "D107", "D109", "D111"]
 
 
 def test_module_entry_point(tmp_path):
     """``python -m repro.lint`` works as documented for CI."""
     write_pkg(tmp_path, "CACHE = {}\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path / "src"),
-         "--no-baseline"],
+        [sys.executable, "-m", "repro.lint", str(tmp_path / "src")],
         capture_output=True, text=True,
         cwd=REPO_ROOT, env={"PYTHONPATH": str(REPO_ROOT / "src"),
                             "PATH": "/usr/bin:/bin"},
@@ -292,9 +152,7 @@ def test_module_entry_point(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_repository_is_lint_clean():
-    """Running repro.lint over src/ yields zero non-baselined findings."""
-    code, out = run_cli([str(REPO_ROOT / "src"),
-                         "--baseline",
-                         str(REPO_ROOT / ".repro-lint-baseline.json"),
-                         "--strict-baseline"])
+    """Running every rule over src/ yields zero findings: each accepted
+    exception in the tree is an inline, justified noqa."""
+    code, out = run_cli([str(REPO_ROOT / "src")])
     assert code == 0, f"repro.lint found new violations:\n{out}"

@@ -1,4 +1,5 @@
-"""The whole-program rule family (D107-D111).
+"""The whole-program rules (D107, D109, D111), and the run-time check
+that replaced the retired D110.
 
 Every fixture here is a *multi-module* package tree: the violation lives
 in the interaction between files, so each test also proves the per-file
@@ -14,8 +15,6 @@ from typing import Dict, List
 
 from repro.lint import lint_paths, lint_source
 from repro.lint.core import Finding
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def build_tree(root: Path, files: Dict[str, str]) -> Path:
@@ -128,103 +127,6 @@ def test_d107_wire_send_only_from_attach_channels(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# D108 — audit-wiring drift
-# ---------------------------------------------------------------------------
-
-_NIC_MODULE = """\
-    class Nic:
-        def __init__(self):
-            self.rx_packets = 0
-            self.dropped_packets = 0
-"""
-
-
-def test_d108_resolves_sources_against_cross_module_class(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/hw/nic.py": _NIC_MODULE,
-        "repro/audit/wiring.py": """\
-            from repro.hw.nic import Nic
-
-            def wire(ledger, nic: Nic):
-                acct = ledger.account("nic", "packets")
-                acct.debit("rx", (nic, "rx_packets"))
-                acct.credit("buffered", (nic, "buffered_pkts"))
-        """,
-    })
-    findings = run_rules(src, "D108")
-    assert len(findings) == 1
-    assert "buffered_pkts" in findings[0].message
-    # Nic's attribute set lives in another module: per-file blindness.
-    assert file_pass_misses(src, "repro/audit/wiring.py", "D108")
-
-
-def test_d108_clean_when_every_source_resolves(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/hw/nic.py": _NIC_MODULE,
-        "repro/audit/wiring.py": """\
-            from repro.hw.nic import Nic
-
-            def wire(ledger, nic: Nic):
-                acct = ledger.account("nic", "packets")
-                acct.debit("rx", (nic, "rx_packets"))
-                acct.credit("dropped", (nic, "dropped_packets"))
-        """,
-    })
-    assert run_rules(src, "D108") == []
-
-
-_ARCH_BASE = """\
-    class IOArchitecture:
-        def audit_register(self, ledger):
-            ledger.account("arch.delivery", "packets")
-            ledger.account("arch.app_rings", "slots")
-            ledger.account("arch.descriptors", "slots")
-"""
-
-
-def test_d108_flags_override_without_super_or_standard_trio(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/io_arch/base.py": _ARCH_BASE,
-        "repro/io_arch/custom.py": """\
-            from repro.io_arch.base import IOArchitecture
-
-            class GoodArch(IOArchitecture):
-                def audit_register(self, ledger):
-                    super().audit_register(ledger)
-                    ledger.account("arch.extra", "slots")
-
-            class BadArch(IOArchitecture):
-                def audit_register(self, ledger):
-                    ledger.account("arch.extra", "slots")
-        """,
-    })
-    findings = run_rules(src, "D108")
-    assert len(findings) == 1
-    assert "BadArch" in findings[0].message
-    assert "arch.delivery" in findings[0].message
-    # The standard-trio contract comes from the base class's module.
-    assert file_pass_misses(src, "repro/io_arch/custom.py", "D108")
-
-
-def test_d108_flags_subclass_without_the_hook(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/io_arch/base.py": """\
-            class IOArchitecture:
-                pass
-        """,
-        "repro/io_arch/naked.py": """\
-            from repro.io_arch.base import IOArchitecture
-
-            class NakedArch(IOArchitecture):
-                pass
-        """,
-    })
-    findings = run_rules(src, "D108")
-    assert any("NakedArch" in f.message
-               and "audit_register" in f.message for f in findings)
-
-
-# ---------------------------------------------------------------------------
 # D109 — RNG stream-name registry
 # ---------------------------------------------------------------------------
 
@@ -312,94 +214,6 @@ def test_d109_flags_raw_registry_draw_in_topo(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# D110 — fault-site registry drift
-# ---------------------------------------------------------------------------
-
-_INJECTORS = textwrap.dedent("""\
-    def _handler(site, kind):
-        def deco(fn):
-            return fn
-        return deco
-
-    @_handler("wire", "drop")
-    def _wire_drop(controller, spec, index):
-        return None
-""")
-
-
-def test_d110_declared_site_without_handler_and_vice_versa(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/faults/plan.py": """\
-            FAULT_SITES = {
-                "wire": ("drop",),
-                "nic": ("stall",),
-            }
-        """,
-        "repro/faults/injectors.py": _INJECTORS + textwrap.dedent("""\
-
-            @_handler("ghost", "boom")
-            def _ghost(controller, spec, index):
-                return None
-        """),
-    })
-    findings = run_rules(src, "D110")
-    messages = [f.message for f in findings]
-    assert any("'nic'" in m for m in messages)
-    assert any("'ghost'" in m for m in messages)
-    assert len(findings) == 2
-    # The handlers live in injectors.py, the registry in plan.py.
-    assert file_pass_misses(src, "repro/faults/plan.py", "D110")
-    assert file_pass_misses(src, "repro/faults/injectors.py", "D110")
-
-
-def test_d110_matching_registry_and_handlers_is_clean(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/faults/plan.py": """\
-            FAULT_SITES = {
-                "wire": ("drop",),
-            }
-        """,
-        "repro/faults/injectors.py": _INJECTORS,
-    })
-    assert run_rules(src, "D110") == []
-
-
-def test_d110_docs_table_drift(tmp_path):
-    build_tree(tmp_path, {
-        "repro/faults/plan.py": """\
-            FAULT_SITES = {
-                "wire": ("drop", "dup"),
-                "nic": ("stall",),
-            }
-        """,
-        "repro/faults/injectors.py": _INJECTORS + textwrap.dedent("""\
-
-            @_handler("wire", "dup")
-            def _wire_dup(controller, spec, index):
-                return None
-
-            @_handler("nic", "stall")
-            def _nic_stall(controller, spec, index):
-                return None
-        """),
-    })
-    docs = tmp_path / "docs" / "FAULTS.md"
-    docs.parent.mkdir()
-    docs.write_text(textwrap.dedent("""\
-        | site | kinds | notes |
-        |------|-------|-------|
-        | `wire` | `drop` | missing dup |
-        | `legacy` | `boom` | undeclared |
-    """))
-    findings = run_rules(tmp_path / "src", "D110")
-    messages = " / ".join(f.message for f in findings)
-    assert "'nic'" in messages          # declared, undocumented
-    assert "'legacy'" in messages       # documented, undeclared
-    assert "'wire'" in messages         # kind sets disagree
-    assert len(findings) == 3
-
-
-# ---------------------------------------------------------------------------
 # D111 — interprocedural nondeterminism taint
 # ---------------------------------------------------------------------------
 
@@ -483,7 +297,55 @@ def test_d111_host_side_callers_are_not_flagged(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# interplay: suppression, baseline, --select, --jobs
+# D110 (retired) — the run-time registry check that replaced it flags the
+# same drift on the same fixtures
+# ---------------------------------------------------------------------------
+
+_WIRE_ONLY_TABLE = """\
+    | site | kinds | notes |
+    |------|-------|-------|
+    | `wire` | `drop` | |
+"""
+
+
+def test_d110_declared_site_without_handler_and_vice_versa():
+    from tests.faults.test_plan import fault_site_drift
+    sites = {"wire": ("drop",), "nic": ("stall",)}
+    handled = {("wire", "drop"), ("ghost", "boom")}
+    table = _WIRE_ONLY_TABLE + "    | `nic` | `stall` | |\n"
+    drift = fault_site_drift(sites, handled, textwrap.dedent(table))
+    assert any("'nic'" in m and "no handler" in m for m in drift)
+    assert any("'ghost'" in m and "not declared" in m for m in drift)
+    assert len(drift) == 2
+
+
+def test_d110_matching_registry_and_handlers_is_clean():
+    from tests.faults.test_plan import fault_site_drift
+    drift = fault_site_drift({"wire": ("drop",)}, {("wire", "drop")},
+                             textwrap.dedent(_WIRE_ONLY_TABLE))
+    assert drift == []
+
+
+def test_d110_docs_table_drift():
+    from tests.faults.test_plan import fault_site_drift
+    sites = {"wire": ("drop", "dup"), "nic": ("stall",)}
+    handled = {("wire", "drop"), ("wire", "dup"), ("nic", "stall")}
+    table = textwrap.dedent("""\
+        | site | kinds | notes |
+        |------|-------|-------|
+        | `wire` | `drop` | missing dup |
+        | `legacy` | `boom` | undeclared |
+    """)
+    drift = fault_site_drift(sites, handled, table)
+    messages = " / ".join(drift)
+    assert "'nic'" in messages          # declared, undocumented
+    assert "'legacy'" in messages       # documented, undeclared
+    assert "'dup'" in messages          # kind sets disagree
+    assert len(drift) == 3
+
+
+# ---------------------------------------------------------------------------
+# interplay: suppression, --select
 # ---------------------------------------------------------------------------
 
 def test_project_findings_respect_noqa(tmp_path):
@@ -515,41 +377,9 @@ def test_select_isolates_project_rules_from_file_rules(tmp_path):
     assert sorted(f.code for f in both) == ["D106", "D111"]
 
 
-def test_jobs_parallel_pass_matches_serial(tmp_path):
-    src = build_tree(tmp_path, {
-        "repro/hw/mixed.py": """\
-            import uuid
-
-            CACHE = {}
-
-            def fresh():
-                return uuid.uuid4().hex
-        """,
-        "repro/runner/util.py": """\
-            import time
-
-            def now_ms():
-                return time.monotonic()
-        """,
-        "repro/hw/engine.py": """\
-            from repro.runner.util import now_ms
-
-            def step(sim):
-                return now_ms()
-        """,
-    })
-    serial = lint_paths([str(src)], jobs=1)
-    parallel = lint_paths([str(src)], jobs=2)
-    assert serial == parallel
-    assert any(f.code == "D111" for f in serial)
-
-
 def test_repository_is_clean_under_whole_program_rules():
-    """The real tree passes D107-D111 with no baseline at all: every
-    accepted exception is an inline, justified noqa."""
-    from tests.lint.test_cli import run_cli
-    code, out = run_cli([
-        str(REPO_ROOT / "src"),
-        "--no-baseline", "--select", "D107,D108,D109,D110,D111",
-    ])
+    """The real tree passes D107, D109 and D111: every accepted
+    exception is an inline, justified noqa."""
+    from tests.lint.test_cli import REPO_ROOT, run_cli
+    code, out = run_cli([str(REPO_ROOT / "src"), "--select", "D107,D109,D111"])
     assert code == 0, f"whole-program rules found violations:\n{out}"
