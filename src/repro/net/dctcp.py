@@ -20,9 +20,10 @@ switch CE marks and any host-side marks the architecture added.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim import Simulator
 from ..sim.units import US
@@ -73,8 +74,14 @@ class DctcpSender:
         self.srtt = self.config.rtt_init
         self.rttvar = self.config.rtt_init / 2
         self.next_seq = 0
-        #: seq -> (packet, last-send-time); insertion order = seq order.
+        #: seq -> (packet, last-send-time), in last-(re)send order:
+        #: ``_transmit`` moves every send to the end, so the first entry
+        #: is the least recently sent one, which ``_rto_loop`` checks.
         self.inflight: "OrderedDict[int, tuple]" = OrderedDict()
+        #: Min-heap of in-flight seqs with lazy deletion: every insert
+        #: into ``inflight`` pushes its seq, and :meth:`_min_inflight`
+        #: drops tops no longer in flight.
+        self._seq_heap: List[int] = []
         self.inflight_bytes = 0
         self._pending: deque = deque()
         self._dup_counts: Dict[int, int] = {}
@@ -141,6 +148,7 @@ class DctcpSender:
         packet.ecn_marked = False  # cleared on (re)transmit; set by the path
         if packet.seq not in self.inflight:
             self.inflight_bytes += packet.size
+            heapq.heappush(self._seq_heap, packet.seq)
         self.inflight[packet.seq] = (packet, self.sim.now)
         self.inflight.move_to_end(packet.seq)
         self.packets_sent += 1
@@ -191,11 +199,19 @@ class DctcpSender:
         self._complete_message_packet(packet)
         self._pump()
 
+    def _min_inflight(self) -> int:
+        """The smallest in-flight seq (``inflight`` must be non-empty),
+        amortised O(log n)."""
+        heap = self._seq_heap
+        while heap[0] not in self.inflight:
+            heapq.heappop(heap)
+        return heap[0]
+
     def _count_dupacks(self, acked_seq: int) -> None:
         if not self.inflight:
             return
         # Fast path: in-order delivery (no smaller seq outstanding).
-        if min(self.inflight) >= acked_seq:
+        if self._min_inflight() >= acked_seq:
             return
         to_retx = []
         for seq in self.inflight:

@@ -7,6 +7,18 @@ each barrier window it issues the workers' commands, advances its own
 kernel, then collects the replies. With ``N`` shards that is ``N``
 busy processes, not ``N + 1``, and the coordinator's routing work
 overlaps the workers' windows instead of waiting on them.
+
+**Placement.** When the coordinator's allowed CPU set holds at least
+``N`` CPUs and it is not itself a daemonic sweep-pool worker, it pins
+itself to the lowest allowed CPU and each worker to one of the next
+``N - 1`` (a respawned worker lands on the same CPU), restoring its own
+mask in :meth:`ProcessShards.close`. Linux treats a pipe write as a
+*sync* wake-up, placing the woken reader on the writer's CPU on the
+assumption that the writer is about to sleep; the coordinator instead
+goes on to run its own kernel, so without pinning the two would share
+one core while the other idles. Placement touches no simulated state.
+In every other case the OS places the processes.
+
 The point pool (:mod:`repro.runner.pool`) polices sweep points between
 process boundaries; this module applies the same supervision *inside*
 one sharded run, where the failure unit is a worker shard, not a point
@@ -45,6 +57,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -111,9 +124,29 @@ def check_kill_plan(plan, kill_plan) -> None:
                 f"{plan.heaviest} runs in the coordinator)")
 
 
-def _shard_worker(conn, normal, shards: int, index: int) -> None:
-    """Worker main: build shard ``index`` of a ``shards``-way partition,
-    then serve coordinator commands until told to exit.
+def _placement(order: Tuple[int, ...]) -> List[Optional[int]]:
+    """Each shard's CPU, shard ``order[k]`` getting the ``k``-th lowest
+    allowed CPU — or ``None`` for every shard when the platform cannot
+    pin, fewer CPUs than shards are allowed, or this process is a
+    daemonic sweep-pool worker (whose siblings would all pin onto the
+    same CPUs)."""
+    cpus: List[Optional[int]] = [None] * len(order)
+    if (not hasattr(os, "sched_setaffinity")
+            or multiprocessing.current_process().daemon):
+        return cpus
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < len(order):
+        return cpus
+    for shard, cpu in zip(order, allowed):
+        cpus[shard] = cpu
+    return cpus
+
+
+def _shard_worker(conn, normal, shards: int, index: int,
+                  cpu: Optional[int]) -> None:
+    """Worker main: pin to ``cpu`` (unless ``None``), build shard
+    ``index`` of a ``shards``-way partition, then serve coordinator
+    commands until told to exit.
 
     Commands: ``("advance", horizon, inclusive, inbox)`` injects the
     inbox and runs one window, replying ``("advanced", executed,
@@ -122,6 +155,8 @@ def _shard_worker(conn, normal, shards: int, index: int) -> None:
     exception is reported as ``("error", detail)`` rather than killing
     the pipe silently.
     """
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
     from ..scenario.schema import build_topology
     from ..shard.kernel import ShardKernel
     from ..topo.partition import partition
@@ -177,6 +212,9 @@ class ProcessShards:
         self._runlog_path = (Path(self.config.runlog)
                              if self.config.runlog else None)
         self._closed = False
+        # The coordinator's CPU mask before pinning, which close()
+        # restores (``None``: never pinned).
+        self._saved_mask = None
         self._last_events = [0] * self.n
         self._last_beat = time.monotonic()
         # The hosted shard's entry stays empty: it has no worker to
@@ -186,8 +224,16 @@ class ProcessShards:
         # Per shard: the unacknowledged command as ``(kind, frame)``.
         self._inflight: List[Optional[Tuple[str, bytes]]] = [None] * self.n
         self._window = 0
+        # The coordinator's host-clock split: own kernel, issuing
+        # commands, collecting replies.
+        self._kernel_s = self._send_s = self._wait_s = 0.0
+        #: Each shard's CPU, or ``None`` where the OS places it: the
+        #: lowest allowed CPU for the hosted shard, the next ones for
+        #: the workers in shard order.
+        self.cpus = _placement((self.hosted,) + self.workers)
         self._log({"event": "shard_pool_start", "shards": self.n,
-                   "hosted": self.hosted, "plan": plan.describe()})
+                   "hosted": self.hosted, "cpus": self.cpus,
+                   "plan": plan.describe()})
         self._ctx = (multiprocessing.get_context(self.config.start_method)
                      if self.config.start_method
                      else multiprocessing.get_context())
@@ -195,6 +241,11 @@ class ProcessShards:
         self._procs: List[Any] = [None] * self.n
         for i in self.workers:
             self._spawn(i)
+        # Pinned after the spawns, so the workers start from the full
+        # mask and pin themselves.
+        if self.cpus[self.hosted] is not None:
+            self._saved_mask = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {self.cpus[self.hosted]})
         # Built while the workers build theirs.
         from ..shard.kernel import ShardKernel
         try:
@@ -230,7 +281,7 @@ class ProcessShards:
         daemon = not multiprocessing.current_process().daemon
         proc = self._ctx.Process(
             target=_shard_worker,
-            args=(child, self._normal, self.n, index),
+            args=(child, self._normal, self.n, index, self.cpus[index]),
             name=f"repro-shard-{index}", daemon=daemon)
         proc.start()
         child.close()
@@ -392,27 +443,51 @@ class ProcessShards:
             return reply
 
     # -- executor protocol ----------------------------------------------
+    def _round(self, command, hosted_step, window: Optional[int] = None
+               ) -> Tuple[Any, List[Optional[Tuple]]]:
+        """Issue ``command(i)`` to every worker, run ``hosted_step()``
+        on the hosted kernel while they work, then collect their
+        replies, charging the host clock to send, kernel and wait.
+        ``window`` fires the kill plan's entries for that window right
+        after the commands go out. Returns the hosted step's result and
+        the replies indexed by shard (``None`` at the hosted one)."""
+        t0 = time.perf_counter()
+        for i in self.workers:
+            self._issue(i, command(i))
+        for kill_window, shard in self.config.kill_plan:
+            if kill_window == window:
+                proc = self._procs[shard]
+                if proc.is_alive():
+                    proc.kill()
+        t1 = time.perf_counter()
+        hosted = hosted_step()
+        t2 = time.perf_counter()
+        replies: List[Optional[Tuple]] = [None] * self.n
+        for i in self.workers:
+            replies[i] = self._collect(i)
+        t3 = time.perf_counter()
+        self._send_s += t1 - t0
+        self._kernel_s += t2 - t1
+        self._wait_s += t3 - t2
+        return hosted, replies
+
     def advance(self, horizon: float, inclusive: bool,
                 inboxes: List[List[Tuple]]) -> List[List[Tuple]]:
         """Run one barrier window on every shard: the workers' windows
         run while this process advances the hosted kernel."""
         window = self._window
         self._window += 1
-        for i in self.workers:
-            self._issue(i, ("advance", horizon, inclusive, inboxes[i]))
-        for kill_window, shard in self.config.kill_plan:
-            if kill_window == window:
-                proc = self._procs[shard]
-                if proc.is_alive():
-                    proc.kill()
+        (executed, hosted_out), replies = self._round(
+            lambda i: ("advance", horizon, inclusive, inboxes[i]),
+            lambda: self.kernel.advance(horizon, inclusive,
+                                        inboxes[self.hosted]),
+            window)
         outs: List[List[Tuple]] = [[] for _ in range(self.n)]
-        executed, outs[self.hosted] = self.kernel.advance(
-            horizon, inclusive, inboxes[self.hosted])
         self._last_events[self.hosted] += executed
+        outs[self.hosted] = hosted_out
         for i in self.workers:
-            reply = self._collect(i)
-            self._last_events[i] += reply[1]
-            outs[i] = reply[2]
+            self._last_events[i] += replies[i][1]
+            outs[i] = replies[i][2]
         now = time.monotonic()
         if now - self._last_beat >= self.config.heartbeat_s:
             self._last_beat = now
@@ -424,23 +499,19 @@ class ProcessShards:
 
     def open_windows(self) -> None:
         """Open measurement windows on every shard."""
-        for i in self.workers:
-            self._issue(i, ("open",))
-        self.kernel.open_windows()
-        for i in self.workers:
-            self._collect(i)
+        self._round(lambda i: ("open",), self.kernel.open_windows)
 
     def finish(self) -> List[Tuple]:
         """Collect every shard's final export and log its event count.
         ``finish`` is not journaled (nothing ever replays past it); a
         worker dying mid-export replays to the last barrier and the
         re-issued ``finish`` exports the identical state."""
-        for i in self.workers:
-            self._issue(i, ("finish",))
+        hosted, replies = self._round(lambda i: ("finish",),
+                                      self.kernel.finish)
         finals: List[Tuple] = [()] * self.n
-        finals[self.hosted] = self.kernel.finish()
+        finals[self.hosted] = hosted
         for i in self.workers:
-            finals[i] = self._collect(i)[1:]
+            finals[i] = replies[i][1:]
         for i, final in enumerate(finals):
             self._log({"event": "shard_done", "shard": i,
                        "events_executed": final[3]})
@@ -451,10 +522,13 @@ class ProcessShards:
         wall-clock budget: polite exit, one shared join deadline, then
         terminate -> kill escalation, and close every parent pipe end —
         also the teardown path of a *failed* run, so no orphaned
-        process or fd survives."""
+        process or fd survives, and the coordinator's CPU mask is the
+        one it had before the pool pinned it."""
         if self._closed:
             return
         self._closed = True
+        if self._saved_mask is not None:
+            os.sched_setaffinity(0, self._saved_mask)
         procs = [p for p in self._procs if p is not None]
         for conn in self._conns:
             if conn is None:
@@ -484,4 +558,7 @@ class ProcessShards:
                 pass
         self._log({"event": "shard_pool_done", "shards": self.n,
                    "events_executed": list(self._last_events),
-                   "restarts": list(self._restarts)})
+                   "restarts": list(self._restarts),
+                   "kernel_s": round(self._kernel_s, 6),
+                   "send_s": round(self._send_s, 6),
+                   "wait_s": round(self._wait_s, 6)})

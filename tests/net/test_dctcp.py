@@ -170,3 +170,43 @@ def test_first_send_time_survives_retransmit():
     assert retx.first_send_time == t0
     assert retx.send_time > t0
     assert pkt.first_send_time == t0 and pkt.send_time == t0
+
+
+def test_min_heap_tracks_min_inflight_through_loss_recovery():
+    """The lazily pruned seq heap answers ``min(inflight)`` after every
+    step of transmit, out-of-order ACKs, fast retransmit and the RTO's
+    go-back-N requeue."""
+    h = Harness(init_cwnd=8 * 1042, dupack_threshold=3, rto=1000.0,
+                rtt_init=100.0)
+    sender = h.sender
+
+    def check():
+        if sender.inflight:
+            assert sender._min_inflight() == min(sender.inflight)
+
+    h.submit(count=24)
+    h.sim.run(until=1)
+    check()
+    # Packet 0 lost: ACKs of 1..3 trigger its fast retransmit.
+    for seq in (1, 2, 3):
+        h.ack(seq, advance=10.0)
+        check()
+    assert sender.retransmits == 1 and h.sent[-1].seq == 0
+    # Out of order: 5 before 4; 0's retransmission is lost too.
+    for seq in (5, 4):
+        h.ack(seq, advance=10.0)
+        check()
+    # Silence: the RTO keeps only the least recently sent entry, which
+    # is not 0 (re-sent last), and requeues 0 below it, so the heap
+    # prunes 0 while it is out of flight.
+    h.sim.run(until=h.sim.now + 5000)
+    assert sender.timeouts >= 1
+    assert 0 not in sender.inflight and min(sender.inflight) > 0
+    check()
+    # Recovery re-sends the requeued seqs, 0 first, pushing each again.
+    while sender.inflight:
+        h.ack(min(sender.inflight), advance=10.0)
+        check()
+        h.sim.run(until=h.sim.now + 1)
+        check()
+    assert sender.packets_acked == 24

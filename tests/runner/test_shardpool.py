@@ -11,6 +11,7 @@ built; and no worker process or pipe fd survives a failed run.
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -284,3 +285,94 @@ def test_kill_plan_naming_the_hosted_shard_fails():
     cfg = ShardPoolConfig(kill_plan=(entry,))
     with pytest.raises(ValueError, match="runs in the coordinator"):
         ProcessShards(normal, plan, config=cfg)
+
+
+_pinnable = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="pinning needs at least 2 allowed CPUs")
+
+
+@_pinnable
+def test_each_shard_runs_on_a_cpu_of_its_own(tmp_path):
+    log = tmp_path / "runlog.jsonl"
+    before = os.sched_getaffinity(0)
+    normal = validate(_quick_spec())
+    plan = partition(build_topology(normal), 2)
+    pool = ProcessShards(normal, plan,
+                         config=ShardPoolConfig(runlog=str(log)))
+    try:
+        _drive(pool, plan, windows=2)
+        mine = os.sched_getaffinity(0)
+        assert mine == {min(before)} == {pool.cpus[pool.hosted]}
+        for i in pool.workers:
+            theirs = os.sched_getaffinity(pool._procs[i].pid)
+            assert theirs == {pool.cpus[i]}
+            assert not theirs & mine
+    finally:
+        pool.close()
+    assert os.sched_getaffinity(0) == before
+    start = next(r for r in _events(log)
+                 if r["event"] == "shard_pool_start")
+    assert start["cpus"] == pool.cpus
+    assert len(set(start["cpus"])) == 2 and None not in start["cpus"]
+
+
+@_pinnable
+def test_a_clean_run_restores_the_coordinator_mask(tmp_path):
+    log = tmp_path / "runlog.jsonl"
+    before = os.sched_getaffinity(0)
+    run_sharded(_quick_spec(), 2, mode="process",
+                pool_config=ShardPoolConfig(runlog=str(log)))
+    assert os.sched_getaffinity(0) == before
+    done = next(r for r in _events(log) if r["event"] == "shard_pool_done")
+    # The coordinator's host-clock split is logged, never in results.
+    assert done["kernel_s"] > 0
+    assert done["send_s"] >= 0 and done["wait_s"] >= 0
+
+
+@_pinnable
+def test_the_failure_teardown_restores_the_coordinator_mask():
+    before = os.sched_getaffinity(0)
+    normal = validate(_quick_spec())
+    plan = partition(build_topology(normal), 2)
+    pool = ProcessShards(normal, plan,
+                         config=ShardPoolConfig(max_restarts=0))
+    assert os.sched_getaffinity(0) == {pool.cpus[pool.hosted]}
+    pool.config.timeout_s = 0.0
+    with pytest.raises(RuntimeError, match="failed"):
+        pool.advance(1000.0, False, [[], []])
+    assert os.sched_getaffinity(0) == before
+
+
+@_pinnable
+def test_a_respawned_worker_lands_on_the_same_cpu():
+    pool, plan = _pool(ShardPoolConfig(restart_backoff_s=0.0,
+                                       kill_plan=((3, 1),)))
+    try:
+        first = pool._procs[1].pid
+        cpu = pool.cpus[1]
+        assert os.sched_getaffinity(first) == {cpu}
+        _drive(pool, plan, windows=3)
+        assert pool._restarts[1] == 1
+        assert pool._procs[1].pid != first
+        assert os.sched_getaffinity(pool._procs[1].pid) == {cpu}
+    finally:
+        pool.close()
+
+
+@_pinnable
+def test_too_few_allowed_cpus_pin_nothing(tmp_path):
+    log = tmp_path / "runlog.jsonl"
+    before = os.sched_getaffinity(0)
+    narrowed = {min(before)}
+    os.sched_setaffinity(0, narrowed)
+    try:
+        run_sharded(_quick_spec(), 2, mode="process",
+                    pool_config=ShardPoolConfig(runlog=str(log)))
+        assert os.sched_getaffinity(0) == narrowed
+    finally:
+        os.sched_setaffinity(0, before)
+    start = next(r for r in _events(log)
+                 if r["event"] == "shard_pool_start")
+    assert start["cpus"] == [None, None]
