@@ -14,10 +14,11 @@ every spine hop) across the ceio / shring / baseline architectures:
   its determinism gate is inline == process, not sharded == single);
 - **kill points** run process mode with a seeded
   :class:`~repro.runner.shardpool.ShardPoolConfig` kill plan — worker
-  shards shot at randomized barrier windows — and assert the journal-replay
-  recovery reproduces the undisturbed run byte-for-byte, with
-  ``shard_restarted`` / ``shard_replay_done`` attributed in the runlog
-  and the merged audit reconciling to zero violations.
+  shards shot at randomized barrier windows — and assert that each kill
+  caused exactly one rerun from t = 0 (one ``shard_restarted`` in the
+  runlog), that the recovered run reproduces the undisturbed one
+  byte-for-byte, and that the merged audit reconciles to zero
+  violations.
 
 Every stochastic choice (kill windows, victim shards) derives from the
 point's seed, so the suite is bit-reproducible for any ``--jobs``.
@@ -180,8 +181,7 @@ def _run_kill_point(params: Mapping[str, Any],
     kill_plan = tuple((w, rng.choice(workers)) for w in windows)
     with tempfile.TemporaryDirectory() as tmp:
         runlog = Path(tmp) / "runlog.jsonl"
-        cfg = ShardPoolConfig(restart_backoff_s=0.0, runlog=str(runlog),
-                              kill_plan=kill_plan)
+        cfg = ShardPoolConfig(runlog=str(runlog), kill_plan=kill_plan)
         recovered = run_sharded(spec, SHARDS, mode="process",
                                 pool_config=cfg)
         with open(runlog, encoding="utf-8") as fh:
@@ -191,7 +191,6 @@ def _run_kill_point(params: Mapping[str, Any],
         "recovered_identical": _payload(recovered) == _payload(healthy),
         "kills": len(kill_plan),
         "restarts": events.count("shard_restarted"),
-        "replays": events.count("shard_replay_done"),
         "rounds": rounds,
         "audit_violations":
             len(recovered["l0s0"]["audit"]["violations"]),
@@ -211,7 +210,7 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         title="Sharded execution under faults and worker kills",
         paper_claim=("Sharded execution is observationally invisible: "
                      "fault plans, coordinator-level channel faults, "
-                     "and journal-replay recovery from worker kills all "
+                     "and rerun recovery from worker kills all "
                      "reproduce the reference run byte-for-byte with a "
                      "balanced merged audit"),
     )
@@ -258,11 +257,9 @@ def collect(results: Mapping[str, Any], quick: bool = True,
             f"{value['kills']} worker kill(s), {value['restarts']} "
             "restart(s)")
         result.check(
-            f"{label}: every kill was recovered by journal replay",
-            value["restarts"] >= value["kills"]
-            and value["replays"] == value["restarts"],
-            f"{value['replays']} replay(s) for {value['restarts']} "
-            "restart(s)")
+            f"{label}: every kill caused exactly one rerun",
+            value["restarts"] == value["kills"],
+            f"{value['restarts']} rerun(s) for {value['kills']} kill(s)")
         result.check(
             f"{label}: recovered audit reconciles",
             value["audit_violations"] == 0,

@@ -37,11 +37,6 @@ SIM_PACKAGES: Tuple[str, ...] = (
     "repro.topo",
     "repro.scenario",
     "repro.shard",
-    # The shard command journal is host-side plumbing by location but
-    # sim-side by contract: the frames it keeps are replayed verbatim
-    # and must rebuild a kernel bit-for-bit, so it is held to the
-    # simulated world's rules (the rest of repro.runner stays exempt).
-    "repro.runner.shardjournal",
 )
 
 

@@ -1,45 +1,50 @@
-"""The shard command journal: replayable history of a sharded run.
+"""The shard run journal: what the attempts of one sharded run agreed on.
 
-A conservative barrier run drives every shard kernel through a pure
-command stream — ``("advance", horizon, inclusive, inbox)`` windows
-plus one ``("open",)`` phase marker — and a shard kernel is a pure
-function of ``(scenario, plan, index)`` plus that stream: the inbox
-messages carry their exact calendar keys, so replaying the journaled
-commands against a freshly built kernel reproduces the original
-byte-for-byte (the argument pinned by ``tests/shard/``'s identity
-suite and written up in docs/SHARDING.md).
-
-:class:`ShardJournal` records, per shard, every command the worker
-*acknowledged* — the coordinator appends only after receiving the
-reply, so an in-flight command is never journaled and is simply
-re-issued after a replay. Each entry is the command's *frame*: the
-exact ``bytes`` the coordinator wrote to the worker's pipe, pickled
-once with :class:`multiprocessing.reduction.ForkingPickler` (the
-pickler ``Connection.send`` uses), so the worker's plain ``recv()``
-reads it and a replay sends the same bytes verbatim. A frame costs a
-few dozen bytes per inbox message, where the live command tuple kept
-every packet snapshot as Python objects. :class:`~repro.runner.
-shardpool.ProcessShards` uses this to resurrect a dead worker mid-run.
+A process-mode sharded run recovers a dead worker by rerunning from
+t = 0 (:func:`repro.shard.run_sharded`): a shard kernel is a pure
+function of ``(scenario, plan, index)`` and the barrier windows it has
+run, so every attempt must reproduce the previous ones window by window.
+:class:`ShardJournal` holds, across the attempts, the barrier windows
+issued so far and each shard's cumulative event count at every
+acknowledged window, so a rerun that drifts from an earlier attempt is
+caught at the first window where the counts differ, and a chaos kill
+fires only the first time any attempt issues its window.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["ShardJournal"]
 
 
 class ShardJournal:
-    """Per-shard ordered log of acknowledged command frames."""
+    """Issued windows and per-window event counts over all attempts."""
 
-    def __init__(self, n_shards: int):
-        self.n_shards = n_shards
-        self._frames: List[List[bytes]] = [[] for _ in range(n_shards)]
+    def __init__(self) -> None:
+        #: Barrier windows issued by any attempt so far.
+        self.issued = 0
+        #: Per acknowledged window, every shard's cumulative event count.
+        self.counts: List[Tuple[int, ...]] = []
 
-    def record(self, shard: int, frame: bytes) -> None:
-        """Append one acknowledged command frame to ``shard``'s log."""
-        self._frames[shard].append(frame)
+    def issue(self, window: int) -> bool:
+        """Note that an attempt issues ``window``; ``True`` the first
+        time any attempt does."""
+        if window < self.issued:
+            return False
+        self.issued = window + 1
+        return True
 
-    def frames(self, shard: int) -> Tuple[bytes, ...]:
-        """``shard``'s acknowledged command frames, in issue order."""
-        return tuple(self._frames[shard])
+    def acknowledge(self, window: int,
+                    counts: Tuple[int, ...]) -> Optional[int]:
+        """Record ``counts`` at ``window`` if no earlier attempt reached
+        it, else compare them with the recorded ones. Returns the first
+        shard whose count differs, or ``None``."""
+        if window == len(self.counts):
+            self.counts.append(counts)
+            return None
+        for shard, (got, want) in enumerate(zip(counts,
+                                                self.counts[window])):
+            if got != want:
+                return shard
+        return None

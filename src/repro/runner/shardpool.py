@@ -1,4 +1,4 @@
-"""Process-backed shard execution with runlog heartbeats and recovery.
+"""Process-backed shard execution with runlog heartbeats and supervision.
 
 The coordinator (:func:`repro.shard.run_sharded` with
 ``mode="process"``) runs the plan's heaviest cell in its own process
@@ -11,7 +11,7 @@ overlaps the workers' windows instead of waiting on them.
 **Placement.** When the coordinator's allowed CPU set holds at least
 ``N`` CPUs and it is not itself a daemonic sweep-pool worker, it pins
 itself to the lowest allowed CPU and each worker to one of the next
-``N - 1`` (a respawned worker lands on the same CPU), restoring its own
+``N - 1`` (a rerun's workers land on the same CPUs), restoring its own
 mask in :meth:`ProcessShards.close`. Linux treats a pipe write as a
 *sync* wake-up, placing the woken reader on the writer's CPU on the
 assumption that the writer is about to sleep; the coordinator instead
@@ -33,20 +33,18 @@ one sharded run, where the failure unit is a worker shard, not a point
   ``shard_stall`` event naming it (and a ``shard_resume`` when it
   recovers), instead of the whole run surfacing as an opaque point
   timeout;
-- **journal-replay recovery** — a worker that dies mid-window, or
-  overruns ``timeout_s``, is *restarted*: a fresh worker rebuilds the
-  shard kernel from the scenario and deterministically replays the
-  journaled command frames (:class:`~repro.runner.shardjournal.
-  ShardJournal`) up to the last completed barrier, then the in-flight
-  frame is re-sent and the run resumes — ``shard_restarted`` and
-  ``shard_replay_done`` events attribute each recovery, with capped
-  exponential backoff and a per-shard budget of ``max_restarts``;
+- **death** — a worker that dies, reads EOF, tears its pipe, or
+  overruns ``timeout_s`` ends the attempt: the pool tears itself down
+  and raises :class:`ShardDied`, and :func:`repro.shard.run_sharded`
+  reruns from t = 0 within the shard's ``max_restarts`` budget;
 - **failure** — a worker raising a (deterministic, hence
-  restart-futile) exception, a diverged replay, or an exhausted restart
-  budget fails the run with a ``shard_failed`` event and an exception
-  naming the shard, after a *bounded* teardown that joins every worker
-  and closes every pipe end — no orphans survive a failed run.
+  rerun-futile) exception, or an attempt whose cumulative event counts
+  differ from an earlier attempt's at the same window
+  (:class:`~repro.runner.shardjournal.ShardJournal`), fails the run
+  with a ``shard_failed`` event and an exception naming the shard.
 
+Every exit path runs the same *bounded* teardown, which joins every
+worker and closes every pipe end, so no orphan survives an attempt.
 Events append to the same JSONL format the sweep runner's
 :class:`~repro.runner.progress.Progress` writes (``{"ts": ..., "event":
 ...}`` per line), so a shard pool can share ``runlog.jsonl`` with the
@@ -61,14 +59,13 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .shardjournal import ShardJournal
 
-__all__ = ["ShardPoolConfig", "ProcessShards", "check_kill_plan",
-           "worker_shards"]
+__all__ = ["ShardPoolConfig", "ProcessShards", "ShardDied",
+           "check_kill_plan", "log_event", "worker_shards"]
 
 _POLL_S = 0.05
 
@@ -86,23 +83,30 @@ class ShardPoolConfig:
     #: Hard per-reply budget in seconds, counted the same way (``None``
     #: = wait, logging stalls).
     timeout_s: Optional[float] = None
-    #: multiprocessing start method (``None`` = platform default).
-    start_method: Optional[str] = None
     #: Path of the JSONL runlog to append shard events to (``None`` =
     #: no logging).
     runlog: Optional[str] = None
-    #: Per-shard restart budget before the run fails (0 = fail on the
-    #: first death, the pre-recovery behaviour).
+    #: Per-shard budget of worker deaths the run recovers from by a
+    #: rerun before it fails (0 = fail on the first death).
     max_restarts: int = 2
-    #: First restart's backoff sleep; doubles per attempt up to the cap.
-    restart_backoff_s: float = 0.1
-    restart_backoff_cap_s: float = 2.0
     #: Chaos hook: ``(window_index, shard)`` pairs — kill that shard's
     #: worker right after the coordinator issues that barrier window's
-    #: advance command (0-based), exercising the recovery path
-    #: deterministically (``--shard-kill`` on the scenario CLI). Every
-    #: shard must be one of :func:`worker_shards`.
+    #: advance command (0-based), the first time any attempt issues it,
+    #: exercising the recovery path deterministically (``--shard-kill``
+    #: on the scenario CLI). Every shard must be one of
+    #: :func:`worker_shards`.
     kill_plan: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
+
+
+class ShardDied(Exception):
+    """A worker died, closed its pipe, or overran ``timeout_s``. The
+    pool is already torn down; unlike a worker's deterministic
+    ``("error", ...)`` reply, a rerun may succeed."""
+
+    def __init__(self, shard: int, reason: str):
+        super().__init__(f"shard {shard} died: {reason}")
+        self.shard = shard
+        self.reason = reason
 
 
 def worker_shards(plan) -> Tuple[int, ...]:
@@ -122,6 +126,18 @@ def check_kill_plan(plan, kill_plan) -> None:
                 f"kill_plan entry {tuple(entry)!r}: needs a window >= 0 "
                 f"and a worker shard {list(workers)} (shard "
                 f"{plan.heaviest} runs in the coordinator)")
+
+
+def log_event(runlog: Optional[str], record: Dict[str, Any]) -> None:
+    """Append one event to the JSONL runlog at ``runlog`` (``None``: no
+    logging), in :class:`repro.runner.progress.Progress`'s line
+    format."""
+    if runlog is None:
+        return
+    path = Path(runlog)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"ts": time.time(), **record}) + "\n")
 
 
 def _placement(order: Tuple[int, ...]) -> List[Optional[int]]:
@@ -189,18 +205,14 @@ def _shard_worker(conn, normal, shards: int, index: int,
             pass
 
 
-class _ShardDead(Exception):
-    """Internal: the worker died / timed out — restartable, unlike a
-    deterministic ``("error", ...)`` reply (which would simply recur
-    on replay)."""
-
-
 class ProcessShards:
     """The shard-executor protocol of :mod:`repro.shard.coordinator`:
     the heaviest cell's kernel runs in this process, every other cell in
-    a worker process, with journal-replay recovery of dead workers."""
+    a worker process. One instance is one attempt at the run;
+    ``journal`` carries what earlier attempts did."""
 
-    def __init__(self, normal: Dict[str, Any], plan, config=None):
+    def __init__(self, normal: Dict[str, Any], plan, config=None,
+                 journal: Optional[ShardJournal] = None):
         self.config = config or ShardPoolConfig()
         self.plan = plan
         self.n = plan.n_shards
@@ -208,21 +220,13 @@ class ProcessShards:
         self.hosted = plan.heaviest
         self.workers = worker_shards(plan)
         check_kill_plan(plan, self.config.kill_plan)
-        self._normal = dict(normal)
-        self._runlog_path = (Path(self.config.runlog)
-                             if self.config.runlog else None)
+        self.journal = journal if journal is not None else ShardJournal()
         self._closed = False
         # The coordinator's CPU mask before pinning, which close()
         # restores (``None``: never pinned).
         self._saved_mask = None
         self._last_events = [0] * self.n
         self._last_beat = time.monotonic()
-        # The hosted shard's entry stays empty: it has no worker to
-        # replay into.
-        self.journal = ShardJournal(self.n)
-        self._restarts = [0] * self.n
-        # Per shard: the unacknowledged command as ``(kind, frame)``.
-        self._inflight: List[Optional[Tuple[str, bytes]]] = [None] * self.n
         self._window = 0
         # The coordinator's host-clock split: own kernel, issuing
         # commands, collecting replies.
@@ -234,13 +238,24 @@ class ProcessShards:
         self._log({"event": "shard_pool_start", "shards": self.n,
                    "hosted": self.hosted, "cpus": self.cpus,
                    "plan": plan.describe()})
-        self._ctx = (multiprocessing.get_context(self.config.start_method)
-                     if self.config.start_method
-                     else multiprocessing.get_context())
         self._conns: List[Any] = [None] * self.n
         self._procs: List[Any] = [None] * self.n
+        # Daemonic workers die with the coordinator, but a daemonic
+        # parent (a sweep pool worker) may not have daemonic children;
+        # there the bounded close() teardown is the only reaper.
+        daemon = not multiprocessing.current_process().daemon
         for i in self.workers:
-            self._spawn(i)
+            parent, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_shard_worker,
+                args=(child, normal, self.n, i, self.cpus[i]),
+                name=f"repro-shard-{i}", daemon=daemon)
+            proc.start()
+            # Closed here at once, so a dead worker's pipe reads EOF
+            # instead of hanging.
+            child.close()
+            self._conns[i] = parent
+            self._procs[i] = proc
         # Pinned after the spawns, so the workers start from the full
         # mask and pin themselves.
         if self.cpus[self.hosted] is not None:
@@ -249,7 +264,7 @@ class ProcessShards:
         # Built while the workers build theirs.
         from ..shard.kernel import ShardKernel
         try:
-            self.kernel = ShardKernel(self._normal, plan, self.hosted)
+            self.kernel = ShardKernel(normal, plan, self.hosted)
         except BaseException:
             self.close()
             raise
@@ -257,53 +272,19 @@ class ProcessShards:
             if i == self.hosted:
                 hosts = sorted(self.kernel.fabric.endpoints)
             else:
-                hosts = self._handshake(i)
+                hosts = self._recv(i)[1]
             self._log({"event": "shard_ready", "shard": i,
                        "hosts": hosts})
 
-    def _handshake(self, index: int) -> List[str]:
-        """Wait for worker ``index``'s ready reply (respawning it if it
-        dies first); returns the hosts it built."""
-        while True:
-            try:
-                return self._recv(index)[1]
-            except _ShardDead as exc:
-                self._respawn(index, str(exc))
-
-    def _spawn(self, index: int) -> None:
-        """Start (or re-start) shard ``index``'s worker process. The
-        child pipe end is closed in the parent immediately, so a dead
-        worker's pipe reads EOF instead of hanging."""
-        parent, child = self._ctx.Pipe()
-        # Daemonic workers die with the coordinator, but a daemonic
-        # parent (a sweep pool worker) may not have daemonic children;
-        # there the bounded close()/_fail teardown is the only reaper.
-        daemon = not multiprocessing.current_process().daemon
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(child, self._normal, self.n, index, self.cpus[index]),
-            name=f"repro-shard-{index}", daemon=daemon)
-        proc.start()
-        child.close()
-        self._conns[index] = parent
-        self._procs[index] = proc
-
-    # -- runlog ---------------------------------------------------------
     def _log(self, record: Dict[str, Any]) -> None:
-        """Append one event to the runlog (same line format as
-        :class:`repro.runner.progress.Progress`)."""
-        if self._runlog_path is None:
-            return
-        self._runlog_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self._runlog_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"ts": time.time(), **record}) + "\n")
+        log_event(self.config.runlog, record)
 
     # -- supervised receive ---------------------------------------------
     def _recv(self, index: int) -> Tuple:
         """Wait for shard ``index``'s next reply, logging stalls.
-        Raises :class:`_ShardDead` on crash, pipe corruption, or
-        timeout (restartable); fails the run outright on a worker's
-        ``("error", ...)`` reply (deterministic, restart-futile)."""
+        Raises :class:`ShardDied` on crash, pipe corruption, or
+        timeout; fails the run outright on a worker's ``("error",
+        ...)`` reply. Either way the pool is torn down first."""
         conn = self._conns[index]
         cfg = self.config
         start = time.monotonic()
@@ -316,13 +297,12 @@ class ProcessShards:
                            "waited_s": round(waited, 3),
                            "events_executed": self._last_events[index]})
             if cfg.timeout_s is not None and waited >= cfg.timeout_s:
-                raise _ShardDead(f"timeout after {cfg.timeout_s}s")
+                self._died(index, f"timeout after {cfg.timeout_s}s")
             if conn.poll(_POLL_S):
                 try:
                     reply = conn.recv()
                 except Exception as exc:  # EOF or a torn mid-kill write
-                    raise _ShardDead(
-                        f"worker closed its pipe ({exc!r})") from exc
+                    self._died(index, f"worker closed its pipe ({exc!r})")
                 if reply[0] == "error":
                     self._fail(index, reply[1])
                 if stalled:
@@ -331,140 +311,49 @@ class ProcessShards:
                                    time.monotonic() - start, 3)})
                 return reply
             if not self._procs[index].is_alive():
-                raise _ShardDead("worker died (exit "
-                                 f"{self._procs[index].exitcode})")
+                self._died(index, "worker died (exit "
+                                  f"{self._procs[index].exitcode})")
+
+    def _died(self, index: int, reason: str) -> None:
+        """Tear the pool down (bounded) and raise :class:`ShardDied`."""
+        self.close()
+        raise ShardDied(index, reason)
 
     def _fail(self, index: int, detail: str) -> None:
-        """Record the failure, tear the whole pool down (bounded), and
+        """Record the failure, tear the pool down (bounded), and
         raise."""
         self._log({"event": "shard_failed", "shard": index,
                    "error": detail})
         self.close()
         raise RuntimeError(f"shard {index} failed: {detail}")
 
-    # -- recovery -------------------------------------------------------
-    def _respawn(self, index: int, detail: str) -> None:
-        """Charge one restart attempt, reap the corpse, back off
-        (capped exponential), and start a fresh worker — or fail the
-        run when the budget is spent."""
-        attempt = self._restarts[index] + 1
-        if attempt > self.config.max_restarts:
-            self._fail(index, f"{detail} (restart budget of "
-                              f"{self.config.max_restarts} exhausted)")
-        self._restarts[index] = attempt
-        self._log({"event": "shard_restarted", "shard": index,
-                   "attempt": attempt, "reason": detail})
-        proc, conn = self._procs[index], self._conns[index]
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=_CLOSE_JOIN_S)
-        try:
-            conn.close()
-        except OSError:
-            pass
-        backoff = min(self.config.restart_backoff_cap_s,
-                      self.config.restart_backoff_s * 2 ** (attempt - 1))
-        if backoff > 0:
-            time.sleep(backoff)
-        self._spawn(index)
-
-    def _restart(self, index: int, detail: str) -> None:
-        """Full mid-run recovery: respawn, handshake, replay the
-        journal, verify determinism, re-issue the in-flight command.
-        Loops (budget-bounded via :meth:`_respawn`) if the replacement
-        dies too."""
-        while True:
-            self._respawn(index, detail)
-            try:
-                self._recv(index)  # the fresh worker's ready handshake
-                self._replay(index)
-            except _ShardDead as exc:
-                detail = str(exc)
-                continue
-            if self._inflight[index] is not None:
-                try:
-                    self._conns[index].send_bytes(self._inflight[index][1])
-                except (BrokenPipeError, OSError):
-                    detail = "worker died before the re-issued command"
-                    continue
-            return
-
-    def _replay(self, index: int) -> None:
-        """Drive the fresh kernel through the journaled command frames,
-        sent verbatim. Replies are discarded — every outbox they carry
-        was already delivered — but the replayed event count must equal the
-        acknowledged total: the kernel is a pure function of the
-        command stream, so any difference means non-determinism and the
-        merged results could no longer be trusted."""
-        frames = self.journal.frames(index)
-        events = 0
-        for frame in frames:
-            self._conns[index].send_bytes(frame)
-            reply = self._recv(index)
-            if reply[0] == "advanced":
-                events += reply[1]
-        if events != self._last_events[index]:
-            self._fail(index,
-                       f"replay diverged: {events} events replayed vs "
-                       f"{self._last_events[index]} acknowledged")
-        self._log({"event": "shard_replay_done", "shard": index,
-                   "commands": len(frames),
-                   "bytes": sum(len(frame) for frame in frames),
-                   "events_executed": events})
-
-    # -- command round-trip ---------------------------------------------
-    def _issue(self, index: int, cmd: Tuple) -> None:
-        """Pickle one command into its frame (once: the same bytes are
-        sent, journaled, and replayed) and send it, remembering it as
-        in-flight until its reply lands. A send on a broken pipe is
-        deliberately swallowed: :meth:`_collect` detects the death and
-        recovers."""
-        frame = bytes(ForkingPickler.dumps(cmd))
-        self._inflight[index] = (cmd[0], frame)
-        try:
-            self._conns[index].send_bytes(frame)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def _collect(self, index: int) -> Tuple:
-        """The in-flight command's reply, restarting through worker
-        deaths. On success the command's frame is journaled
-        (``advance`` / ``open`` — the replayable prefix) and retired."""
-        while True:
-            try:
-                reply = self._recv(index)
-            except _ShardDead as exc:
-                self._restart(index, str(exc))
-                continue
-            inflight = self._inflight[index]
-            if inflight is not None and inflight[0] in ("advance", "open"):
-                self.journal.record(index, inflight[1])
-            self._inflight[index] = None
-            return reply
-
     # -- executor protocol ----------------------------------------------
     def _round(self, command, hosted_step, window: Optional[int] = None
                ) -> Tuple[Any, List[Optional[Tuple]]]:
-        """Issue ``command(i)`` to every worker, run ``hosted_step()``
+        """Send ``command(i)`` to every worker, run ``hosted_step()``
         on the hosted kernel while they work, then collect their
         replies, charging the host clock to send, kernel and wait.
         ``window`` fires the kill plan's entries for that window right
-        after the commands go out. Returns the hosted step's result and
-        the replies indexed by shard (``None`` at the hosted one)."""
+        after the commands go out, the first time any attempt issues
+        it. A send on a broken pipe is swallowed: the collect detects
+        the death. Returns the hosted step's result and the replies
+        indexed by shard (``None`` at the hosted one)."""
         t0 = time.perf_counter()
         for i in self.workers:
-            self._issue(i, command(i))
-        for kill_window, shard in self.config.kill_plan:
-            if kill_window == window:
-                proc = self._procs[shard]
-                if proc.is_alive():
-                    proc.kill()
+            try:
+                self._conns[i].send(command(i))
+            except (BrokenPipeError, OSError):
+                pass
+        if window is not None and self.journal.issue(window):
+            for kill_window, shard in self.config.kill_plan:
+                if kill_window == window and self._procs[shard].is_alive():
+                    self._procs[shard].kill()
         t1 = time.perf_counter()
         hosted = hosted_step()
         t2 = time.perf_counter()
         replies: List[Optional[Tuple]] = [None] * self.n
         for i in self.workers:
-            replies[i] = self._collect(i)
+            replies[i] = self._recv(i)
         t3 = time.perf_counter()
         self._send_s += t1 - t0
         self._kernel_s += t2 - t1
@@ -474,7 +363,9 @@ class ProcessShards:
     def advance(self, horizon: float, inclusive: bool,
                 inboxes: List[List[Tuple]]) -> List[List[Tuple]]:
         """Run one barrier window on every shard: the workers' windows
-        run while this process advances the hosted kernel."""
+        run while this process advances the hosted kernel. Fails the
+        run if the shards' cumulative event counts differ from an
+        earlier attempt's at this window."""
         window = self._window
         self._window += 1
         (executed, hosted_out), replies = self._round(
@@ -488,6 +379,12 @@ class ProcessShards:
         for i in self.workers:
             self._last_events[i] += replies[i][1]
             outs[i] = replies[i][2]
+        shard = self.journal.acknowledge(window, tuple(self._last_events))
+        if shard is not None:
+            self._fail(shard, f"rerun diverged at window {window}: "
+                              f"{self._last_events[shard]} events vs "
+                              f"{self.journal.counts[window][shard]} in "
+                              "an earlier attempt")
         now = time.monotonic()
         if now - self._last_beat >= self.config.heartbeat_s:
             self._last_beat = now
@@ -502,10 +399,8 @@ class ProcessShards:
         self._round(lambda i: ("open",), self.kernel.open_windows)
 
     def finish(self) -> List[Tuple]:
-        """Collect every shard's final export and log its event count.
-        ``finish`` is not journaled (nothing ever replays past it); a
-        worker dying mid-export replays to the last barrier and the
-        re-issued ``finish`` exports the identical state."""
+        """Collect every shard's final export and log its event
+        count."""
         hosted, replies = self._round(lambda i: ("finish",),
                                       self.kernel.finish)
         finals: List[Tuple] = [()] * self.n
@@ -521,9 +416,9 @@ class ProcessShards:
         """Shut the workers down (idempotent) within a bounded
         wall-clock budget: polite exit, one shared join deadline, then
         terminate -> kill escalation, and close every parent pipe end —
-        also the teardown path of a *failed* run, so no orphaned
-        process or fd survives, and the coordinator's CPU mask is the
-        one it had before the pool pinned it."""
+        also the teardown path of a failed or dead attempt, so no
+        orphaned process or fd survives, and the coordinator's CPU mask
+        is the one it had before the pool pinned it."""
         if self._closed:
             return
         self._closed = True
@@ -558,7 +453,6 @@ class ProcessShards:
                 pass
         self._log({"event": "shard_pool_done", "shards": self.n,
                    "events_executed": list(self._last_events),
-                   "restarts": list(self._restarts),
                    "kernel_s": round(self._kernel_s, 6),
                    "send_s": round(self._send_s, 6),
                    "wait_s": round(self._wait_s, 6)})

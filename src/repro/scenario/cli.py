@@ -178,19 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--shard-timeout", type=float, default=None,
                        metavar="S",
                        help="hard per-reply budget in seconds; an "
-                            "overrunning worker is killed and recovered "
-                            "by journal replay (process mode; default: "
+                            "overrunning worker is killed and the run "
+                            "reruns from t = 0 (process mode; default: "
                             "wait forever, logging stalls)")
     p_run.add_argument("--shard-restarts", type=int, default=2,
                        metavar="N",
-                       help="per-shard restart budget before the run "
-                            "fails (process mode)")
+                       help="per-shard budget of worker deaths "
+                            "recovered by a rerun before the run fails "
+                            "(process mode)")
     p_run.add_argument("--shard-kill", action="append", default=[],
                        metavar="WINDOW:SHARD",
                        help="chaos hook: kill SHARD's worker at barrier "
-                            "WINDOW (0-based; repeatable; process mode) "
-                            "— the run must still complete byte-"
-                            "identically via journal replay")
+                            "WINDOW (0-based; repeatable; process mode), "
+                            "the first time any attempt issues it — the "
+                            "run reruns from t = 0 and must still print "
+                            "byte-identically")
     p_run.set_defaults(func=_cmd_run)
     return parser
 

@@ -48,9 +48,11 @@ __all__ = ["InlineShards", "run_sharded"]
 class InlineShards:
     """The reference shard executor: every kernel lives in this process
     and advances sequentially. Process-global id counters (flow ids,
-    message ids, I/O buffer keys) interleave across kernels here, which
-    is safe because they are identity tokens only — never part of any
-    measurement, audit value, or output."""
+    message ids, I/O buffer keys) interleave across kernels here and
+    carry on from earlier runs in the process. That is safe because
+    every attempt builds every kernel from one process state and runs
+    it from t = 0, so no run mixes two id histories (a receiver that
+    reassembles by message id sees each message under one id)."""
 
     def __init__(self, normal: Mapping[str, Any], plan: ShardPlan):
         self.kernels = [ShardKernel(normal, plan, i)
@@ -111,6 +113,41 @@ def _barrier_run(executor, n: int, lookahead: float, start: float,
             return rounds, now, inbox
 
 
+def _recovering(normal: Mapping[str, Any], plan: ShardPlan,
+                config: Any, attempt):
+    """Run ``attempt`` on fresh process pools until one completes. A
+    worker death (:class:`~repro.runner.shardpool.ShardDied`) is charged
+    to the dead shard's ``max_restarts`` budget and reruns the whole run
+    from t = 0: a run is a pure function of its spec, and every attempt
+    builds every kernel from one process state, so the rerun prints what
+    an undisturbed run does. One journal spans the attempts, so a rerun
+    that drifts fails at the first window where its event counts
+    differ, and each kill plan entry fires once."""
+    from ..runner.shardjournal import ShardJournal
+    from ..runner.shardpool import (ProcessShards, ShardDied,
+                                    ShardPoolConfig, log_event)
+    config = config or ShardPoolConfig()
+    journal = ShardJournal()
+    restarts = [0] * plan.n_shards
+    while True:
+        try:
+            return attempt(ProcessShards(normal, plan, config, journal))  # repro: noqa=D111 -- pool wall-clock is worker-liveness supervision only; simulated state never reads it
+        except ShardDied as died:
+            shard = died.shard
+            restarts[shard] += 1
+            if restarts[shard] > config.max_restarts:
+                detail = (f"{died.reason} (restart budget of "
+                          f"{config.max_restarts} exhausted)")
+                log_event(config.runlog, {"event": "shard_failed",  # repro: noqa=D111 -- runlog timestamps only; simulated state never reads them
+                                          "shard": shard, "error": detail})
+                raise RuntimeError(
+                    f"shard {shard} failed: {detail}") from died
+            log_event(config.runlog, {"event": "shard_restarted",  # repro: noqa=D111 -- runlog timestamps only; simulated state never reads them
+                                      "shard": shard,
+                                      "attempt": restarts[shard],
+                                      "reason": died.reason})
+
+
 def run_sharded(spec: Mapping[str, Any], shards: int,
                 mode: str = "inline", pool_config: Any = None,
                 stats: Optional[Dict[str, Any]] = None
@@ -123,9 +160,10 @@ def run_sharded(spec: Mapping[str, Any], shards: int,
     reference executor or the process pool — the heaviest cell in this
     process, a worker process per other cell
     (:class:`repro.runner.shardpool.ProcessShards`, configured by
-    ``pool_config``). ``stats``, when given a dict, is filled with the
-    partition summary, barrier-round count, and per-shard event counts
-    (the scaling metric of ``benchmarks/test_shard_scaling.py``).
+    ``pool_config``), rerun from t = 0 when a worker dies. ``stats``,
+    when given a dict, is filled with the partition summary,
+    barrier-round count, and per-shard event counts (the scaling metric
+    of ``benchmarks/test_shard_scaling.py``).
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -145,33 +183,38 @@ def run_sharded(spec: Mapping[str, Any], shards: int,
             stats["events"] = None
         return results
 
-    if mode == "process":
-        from ..runner.shardpool import ProcessShards
-        executor = ProcessShards(normal, plan, config=pool_config)  # repro: noqa=D111 -- pool wall-clock is worker-liveness supervision only; simulated state never reads it
-    else:
-        executor = InlineShards(normal, plan)
-
     channel_specs, _host_faults = fault_plan_of(normal).split_channel()
-    channel = (ChannelFaultController(channel_specs, normal["seed"],
-                                      topology)
-               if channel_specs else None)
-
     measure = normal["measure"]
     t_warm = measure["warmup_us"] * US
     t_end = t_warm + measure["duration_us"] * US
     n = plan.n_shards
-    try:
-        inbox: List[List[Tuple]] = [[] for _ in range(n)]
-        rounds, now, inbox = _barrier_run(
-            executor, n, plan.lookahead, 0.0, t_warm, inbox,
-            channel=channel)
-        executor.open_windows()
-        more, now, inbox = _barrier_run(
-            executor, n, plan.lookahead, now, t_end, inbox,
-            channel=channel)
-        finals = executor.finish()
-    finally:
-        executor.close()
+
+    def attempt(executor) -> Tuple[List[Tuple], int,
+                                   Optional[ChannelFaultController]]:
+        """Run both phases on ``executor`` from t = 0, always closing
+        it. The channel controller is built per attempt: its RNG
+        streams must start where a first attempt's do."""
+        channel = (ChannelFaultController(channel_specs, normal["seed"],
+                                          topology)
+                   if channel_specs else None)
+        try:
+            inbox: List[List[Tuple]] = [[] for _ in range(n)]
+            rounds, now, inbox = _barrier_run(
+                executor, n, plan.lookahead, 0.0, t_warm, inbox,
+                channel=channel)
+            executor.open_windows()
+            more, now, inbox = _barrier_run(
+                executor, n, plan.lookahead, now, t_end, inbox,
+                channel=channel)
+            return executor.finish(), rounds + more, channel
+        finally:
+            executor.close()
+
+    if mode == "inline":
+        finals, rounds, channel = attempt(InlineShards(normal, plan))
+    else:
+        finals, rounds, channel = _recovering(normal, plan, pool_config,
+                                              attempt)
 
     host_results: Dict[str, Dict[str, Any]] = {}
     entries_per: List[List[Dict[str, Any]]] = []
@@ -198,7 +241,7 @@ def run_sharded(spec: Mapping[str, Any], shards: int,
         ordered[spec_host.name] = metrics
     record_report(report)
     if stats is not None:
-        stats["rounds"] = rounds + more
+        stats["rounds"] = rounds
         stats["events"] = events
         if channel is not None:
             stats["channel"] = channel.describe()

@@ -3,25 +3,26 @@
 Contracts: the coordinator runs the heaviest cell itself and a worker
 process per other cell; a wedged or dead worker must be attributable in
 ``runlog.jsonl`` by shard index (heartbeat/stall/failed events); a
-killed worker is resurrected by journal replay with byte-identical
-results (``shard_restarted`` / ``shard_replay_done``); the journal
-holds each acknowledged command as the exact pickled frame sent to the
-worker; a kill plan naming anything but a worker fails when the pool is
-built; and no worker process or pipe fd survives a failed run.
+killed worker makes the run rerun from t = 0 with byte-identical
+results (one ``shard_restarted`` per kill); a rerun whose event counts
+drift from an earlier attempt's fails the run; a kill plan naming
+anything but a worker fails when the pool is built; and no worker
+process or pipe fd survives a failed or dead attempt.
 """
 
 import json
 import os
-import pickle
 
 import pytest
 
-from repro.runner.shardpool import (ProcessShards, ShardPoolConfig,
-                                    worker_shards)
+from repro.runner import shardpool
+from repro.runner.shardpool import (ProcessShards, ShardDied,
+                                    ShardPoolConfig, worker_shards)
 from repro.scenario import validate
+from repro.scenario.cli import main as scenario_main
 from repro.scenario.schema import build_topology
 from repro.scenario.templates import template
-from repro.shard import run_sharded
+from repro.shard import ShardKernel, run_sharded
 from repro.topo.partition import partition
 
 
@@ -39,25 +40,19 @@ def _quick_spec():
 def _drive(pool, plan, windows=10):
     """Run ``windows`` barrier windows, open measurement, run ``windows``
     more, and finish, routing outboxes to inboxes as the coordinator
-    does. Returns the commands issued to each shard, in issue order,
-    and the final exports."""
+    does. Returns the final exports."""
     n = plan.n_shards
-    issued = [[] for _ in range(n)]
     inbox = [[] for _ in range(n)]
     for window in range(2 * windows):
         if window == windows:
             pool.open_windows()
-            for cmds in issued:
-                cmds.append(("open",))
         horizon = (window + 1) * plan.lookahead
-        for i in range(n):
-            issued[i].append(("advance", horizon, False, inbox[i]))
         outs = pool.advance(horizon, False, inbox)
         inbox = [[] for _ in range(n)]
         for out in outs:
             for msg in out:
                 inbox[msg[0]].append(msg)
-    return issued, pool.finish()
+    return pool.finish()
 
 
 def _plan():
@@ -75,50 +70,25 @@ def _pool(config=None):
     return ProcessShards(normal, plan, config=config), plan
 
 
-def test_journal_holds_the_pickled_frames_of_acknowledged_commands():
-    pool, plan = _pool()
-    try:
-        issued, _finals = _drive(pool, plan)
-    finally:
-        pool.close()
-    carried = 0
-    for shard in worker_shards(plan):
-        frames = pool.journal.frames(shard)
-        assert all(type(frame) is bytes for frame in frames)
-        commands = [pickle.loads(frame) for frame in frames]
-        # Issue order, advance/open only: finish is never journaled.
-        assert commands == issued[shard]
-        assert all(cmd[0] in ("advance", "open") for cmd in commands)
-        carried += sum(len(cmd[3]) for cmd in commands
-                       if cmd[0] == "advance")
-    # The window is long enough for channel messages to ride the frames.
-    assert carried > 0
+def _record_attempts(monkeypatch):
+    """Make every pool the coordinator builds append itself to the
+    returned list (before its workers fork, so they see the count)."""
+    attempts = []
+
+    class Recorded(ProcessShards):
+        def __init__(self, *args, **kwargs):
+            attempts.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(shardpool, "ProcessShards", Recorded)
+    return attempts
 
 
-def test_kill_and_replay_of_frames_is_byte_identical(tmp_path):
-    healthy, plan = _pool()
-    try:
-        _issued, want = _drive(healthy, plan)
-    finally:
-        healthy.close()
-    log = tmp_path / "runlog.jsonl"
-    # Window 12 is past the open marker, with channel messages flowing.
-    killed, plan = _pool(ShardPoolConfig(restart_backoff_s=0.0,
-                                         runlog=str(log),
-                                         kill_plan=((12, 1),)))
-    try:
-        _issued, got = _drive(killed, plan)
-    finally:
-        killed.close()
-    assert json.dumps(got, sort_keys=True) == json.dumps(want,
-                                                         sort_keys=True)
-    replayed = [r for r in _events(log)
-                if r["event"] == "shard_replay_done"]
-    assert len(replayed) == 1 and replayed[0]["shard"] == 1
-    # 12 acknowledged advances plus the open marker, replayed verbatim.
-    frames = killed.journal.frames(1)[:13]
-    assert replayed[0]["commands"] == 13
-    assert replayed[0]["bytes"] == sum(len(frame) for frame in frames)
+def _assert_torn_down(pool):
+    """No worker process or parent pipe end of ``pool`` survives."""
+    for i in pool.workers:
+        assert not pool._procs[i].is_alive()
+        assert pool._conns[i].closed
 
 
 def test_runlog_heartbeats_attribute_each_shard(tmp_path):
@@ -166,34 +136,85 @@ def test_timeout_failure_names_the_shard(tmp_path):
     assert "timeout" in failed[0]["error"]
 
 
-def test_worker_kill_recovers_byte_identically(tmp_path):
+def test_worker_kill_recovers_byte_identically(tmp_path, monkeypatch):
     log = tmp_path / "runlog.jsonl"
     healthy = run_sharded(_quick_spec(), 2, mode="process")
-    cfg = ShardPoolConfig(restart_backoff_s=0.0, runlog=str(log),
-                          kill_plan=((2, 1),))
+    attempts = _record_attempts(monkeypatch)
+    # Window 12 is past the open marker, with channel messages flowing.
+    cfg = ShardPoolConfig(runlog=str(log), kill_plan=((12, 1),))
     recovered = run_sharded(_quick_spec(), 2, mode="process",
                             pool_config=cfg)
     assert json.dumps(recovered, sort_keys=True) == \
         json.dumps(healthy, sort_keys=True)
     records = _events(log)
     restarted = [r for r in records if r["event"] == "shard_restarted"]
-    assert restarted and restarted[0]["shard"] == 1
+    assert len(restarted) == 1 and restarted[0]["shard"] == 1
     assert restarted[0]["attempt"] == 1
-    replayed = [r for r in records if r["event"] == "shard_replay_done"]
-    assert replayed and replayed[0]["shard"] == 1
-    assert replayed[0]["commands"] >= 2
     assert not any(r["event"] == "shard_failed" for r in records)
-    done = next(r for r in records if r["event"] == "shard_pool_done")
-    assert done["restarts"] == [0, 1]
+    # One killed attempt, one full rerun, both torn down.
+    assert len(attempts) == 2
+    assert [r["event"] for r in records].count("shard_pool_done") == 2
+    for pool in attempts:
+        _assert_torn_down(pool)
+    # One journal spans both attempts; the rerun went past the kill and
+    # acknowledged every window it issued.
+    first, rerun = attempts
+    assert first.journal is rerun.journal
+    assert len(rerun.journal.counts) == rerun._window > first._window
     audit = recovered["l0s0"]["audit"]
     assert audit["ok"] is True and audit["violations"] == []
+
+
+def test_a_diverged_rerun_fails_the_run(tmp_path, monkeypatch):
+    log = tmp_path / "runlog.jsonl"
+    attempts = _record_attempts(monkeypatch)
+    advance = ShardKernel.advance
+
+    def skewed(self, horizon, inclusive, inbox):
+        # From the second attempt on, every kernel reports one event
+        # more per window than it ran.
+        executed, out = advance(self, horizon, inclusive, inbox)
+        return executed + (len(attempts) > 1), out
+
+    monkeypatch.setattr(ShardKernel, "advance", skewed)
+    cfg = ShardPoolConfig(runlog=str(log), kill_plan=((3, 1),))
+    with pytest.raises(RuntimeError,
+                       match=r"shard \d failed: rerun diverged at "
+                             r"window 0"):
+        run_sharded(_quick_spec(), 2, mode="process", pool_config=cfg)
+    records = _events(log)
+    assert [r["event"] for r in records].count("shard_restarted") == 1
+    failed = [r for r in records if r["event"] == "shard_failed"]
+    assert len(failed) == 1 and "rerun diverged" in failed[0]["error"]
+    assert len(attempts) == 2
+    for pool in attempts:
+        _assert_torn_down(pool)
+
+
+@pytest.mark.slow
+def test_a_late_kill_reruns_byte_identically(tmp_path, capsys):
+    # The rerun rebuilds every kernel from one process state, so a
+    # message re-sent after the kill keeps one id history with the rest
+    # of the run; a receiver that reassembles by id would drift on a
+    # sender that renumbered its messages mid-run.
+    log = tmp_path / "runlog.jsonl"
+    assert scenario_main(["run", "all-to-all-storage",
+                          "--shards", "1"]) == 0
+    single = capsys.readouterr().out
+    assert scenario_main(["run", "all-to-all-storage", "--shards", "2",
+                          "--shard-mode", "process",
+                          "--shard-kill", "1000:1",
+                          "--runlog", str(log)]) == 0
+    assert capsys.readouterr().out == single
+    events = [r["event"] for r in _events(log)]
+    assert events.count("shard_restarted") == 1
+    assert "shard_failed" not in events
 
 
 def test_restart_budget_exhaustion_fails_the_run(tmp_path):
     log = tmp_path / "runlog.jsonl"
     worker = _worker(_plan())
-    cfg = ShardPoolConfig(restart_backoff_s=0.0, max_restarts=1,
-                          runlog=str(log),
+    cfg = ShardPoolConfig(max_restarts=1, runlog=str(log),
                           kill_plan=tuple((w, worker) for w in range(64)))
     with pytest.raises(RuntimeError, match=rf"shard {worker} failed"):
         run_sharded(_quick_spec(), 2, mode="process", pool_config=cfg)
@@ -205,19 +226,12 @@ def test_restart_budget_exhaustion_fails_the_run(tmp_path):
 
 
 def test_failure_teardown_leaves_no_orphans():
-    normal = validate(_quick_spec())
-    plan = partition(build_topology(normal), 2)
-    pool = ProcessShards(normal, plan,
-                         config=ShardPoolConfig(max_restarts=0))
-    workers = worker_shards(plan)
-    procs = [pool._procs[i] for i in workers]
+    pool, _ = _pool()
     # Wedge the pool after a healthy start: zero reply budget.
     pool.config.timeout_s = 0.0
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(ShardDied, match="timeout"):
         pool.advance(1000.0, False, [[], []])
-    assert all(not p.is_alive() for p in procs)
-    for i in workers:
-        assert pool._conns[i].closed
+    _assert_torn_down(pool)
 
 
 def test_the_hosted_cell_is_the_heaviest():
@@ -233,17 +247,6 @@ def test_the_hosted_cell_is_the_heaviest():
         assert all(pool._procs[i].is_alive() for i in pool.workers)
     finally:
         pool.close()
-
-
-def test_the_hosted_shard_journals_nothing():
-    pool, plan = _pool()
-    try:
-        _drive(pool, plan)
-    finally:
-        pool.close()
-    assert pool.journal.frames(pool.hosted) == ()
-    for shard in pool.workers:
-        assert pool.journal.frames(shard)
 
 
 def test_heartbeats_and_done_cover_every_shard(tmp_path):
@@ -263,7 +266,6 @@ def test_heartbeats_and_done_cover_every_shard(tmp_path):
     # Every shard's count, the hosted one's included, equals the inline
     # executor's.
     assert done["events_executed"] == inline_stats["events"]
-    assert done["restarts"] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("entry", [(3, 2), (3, -1), (-1, 1)],
@@ -336,29 +338,34 @@ def test_the_failure_teardown_restores_the_coordinator_mask():
     before = os.sched_getaffinity(0)
     normal = validate(_quick_spec())
     plan = partition(build_topology(normal), 2)
-    pool = ProcessShards(normal, plan,
-                         config=ShardPoolConfig(max_restarts=0))
+    pool = ProcessShards(normal, plan)
     assert os.sched_getaffinity(0) == {pool.cpus[pool.hosted]}
     pool.config.timeout_s = 0.0
-    with pytest.raises(RuntimeError, match="failed"):
+    with pytest.raises(ShardDied, match="timeout"):
         pool.advance(1000.0, False, [[], []])
     assert os.sched_getaffinity(0) == before
 
 
 @_pinnable
-def test_a_respawned_worker_lands_on_the_same_cpu():
-    pool, plan = _pool(ShardPoolConfig(restart_backoff_s=0.0,
-                                       kill_plan=((3, 1),)))
-    try:
-        first = pool._procs[1].pid
-        cpu = pool.cpus[1]
-        assert os.sched_getaffinity(first) == {cpu}
-        _drive(pool, plan, windows=3)
-        assert pool._restarts[1] == 1
-        assert pool._procs[1].pid != first
-        assert os.sched_getaffinity(pool._procs[1].pid) == {cpu}
-    finally:
-        pool.close()
+def test_a_reruns_workers_land_on_the_same_cpus(monkeypatch):
+    before = os.sched_getaffinity(0)
+    placed = []
+
+    class Recorded(ProcessShards):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            masks = {i: os.sched_getaffinity(self._procs[i].pid)
+                     for i in self.workers}
+            masks[self.hosted] = os.sched_getaffinity(0)
+            placed.append((self.cpus, masks))
+
+    monkeypatch.setattr(shardpool, "ProcessShards", Recorded)
+    run_sharded(_quick_spec(), 2, mode="process",
+                pool_config=ShardPoolConfig(kill_plan=((3, 1),)))
+    (cpus, masks), rerun = placed
+    assert rerun == (cpus, masks)
+    assert masks == {i: {cpu} for i, cpu in enumerate(cpus)}
+    assert os.sched_getaffinity(0) == before
 
 
 @_pinnable
