@@ -172,7 +172,8 @@ def ib_write_lat(arch_name: str = "ceio", msg_size: int = 64,
     def pingpong(sim):
         for _ in range(iters):
             t0 = sim.now
-            done = sender.submit_message(flow.make_message())
+            done = bed.sim.event()
+            sender.submit_message(flow.make_message(), done.succeed)
             yield done
             while sink.message_latency.count < len(samples) + 1:
                 yield 50.0

@@ -1,15 +1,18 @@
 """DRAM model: channel-parallel bandwidth with queueing latency.
 
-Accesses contend for channels; each access occupies one channel for
-``bytes / channel_bandwidth`` ns after a base latency. Aggregate bandwidth
-and a time-weighted queue gauge are exported — memory-bandwidth pressure is
-one of the two resources the paper's analysis (§2.2) says LLC misses burn.
+Accesses contend for channels; each access holds one channel for its
+base latency plus ``bytes / channel_bandwidth`` ns. A windowed bandwidth
+meter (read by :meth:`Dram.utilization`) is exported — memory-bandwidth
+pressure is one of the two resources the paper's analysis (§2.2) says
+LLC misses burn.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..sim import Resource, Simulator
-from ..sim.stats import RateMeter, TimeWeightedGauge
+from ..sim.stats import RateMeter
 from .config import DramConfig
 
 __all__ = ["Dram"]
@@ -23,7 +26,6 @@ class Dram:
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         self.bandwidth_meter = RateMeter("dram.bw", window=10_000.0)
-        self.queue_gauge = TimeWeightedGauge("dram.queue")
 
     @property
     def peak_bandwidth(self) -> float:
@@ -40,29 +42,33 @@ class Dram:
         return min(1.0,
                    self.bandwidth_meter.rate(now) / self.effective_bandwidth)
 
-    def _access(self, nbytes: int, write: bool):
-        """Process: one DRAM access of ``nbytes``."""
-        self.queue_gauge.adjust(self.sim.now, +1)
-        yield self._channels.request()
-        try:
-            yield (self.config.base_latency
-                   + nbytes / self.config.channel_bandwidth)
-        finally:
-            self._channels.release()
-            self.queue_gauge.adjust(self.sim.now, -1)
-        if write:
-            self.bytes_written += nbytes
-        else:
-            self.bytes_read += nbytes
-        self.bandwidth_meter.record(self.sim.now, nbytes)
+    def _service_time(self, nbytes: int) -> float:
+        return self.config.base_latency + nbytes / self.config.channel_bandwidth
 
     def read(self, nbytes: int):
         """Process: read ``nbytes`` (yield from / yield sim.process(...))."""
-        return self._access(nbytes, False)
+        yield self._channels.request()
+        try:
+            yield self._service_time(nbytes)
+        finally:
+            self._channels.release()
+        self.bytes_read += nbytes
+        self.bandwidth_meter.record(self.sim.now, nbytes)
 
-    def write(self, nbytes: int):
-        """Process: write ``nbytes``."""
-        return self._access(nbytes, True)
+    def write(self, nbytes: int, done: Callable, *args) -> None:
+        """Write ``nbytes``, then call ``done(*args)``: a callback access
+        (the memory controller's), a channel request plus one delay."""
+        def granted(_event) -> None:
+            self.sim.call_later(self._service_time(nbytes), self._written,
+                                nbytes, done, args)
+
+        self._channels.request().add_callback(granted)
+
+    def _written(self, nbytes: int, done: Callable, args: tuple) -> None:
+        self._channels.release()
+        self.bytes_written += nbytes
+        self.bandwidth_meter.record(self.sim.now, nbytes)
+        done(*args)
 
     def latency_estimate(self, nbytes: int, now: float) -> float:
         """Closed-form expected latency used by non-process fast paths.

@@ -8,10 +8,10 @@ the back-pressure HostCC's congestion signal observes (§2.3).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
-from ..sim import Event, Simulator, Store
-from ..sim.stats import TimeWeightedGauge
+from ..sim import Simulator
 
 __all__ = ["IioBuffer", "IioEntry"]
 
@@ -33,9 +33,13 @@ class IioBuffer:
     def __init__(self, sim: Simulator, capacity: int):
         self.sim = sim
         self.capacity = capacity
-        self._entries = Store(sim, name="iio")
+        self._entries: Deque[IioEntry] = deque()
         self._bytes = 0
-        self.occupancy_gauge = TimeWeightedGauge("iio.occupancy")
+        #: High-water mark of :attr:`occupancy`, bytes.
+        self.peak_bytes = 0
+        #: The idle memory controller's serve callback, registered by
+        #: :meth:`take` on an empty buffer; the next landing calls it.
+        self._waiter: Optional[Callable[[IioEntry], None]] = None
         #: Landed writes waiting for space, as ``(payload, nbytes)``.
         self._space_waiters: List[Tuple[object, int]] = []
         # Conservation occupancy (repro.audit): posted writes issued by the
@@ -60,36 +64,43 @@ class IioBuffer:
 
         A plain callback — the DMA engine schedules it ``write_latency``
         after issue — so a landing costs one calendar entry, not a
-        process. Parked writes re-check in arrival order, one calendar
+        process. An idle memory controller is served inside the landing
+        (its waiter is called with the new entry), with no wake-up entry
+        of its own. Parked writes re-check in arrival order, one calendar
         entry each, when the memory controller completes an entry.
         """
         if self._bytes + nbytes > self.capacity:
             self._space_waiters.append((payload, nbytes))
             return
         self._bytes += nbytes
-        self.occupancy_gauge.update(self.sim.now, self._bytes)
-        self._entries.try_put(IioEntry(payload, nbytes, self.sim.now))
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
+        entry = IioEntry(payload, nbytes, self.sim.now)
+        waiter = self._waiter
+        if waiter is None:
+            self._entries.append(entry)
+        else:
+            self._waiter = None
+            waiter(entry)
 
-    def try_get(self) -> Optional[IioEntry]:
-        """The oldest entry if one is buffered, else None (memory
-        controller side: take now, else wait on :meth:`get`).
+    def take(self, waiter: Callable[[IioEntry], None]) -> Optional[IioEntry]:
+        """The oldest entry if one is buffered; else None, and ``waiter``
+        is called with the next entry to land (memory controller side:
+        take now, else register a callback).
 
         The entry still occupies IIO space until :meth:`complete` is called
         — the data physically leaves the buffer only once the memory
         controller has written it onward.
         """
-        return self._entries.try_get()
-
-    def get(self) -> Event:
-        """Event whose value is the next entry to land (yield it only
-        after :meth:`try_get` found the buffer empty)."""
-        return self._entries.get()
+        if self._entries:
+            return self._entries.popleft()
+        self._waiter = waiter
+        return None
 
     def complete(self, entry: IioEntry) -> None:
         """Release the space held by ``entry`` (write to LLC/DRAM done)."""
         self._bytes -= entry.nbytes
         self.inbound_inflight -= 1
-        self.occupancy_gauge.update(self.sim.now, self._bytes)
         waiters, self._space_waiters = self._space_waiters, []
         for payload, nbytes in waiters:
             self.sim.call_later(0.0, self.put, payload, nbytes)

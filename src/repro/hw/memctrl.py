@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from ..sim import Simulator
 from .dram import Dram
-from .iio import IioBuffer
+from .iio import IioBuffer, IioEntry
 from .pcie import PcieLink
 
 __all__ = ["DmaWrite", "MemoryController"]
@@ -44,7 +44,12 @@ class DmaWrite:
 
 
 class MemoryController:
-    """A single drain process serialising IIO entries into the memory system."""
+    """One server serialising IIO entries into the memory system.
+
+    A callback state machine: serving an entry schedules its fill (or
+    DRAM write) delay, completing it takes the next entry, and an empty
+    IIO buffer registers :meth:`_serve` to be called by the next landing.
+    """
 
     #: Fill bandwidth from IIO into the LLC, bytes/ns. Fast relative to
     #: DRAM — an LLC allocation costs no memory-channel time.
@@ -71,35 +76,42 @@ class MemoryController:
         # delivered to an I/O-architecture descriptor or had no consumer.
         self.deliveries = 0.0
         self.no_deliver = 0.0
-        self._proc = sim.process(self._drain_loop(), name="memctrl")
+        sim.call_later(0.0, self._serve_next)
 
-    def _drain_loop(self):
-        iio = self.iio
-        while True:
-            entry = iio.try_get()
-            if entry is None:
-                entry = yield iio.get()
-            write: DmaWrite = entry.payload
-            if write.ddio:
-                evicted = self.llc.io_insert(write.key, write.nbytes)
-                fill = write.nbytes / self.LLC_FILL_BANDWIDTH
-                if evicted:
-                    # Dirty evicted lines drain at write-back bandwidth
-                    # before the next IIO entry is served (§2.2's "extra
-                    # memory bandwidth" cost of DDIO thrash).
-                    yield fill + evicted / self.WRITEBACK_BANDWIDTH
-                    self.dram.record_demand(self.sim.now, evicted,
-                                            write=True)
-                    self.writeback_bytes += evicted
-                else:
-                    yield fill
-            else:
-                yield from self.dram.write(write.nbytes)
-            iio.complete(entry)
-            self.pcie.release_write_credits(write.nbytes)
-            self.writes_completed += 1
-            if write.deliver is not None:
-                self.deliveries += 1
-                write.deliver(self.sim.now)
-            else:
-                self.no_deliver += 1
+    def _serve_next(self) -> None:
+        entry = self.iio.take(self._serve)
+        if entry is not None:
+            self._serve(entry)
+
+    def _serve(self, entry: IioEntry) -> None:
+        write: DmaWrite = entry.payload
+        if not write.ddio:
+            self.dram.write(write.nbytes, self._complete, entry)
+            return
+        evicted = self.llc.io_insert(write.key, write.nbytes)
+        fill = write.nbytes / self.LLC_FILL_BANDWIDTH
+        if evicted:
+            # Dirty evicted lines drain at write-back bandwidth before
+            # the next IIO entry is served (§2.2's "extra memory
+            # bandwidth" cost of DDIO thrash).
+            self.sim.call_later(fill + evicted / self.WRITEBACK_BANDWIDTH,
+                                self._written_back, entry, evicted)
+        else:
+            self.sim.call_later(fill, self._complete, entry)
+
+    def _written_back(self, entry: IioEntry, evicted: int) -> None:
+        self.dram.record_demand(self.sim.now, evicted, write=True)
+        self.writeback_bytes += evicted
+        self._complete(entry)
+
+    def _complete(self, entry: IioEntry) -> None:
+        write: DmaWrite = entry.payload
+        self.iio.complete(entry)
+        self.pcie.release_write_credits(write.nbytes)
+        self.writes_completed += 1
+        if write.deliver is not None:
+            self.deliveries += 1
+            write.deliver(self.sim.now)
+        else:
+            self.no_deliver += 1
+        self._serve_next()

@@ -3,17 +3,18 @@
 The NIC hands every received packet to the installed *I/O architecture
 handler* (:mod:`repro.io_arch`), which decides where the packet goes —
 host memory via DDIO, host DRAM, on-NIC memory, or dropped. The handler
-runs inside the firmware pipeline process, so a handler blocked on PCIe
-posted-write credits back-pressures the MAC buffer exactly as real DMA
-engines do; a full MAC buffer drops packets (tail drop).
+runs inside the firmware pipeline, one packet at a time, so a handler
+blocked on PCIe posted-write credits back-pressures the MAC buffer
+exactly as real DMA engines do; a full MAC buffer drops packets (tail
+drop).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, List, Optional
 
-from ..sim import Simulator, Store, TokenBucket
-from ..sim.stats import TimeWeightedGauge
+from ..sim import Simulator, TokenBucket
 from .config import NicConfig
 from .iio import IioBuffer
 from .memctrl import DmaWrite
@@ -35,7 +36,6 @@ class OnNicMemory:
         self._used = 0
         self._bandwidth = TokenBucket(sim, rate=config.memory_bandwidth,
                                       burst=256 * 1024, name="nicmem.bw")
-        self.used_gauge = TimeWeightedGauge("nicmem.used")
         self.bytes_written = 0.0
         self.bytes_read = 0.0
         # Conservation meters (repro.audit): every reservation and every
@@ -58,13 +58,11 @@ class OnNicMemory:
             return False
         self._used += nbytes
         self.allocated_bytes += nbytes
-        self.used_gauge.update(self.sim.now, self._used)
         return True
 
     def free_bytes(self, nbytes: int) -> None:
         self._used = max(0, self._used - nbytes)
         self.freed_bytes += nbytes
-        self.used_gauge.update(self.sim.now, self._used)
 
     def write(self, nbytes: int):
         """Process: NIC-side write into on-board memory.
@@ -204,7 +202,15 @@ class ArmCores:
 
 
 class Nic:
-    """Receive-side NIC: MAC buffer -> firmware pipeline -> handler."""
+    """Receive-side NIC: MAC buffer -> firmware pipeline -> handler.
+
+    The firmware is a callback state machine, not a process: a packet
+    that arrives while it is idle starts the ``firmware_overhead`` delay
+    from :meth:`receive` itself; one that arrives while it is busy waits
+    in the MAC FIFO. After the delay the handler's ``on_packet``
+    generator runs through :meth:`Simulator.drive`, and the next packet
+    is taken when it returns.
+    """
 
     def __init__(self, sim: Simulator, config: NicConfig, pcie: PcieLink,
                  iio: IioBuffer):
@@ -213,7 +219,8 @@ class Nic:
         self.dma = DmaEngine(sim, pcie, iio)
         self.memory = OnNicMemory(sim, config)
         self.arm = ArmCores(sim, config)
-        self._ingress = Store(sim, name="nic.mac")
+        #: Packets received while the firmware was busy, oldest first.
+        self._mac: Deque = deque()
         self._mac_bytes = 0
         self._mac_pkts = 0
         self.handler = None  # installed by an IOArchitecture
@@ -225,8 +232,10 @@ class Nic:
         #: a single firmware pipeline); the audit slack for the window
         #: between entering ``on_packet`` and its admit/drop decision.
         self.handler_inflight = 0
-        self.mac_gauge = TimeWeightedGauge("nic.mac_occupancy")
-        self._firmware = sim.process(self._firmware_loop(), name="nic-fw")
+        #: True while a packet is in the firmware delay or the handler
+        #: (and until the start-up entry below has run).
+        self._fw_busy = True
+        sim.call_later(0.0, self._fw_next)
 
     def install_handler(self, handler) -> None:
         """Attach the receive-side I/O architecture."""
@@ -242,8 +251,12 @@ class Nic:
             return False
         self._mac_bytes += packet.size
         self._mac_pkts += 1
-        self.mac_gauge.update(self.sim.now, self._mac_bytes)
-        self._ingress.try_put(packet)
+        if self._fw_busy:
+            self._mac.append(packet)
+        else:
+            self._fw_busy = True
+            self.sim.call_later(self.config.firmware_overhead,
+                                self._fw_handle, packet)
         return True
 
     def _notify_drop(self, packet) -> None:
@@ -251,17 +264,21 @@ class Nic:
         if on_drop is not None:
             on_drop(packet)
 
-    def _firmware_loop(self):
-        ingress = self._ingress
-        while True:
-            packet = ingress.try_get()
-            if packet is None:
-                packet = yield ingress.get()
-            yield self.config.firmware_overhead
-            self.handler_inflight = 1
-            yield from self.handler.on_packet(packet)
-            self.handler_inflight = 0
-            self.handled_packets += 1
-            self._mac_bytes -= packet.size
-            self._mac_pkts -= 1
-            self.mac_gauge.update(self.sim.now, self._mac_bytes)
+    def _fw_next(self) -> None:
+        """Start the firmware delay for the oldest waiting packet, or idle."""
+        if self._mac:
+            self.sim.call_later(self.config.firmware_overhead,
+                                self._fw_handle, self._mac.popleft())
+        else:
+            self._fw_busy = False
+
+    def _fw_handle(self, packet) -> None:
+        self.handler_inflight = 1
+        self.sim.drive(self.handler.on_packet(packet), self._fw_done, packet)
+
+    def _fw_done(self, packet) -> None:
+        self.handler_inflight = 0
+        self.handled_packets += 1
+        self._mac_bytes -= packet.size
+        self._mac_pkts -= 1
+        self._fw_next()

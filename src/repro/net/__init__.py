@@ -1,13 +1,13 @@
-"""Network substrate: packets, flows, links, ECN switch, DCTCP."""
+"""Network substrate: packets, flows, ECN switch port, DCTCP."""
 
 from .dctcp import DctcpConfig, DctcpSender
-from .link import Link, SwitchPort
+from .link import SwitchPort
 from .packet import ETHERNET_OVERHEAD, MTU, Flow, FlowKind, Message, Packet
 from .source import OpenLoopSource, SaturatingSource
 
 __all__ = [
     "DctcpConfig", "DctcpSender",
-    "Link", "SwitchPort",
+    "SwitchPort",
     "ETHERNET_OVERHEAD", "MTU", "Flow", "FlowKind", "Message", "Packet",
     "OpenLoopSource", "SaturatingSource",
 ]

@@ -93,7 +93,9 @@ class DctcpSender:
         self._in_recovery = False
         # Message completion tracking (sender-side, i.e. all packets ACKed).
         self._msg_remaining: Dict[int, int] = {}
-        self._msg_events: Dict[int, object] = {}
+        #: message_id -> the ``on_done`` callable of a message someone
+        #: waits on (messages submitted without one have no entry).
+        self._msg_done: Dict[int, Callable[[Message], None]] = {}
         self._msg_objects: Dict[int, Message] = {}
 
         self.packets_sent = 0.0
@@ -106,18 +108,22 @@ class DctcpSender:
     # ------------------------------------------------------------------
     # Application side
     # ------------------------------------------------------------------
-    def submit_message(self, message: Message):
-        """Queue a message; returns an event fired when fully ACKed."""
+    def submit_message(self, message: Message,
+                       on_done: Optional[Callable[[Message], None]] = None
+                       ) -> None:
+        """Queue a message; ``on_done(message)`` is called the moment its
+        last packet is ACKed (inside that ACK's handling, no calendar
+        entry). Pass an event's ``succeed`` to wait on it from a process.
+        """
         message.submit_time = self.sim.now
-        done = self.sim.event()
         self._msg_remaining[message.message_id] = message.count
-        self._msg_events[message.message_id] = done
+        if on_done is not None:
+            self._msg_done[message.message_id] = on_done
         self._msg_objects[message.message_id] = message
         for packet in message.packets(self.flow, self.next_seq):
             self._pending.append(packet)
             self.next_seq += 1
         self._pump()
-        return done
 
     @property
     def backlog(self) -> int:
@@ -261,7 +267,9 @@ class DctcpSender:
         del self._msg_remaining[mid]
         message = self._msg_objects.pop(mid)
         message.complete_time = self.sim.now
-        self._msg_events.pop(mid).succeed(message)
+        on_done = self._msg_done.pop(mid, None)
+        if on_done is not None:
+            on_done(message)
 
     # ------------------------------------------------------------------
     # Timeout fallback

@@ -1,4 +1,4 @@
-"""Point-to-point link and ECN-marking switch port.
+"""ECN-marking switch egress port.
 
 The testbed fabric is client NIC -> switch -> server NIC at 200 Gbps. The
 switch egress port toward the server is the only contended queue; it does
@@ -8,12 +8,12 @@ K) and tail-drops when its buffer is full.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Deque
 
-from ..sim import Simulator, Store
-from ..sim.stats import TimeWeightedGauge
+from ..sim import Simulator
 
-__all__ = ["Link", "SwitchPort"]
+__all__ = ["SwitchPort"]
 
 
 def _trace_drop(tracer, link_name: str, kind: str, packet) -> None:
@@ -25,55 +25,6 @@ def _trace_drop(tracer, link_name: str, kind: str, packet) -> None:
                     flow=packet.flow.flow_id, seq=packet.seq)
 
 
-class Link:
-    """FIFO serialising link: rate (bytes/ns) plus propagation delay."""
-
-    def __init__(self, sim: Simulator, rate: float, propagation: float,
-                 deliver: Optional[Callable] = None, name: str = "link"):
-        if rate <= 0:
-            raise ValueError("link rate must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.propagation = propagation
-        self.deliver = deliver
-        self.name = name
-        self._queue = Store(sim, name=f"{name}.q")
-        self.tx_packets = 0.0
-        self.tx_bytes = 0.0
-        # Fault seam (repro.faults net.link): callable(packet) -> drop-kind
-        # string or None; installed only while a fault window is open.
-        self.fault = None
-        self.fault_dropped = 0.0
-        #: Optional Tracer; every drop emits a "link.drop" event through it.
-        self.tracer = None
-        self._egress_proc = sim.process(self._egress(), name=f"{name}-egress")
-
-    def send(self, packet) -> None:
-        """Enqueue a packet for transmission (non-blocking, unbounded —
-        upstream senders are window-limited)."""
-        if self.fault is not None:
-            kind = self.fault(packet)
-            if kind is not None:
-                self.fault_dropped += 1
-                _trace_drop(self.tracer, self.name, kind, packet)
-                return
-        self._queue.try_put(packet)
-
-    def _egress(self):
-        queue = self._queue
-        while True:
-            packet = queue.try_get()
-            if packet is None:
-                packet = yield queue.get()
-            yield packet.size / self.rate
-            self.tx_packets += 1
-            self.tx_bytes += packet.size
-            if self.deliver is not None:
-                # Propagation does not occupy the link: schedule delivery
-                # (allocation-free; the packet rides as the callable's arg).
-                self.sim.call_later(self.propagation, self.deliver, packet)
-
-
 class SwitchPort:
     """Shared egress queue with ECN marking and tail drop.
 
@@ -81,11 +32,18 @@ class SwitchPort:
     queue exceeds K are CE-marked. The buffer is finite: overflowing
     packets are dropped (the sender discovers this via duplicate ACKs or
     retransmission timeout).
+
+    The egress is a callback state machine: ``_next`` starts serialising
+    the head packet, ``_tx_done`` puts it on the wire and takes the next,
+    and a packet sent to an idle port schedules ``_next`` at the current
+    time.
     """
 
     def __init__(self, sim: Simulator, rate: float, propagation: float,
                  deliver: Callable, buffer_bytes: int = 1_000_000,
                  ecn_threshold: int = 200_000, name: str = "swport"):
+        if rate <= 0:
+            raise ValueError("link rate must be positive")
         self.sim = sim
         self.rate = rate
         self.propagation = propagation
@@ -93,9 +51,13 @@ class SwitchPort:
         self.buffer_bytes = buffer_bytes
         self.ecn_threshold = ecn_threshold
         self.name = name
-        self._queue = Store(sim, name=f"{name}.q")
+        self._queue: Deque = deque()
+        #: True while a packet is serialising or a wake-up is scheduled
+        #: (and until the start-up entry below has run).
+        self._busy = True
         self._queued_bytes = 0
-        self.queue_gauge = TimeWeightedGauge(f"{name}.queue")
+        #: High-water mark of :attr:`queued_bytes`.
+        self.peak_queued_bytes = 0
         self.rx_offered = 0.0
         self.tx_packets = 0.0
         self.marked_packets = 0.0
@@ -112,11 +74,13 @@ class SwitchPort:
         #: (cut-link) egresses with a channel emitter that consumes the
         #: same one sequence number and ships the packet cross-shard.
         self._wire_send = self._wire_schedule
-        # Fault seam + drop tracing, as on Link.
+        # Fault seam (repro.faults net.link): callable(packet) -> drop-kind
+        # string or None; installed only while a fault window is open.
         self.fault = None
         self.fault_dropped = 0.0
+        #: Optional Tracer; every drop emits a "link.drop" event through it.
         self.tracer = None
-        self._egress_proc = sim.process(self._egress(), name=f"{name}-egress")
+        sim.call_later(0.0, self._next)
 
     @property
     def queued_bytes(self) -> int:
@@ -138,23 +102,29 @@ class SwitchPort:
             packet.ecn_marked = True
             self.marked_packets += 1
         self._queued_bytes += packet.size
+        if self._queued_bytes > self.peak_queued_bytes:
+            self.peak_queued_bytes = self._queued_bytes
         self.queued_packets += 1
-        self.queue_gauge.update(self.sim.now, self._queued_bytes)
-        self._queue.try_put(packet)
+        self._queue.append(packet)
+        if not self._busy:
+            self._busy = True
+            self.sim.call_later(0.0, self._next)
 
-    def _egress(self):
-        queue = self._queue
-        while True:
-            packet = queue.try_get()
-            if packet is None:
-                packet = yield queue.get()
-            yield packet.size / self.rate
-            self._queued_bytes -= packet.size
-            self.queued_packets -= 1
-            self.queue_gauge.update(self.sim.now, self._queued_bytes)
-            self.tx_packets += 1
-            self.wire_inflight += 1
-            self._wire_send(packet)
+    def _next(self) -> None:
+        """Serialise the head packet, or go idle on an empty queue."""
+        if self._queue:
+            packet = self._queue.popleft()
+            self.sim.call_later(packet.size / self.rate, self._tx_done, packet)
+        else:
+            self._busy = False
+
+    def _tx_done(self, packet) -> None:
+        self._queued_bytes -= packet.size
+        self.queued_packets -= 1
+        self.tx_packets += 1
+        self.wire_inflight += 1
+        self._wire_send(packet)
+        self._next()
 
     def _wire_schedule(self, packet) -> None:
         self.sim.call_later(self.propagation, self._wire_arrive, packet)

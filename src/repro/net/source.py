@@ -21,6 +21,8 @@ class SaturatingSource:
     A new message is submitted the moment one completes (all packets
     ACKed), which keeps the sender window-limited — the behaviour of a
     saturating benchmark client (dperf / perftest / eRPC load generator).
+    Each of the ``outstanding`` slots is a callback chain: the sender
+    calls :meth:`_completed` at completion, which submits the next.
     """
 
     def __init__(self, sim: Simulator, sender: DctcpSender,
@@ -30,7 +32,6 @@ class SaturatingSource:
         self.outstanding = outstanding
         self.messages_completed = 0.0
         self._running = False
-        self._loops = []
 
     @property
     def flow(self) -> Flow:
@@ -46,20 +47,26 @@ class SaturatingSource:
         if self._running:
             return
         self._running = True
-        for i in range(self.outstanding):
-            self._loops.append(
-                self.sim.process(self._loop(delay), name="sat-src"))
+        for _ in range(self.outstanding):
+            self.sim.call_later(0.0, self._begin, delay)
 
     def stop(self) -> None:
         self._running = False
 
-    def _loop(self, delay: float = 0.0):
+    def _begin(self, delay: float) -> None:
         if delay > 0:
-            yield delay
-        while self._running:
-            done = self.sender.submit_message(self.flow.make_message())
-            yield done
-            self.messages_completed += 1
+            self.sim.call_later(delay, self._submit)
+        else:
+            self._submit()
+
+    def _submit(self) -> None:
+        if self._running:
+            self.sender.submit_message(self.flow.make_message(),
+                                       self._completed)
+
+    def _completed(self, _message) -> None:
+        self.messages_completed += 1
+        self._submit()
 
 
 class OpenLoopSource:

@@ -13,7 +13,7 @@ from .engine import (
 from .resources import Container, Resource, Store, TokenBucket
 from .rng import RngRegistry
 from .trace import NullTracer, TraceEvent, Tracer
-from .stats import Histogram, RateMeter, TimeWeightedGauge
+from .stats import Histogram, RateMeter
 from . import units
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "AnyOf", "AllOf", "SimulationError",
     "Store", "Container", "Resource", "TokenBucket",
     "RngRegistry",
-    "TimeWeightedGauge", "Histogram", "RateMeter",
+    "Histogram", "RateMeter",
     "NullTracer", "TraceEvent", "Tracer",
     "units",
 ]

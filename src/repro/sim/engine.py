@@ -22,6 +22,9 @@ dominant operations have allocation-free fast paths (see
   callable (plus positional args) onto the calendar — no ``Event``, no
   closure. They return a *handle* that :meth:`Simulator.cancel` turns
   into a no-op in O(1) without unlinking from the heap.
+- :meth:`Simulator.drive` runs a generator inline for a callback state
+  machine and calls back when it returns; it reaches the calendar only
+  when the generator suspends.
 - ``Simulator.timeout()`` recycles fired :class:`Timeout` objects through
   a small free-list when the sole waiter was a process (the ``yield
   sim.timeout(d)`` idiom). A timeout yielded to the kernel is owned by
@@ -501,6 +504,79 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
+class _Driven:
+    """A generator suspended under :meth:`Simulator.drive`.
+
+    Built only when the generator first suspends; resumes it exactly as
+    :class:`Process` would and calls ``done(*args)`` when it returns.
+    """
+
+    __slots__ = ("sim", "generator", "done", "args")
+
+    def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any],
+                 done: Callable, args: tuple):
+        self.sim = sim
+        self.generator = generator
+        self.done = done
+        self.args = args
+
+    def _send(self, value: Any) -> None:
+        try:
+            target = self.generator.send(value)
+        except StopIteration:
+            self.done(*self.args)
+            return
+        self._suspend(target)
+
+    def _throw(self, exc: BaseException) -> None:
+        try:
+            target = self.generator.throw(exc)
+        except StopIteration:
+            self.done(*self.args)
+            return
+        self._suspend(target)
+
+    def _resume(self, event: Event) -> None:
+        if event._ok:
+            self._send(event._value)
+        else:
+            self._throw(event._value)
+
+    def _name(self) -> str:
+        return getattr(self.generator, "__name__", "generator")
+
+    def _suspend(self, target: Any) -> None:
+        """:meth:`Process._step_send`'s dispatch on what was yielded."""
+        sim = self.sim
+        cls = target.__class__
+        if cls is float or cls is int:
+            if target < 0:
+                self._throw(
+                    SimulationError(f"negative timeout delay: {target!r}"))
+                return
+            if sim._debug and target != target:
+                self._throw(SimulationError(
+                    f"NaN timeout delay in {self._name()!r}"))
+                return
+            seq = sim._seq + 1
+            sim._seq = seq
+            heappush(sim._queue, [sim._now + target, seq, self._send, (None,)])
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"generator {self._name()!r} yielded {target!r}, "
+                "expected an Event or a bare number of nanoseconds")
+        if target.sim is not sim:
+            raise SimulationError("cannot wait on an event from another simulator")
+        callbacks = target.callbacks
+        if callbacks is None:
+            target.add_callback(self._resume)
+            return
+        if not callbacks and type(target) is Timeout:
+            target._armed = True
+        callbacks.append(self._resume)
+
+
 class _Condition(Event):
     """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
 
@@ -717,6 +793,26 @@ class Simulator:
                 name: str = "") -> Process:
         """Start running ``generator`` as a simulation process."""
         return Process(self, generator, name=name)
+
+    def drive(self, generator: Generator[Any, Any, Any], done: Callable,
+              *args: Any) -> None:
+        """Run ``generator`` now, as a process would, then ``done(*args)``.
+
+        For a callback state machine that hands one step of its work to
+        a generator (the NIC firmware running an I/O architecture's
+        ``on_packet``). Nothing is scheduled to start it: it runs inside
+        this call until its first suspension, and a generator that never
+        suspends costs no calendar entry and no object. A suspension
+        costs what it costs a :class:`Process` — one entry per bare
+        number, a callback on a yielded :class:`Event` — with the same
+        checks. An exception that escapes the generator propagates.
+        """
+        try:
+            target = generator.send(None)
+        except StopIteration:
+            done(*args)
+            return
+        _Driven(self, generator, done, args)._suspend(target)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -1,13 +1,14 @@
-"""Measurement primitives: gauges, histograms, rate meters.
+"""Measurement primitives: histograms and rate meters.
 
 Counts (packets, bytes, misses...) are not here: a counter is a plain
 float attribute on the component that owns it, initialised to ``0.0`` and
 incremented in place (``self.rx_packets += 1``), which the audit ledger
-reads as an ``(owner, "field")`` source. This module holds the metrics
-that need more than a sum: time-weighted levels, windowed rates and
-latency percentiles. Percentiles use an HDR-style log-linear-bucket
-histogram: exact enough for P99.9 reporting at a bounded memory cost,
-insensitive to sample count.
+reads as an ``(owner, "field")`` source; a high-water mark is a plain
+field too (``SwitchPort.peak_queued_bytes``). This module holds the
+metrics that need more than that: windowed rates and latency
+percentiles. Percentiles use an HDR-style log-linear-bucket histogram:
+exact enough for P99.9 reporting at a bounded memory cost, insensitive
+to sample count.
 """
 
 from __future__ import annotations
@@ -18,69 +19,11 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 __all__ = [
-    "TimeWeightedGauge",
     "Histogram",
     "HistogramSnapshot",
     "RateMeter",
     "percentile_from_counts",
 ]
-
-
-class TimeWeightedGauge:
-    """Tracks a level over time, yielding its time-weighted average and max.
-
-    Typical use: IIO buffer occupancy, ring depth, credit level. Call
-    :meth:`update` whenever the level changes.
-    """
-
-    def __init__(self, name: str = "", initial: float = 0.0, t0: float = 0.0):
-        self.name = name
-        self._level = initial
-        self._t_last = t0
-        self._t_start = t0
-        self._area = 0.0
-        self._max = initial
-        self._min = initial
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def max(self) -> float:
-        return self._max
-
-    @property
-    def min(self) -> float:
-        return self._min
-
-    def update(self, now: float, level: float) -> None:
-        if now < self._t_last:
-            raise ValueError("TimeWeightedGauge updated backwards in time")
-        self._area += self._level * (now - self._t_last)
-        self._t_last = now
-        self._level = level
-        # Comparisons, not max()/min(): the same values (NaN included)
-        # without two builtin calls per update.
-        if level > self._max:
-            self._max = level
-        if level < self._min:
-            self._min = level
-
-    def adjust(self, now: float, delta: float) -> None:
-        self.update(now, self._level + delta)
-
-    def mean(self, now: Optional[float] = None) -> float:
-        """Time-weighted mean from construction until ``now``."""
-        t_end = self._t_last if now is None else now
-        span = t_end - self._t_start
-        if span <= 0:
-            return self._level
-        area = self._area + self._level * (t_end - self._t_last)
-        return area / span
-
-    def __repr__(self) -> str:
-        return f"TimeWeightedGauge({self.name!r}, level={self._level})"
 
 
 class HistogramSnapshot:

@@ -265,5 +265,5 @@ def test_descriptor_drop_counts_the_write_and_never_lands_it():
     dma = host.nic.dma
     assert write.dropped
     assert dma.dropped_writes == 1 and dma.writes_issued == 0
-    assert host.iio.occupancy_gauge.max == 0
+    assert host.iio.peak_bytes == 0
     assert host.memctrl.writes_completed == 0

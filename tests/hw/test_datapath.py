@@ -7,7 +7,6 @@ from repro.audit.wiring import _register_dma_path, _register_llc
 from repro.hw import (
     CpuConfig,
     DmaWrite,
-    DramConfig,
     Host,
     HostConfig,
     NicConfig,
@@ -236,16 +235,17 @@ def test_iio_full_back_pressure_keeps_order_and_conservation():
     sim.run()
     assert delivered == list(range(32))
     assert host.iio.inbound_inflight == 0
-    assert host.iio.occupancy_gauge.max == 2 * 2048
+    assert host.iio.peak_bytes == 2 * 2048
     assert host.pcie.credits_acquired == host.pcie.credits_released
     report = _dma_path_report(host)
     assert report.ok, report.violations
 
 
 #: Calendar entries one uncontended posted write costs: the landing
-#: callback, the memory controller's wake, and its fill/write-back delay.
-#: Credits and wire are taken without suspending.
-ENTRIES_PER_WRITE = 3
+#: callback and the memory controller's fill/write-back delay. Credits
+#: and wire are taken without suspending, and the landing serves the
+#: idle memory controller inline.
+ENTRIES_PER_WRITE = 2
 
 
 def test_posted_write_calendar_cost():
@@ -263,8 +263,9 @@ def test_posted_write_calendar_cost():
     sim.process(writer(sim))
     executed = sim.run_until(n * gap + 10 * gap, inclusive=True)
     assert host.memctrl.writes_completed == n
-    # Start-up of the writer, memory-controller and firmware processes,
-    # the writer's exit, and one resume of the writer's own gap per write.
+    # Start-up of the writer process and of the memory-controller and
+    # firmware servers, the writer's exit, and one resume of the
+    # writer's own gap per write.
     assert executed == 4 + n * (ENTRIES_PER_WRITE + 1)
 
 
@@ -405,6 +406,77 @@ def test_nic_firmware_overhead_applied():
     host.nic.receive(_Pkt(64))
     sim.run()
     assert sim.now >= host.config.nic.firmware_overhead
+
+
+def test_nic_uncontended_packet_costs_one_firmware_entry():
+    """A packet reaching an idle firmware starts its delay from
+    ``receive`` and a handler that never suspends runs inline, so the
+    firmware costs one calendar entry per packet."""
+    sim = Simulator()
+    host = Host(sim)
+
+    class Inline(_CountingHandler):
+        def on_packet(self, packet):
+            self.seen.append(packet)
+            return
+            yield  # pragma: no cover - makes this function a generator
+
+    handler = Inline(sim)
+    host.nic.install_handler(handler)
+    n, gap = 100, 1_000.0
+    for i in range(n):
+        sim.call_at((i + 1) * gap, host.nic.receive, _Pkt(1024))
+    executed = sim.run_until((n + 1) * gap, inclusive=True)
+    assert host.nic.handled_packets == n
+    # Start-up of the memory-controller and firmware servers, then per
+    # packet its arrival (this test's entry) and the firmware delay.
+    assert executed == 2 + n * (1 + 1)
+
+
+class _Dmaing(_CountingHandler):
+    """Handler doing what an I/O architecture does: one posted write per
+    packet, alternating the DDIO and cache-bypassing (DRAM) paths."""
+
+    def __init__(self, host, delivered):
+        super().__init__(host.sim)
+        self.host = host
+        self.delivered = delivered
+
+    def on_packet(self, packet):
+        self.seen.append(packet)
+        seq = packet.seq
+        write = DmaWrite(f"p{seq}", packet.size, ddio=seq % 2 == 0,
+                         deliver=lambda t: self.delivered.append(seq))
+        yield from self.host.nic.dma.write_to_host(write)
+
+
+def test_tiny_posted_credits_block_the_handler_in_order():
+    """With credits for one write only, each handler blocks on the
+    previous write's drain (inside Simulator.drive), the MAC FIFO holds
+    the rest, and every write still lands once, in order, with credits
+    and the conservation ledger balanced."""
+    sim = Simulator()
+    host = Host(sim, HostConfig(pcie=PcieConfig(posted_credits=1024)))
+    delivered = []
+    host.nic.install_handler(_Dmaing(host, delivered))
+    n = 16
+    for seq in range(n):
+        pkt = _Pkt(2048)
+        pkt.seq = seq
+        assert host.nic.receive(pkt)
+    # The second packet's handler runs at 2 x firmware_overhead and
+    # finds the credits still held by the first write.
+    sim.run(until=3 * host.config.nic.firmware_overhead)
+    assert host.nic.handler_inflight == 1  # blocked on credits
+    assert host.nic._mac_pkts > 1
+    sim.run()
+    assert delivered == list(range(n))
+    assert host.nic.handled_packets == n and host.nic._mac_pkts == 0
+    assert host.nic.handler_inflight == 0
+    assert host.pcie.credits_acquired == host.pcie.credits_released == n * 1024
+    assert host.dram.bytes_written >= (n // 2) * 2048
+    report = _dma_path_report(host)
+    assert report.ok, report.violations
 
 
 def test_on_nic_memory_allocation_bounds():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ETHERNET_OVERHEAD, Flow, FlowKind, Link, Message, SwitchPort
+from repro.net import ETHERNET_OVERHEAD, Flow, FlowKind, Message, SwitchPort
 from repro.sim import Simulator
 
 
@@ -56,17 +56,17 @@ def test_flow_make_message_uses_flow_shape():
 
 
 # ---------------------------------------------------------------------------
-# Link
+# Link: a SwitchPort's serialisation and propagation
 # ---------------------------------------------------------------------------
 
 def test_link_serialisation_and_propagation():
     sim = Simulator()
     arrivals = []
-    link = Link(sim, rate=1.0, propagation=100.0,
-                deliver=lambda p: arrivals.append((p, sim.now)))
+    port = SwitchPort(sim, rate=1.0, propagation=100.0,
+                      deliver=lambda p: arrivals.append((p, sim.now)))
     flow = make_flow()
     pkt = Message(58, 1).packets(flow, 0)[0]  # size 100
-    link.send(pkt)
+    port.send(pkt)
     sim.run()
     assert len(arrivals) == 1
     # 100 bytes at 1 B/ns + 100 ns propagation.
@@ -76,11 +76,11 @@ def test_link_serialisation_and_propagation():
 def test_link_fifo_back_to_back():
     sim = Simulator()
     arrivals = []
-    link = Link(sim, rate=10.0, propagation=0.0,
-                deliver=lambda p: arrivals.append((p.seq, sim.now)))
+    port = SwitchPort(sim, rate=10.0, propagation=0.0,
+                      deliver=lambda p: arrivals.append((p.seq, sim.now)))
     flow = make_flow()
     for pkt in Message(58, 3).packets(flow, 0):
-        link.send(pkt)
+        port.send(pkt)
     sim.run()
     assert [seq for seq, _t in arrivals] == [0, 1, 2]
     times = [t for _s, t in arrivals]
@@ -89,7 +89,7 @@ def test_link_fifo_back_to_back():
 
 def test_link_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
-        Link(Simulator(), rate=0, propagation=0)
+        SwitchPort(Simulator(), rate=0, propagation=0, deliver=print)
 
 
 # ---------------------------------------------------------------------------
@@ -139,4 +139,4 @@ def test_switch_queue_gauge_tracks_occupancy():
     assert port.queued_bytes == 3000
     sim.run()
     assert port.queued_bytes == 0
-    assert port.queue_gauge.max == 3000
+    assert port.peak_queued_bytes == 3000

@@ -379,3 +379,129 @@ def test_many_processes_interleave_deterministically():
     sim.run()
     assert log == sorted(log, key=lambda p: p[0])
     assert len(log) == 8
+
+
+# ---------------------------------------------------------------------------
+# Simulator.drive: a generator run inline for a callback state machine
+# ---------------------------------------------------------------------------
+
+def test_drive_without_suspension_calls_done_inline():
+    sim = Simulator()
+    log = []
+
+    def body(sim):
+        log.append("body")
+        return
+        yield  # pragma: no cover - makes this function a generator
+
+    sim.drive(body(sim), log.append, "done")
+    assert log == ["body", "done"]
+    assert sim.peek() == float("inf")  # no calendar entry
+
+
+def _mixed(sim, ev, log):
+    yield 5
+    log.append(("bare", sim.now))
+    value = yield ev
+    log.append(("event", sim.now, value))
+    yield sim.timeout(2)
+    log.append(("timeout", sim.now))
+
+
+def _schedule_log(start):
+    """Run ``_mixed`` through ``start`` next to a same-time peer and
+    return the interleaving and each calendar entry's (time, seq)."""
+    sim = Simulator()
+    log = []
+    ev = sim.event()
+    sim.call_later(10, ev.succeed, "v")
+    start(sim, _mixed(sim, ev, log), log)
+    for t in (5, 10, 12):
+        sim.call_at(t, log.append, ("peer", t))
+    keys = []
+    while sim.peek() != float("inf"):
+        keys.append(tuple(sim._queue[0][:2]))
+        sim.step()
+    return log, keys
+
+
+def test_drive_suspends_and_resumes_like_a_process():
+    def as_process(sim, gen, log):
+        def wrapper():
+            yield from gen
+            log.append(("done", sim.now))
+        sim.call_later(0.0, sim.process, wrapper())
+
+    def as_drive(sim, gen, log):
+        sim.call_later(0.0, sim.drive, gen,
+                       lambda: log.append(("done", sim.now)))
+
+    proc_log, proc_keys = _schedule_log(as_process)
+    drive_log, drive_keys = _schedule_log(as_drive)
+    # The peers were scheduled first, so they win each tie.
+    assert drive_log == [("peer", 5), ("bare", 5.0), ("peer", 10),
+                         ("event", 10.0, "v"), ("peer", 12),
+                         ("timeout", 12.0), ("done", 12.0)]
+    assert proc_log == drive_log
+    # The process pays one start entry and one exit entry more.
+    assert len(proc_keys) == len(drive_keys) + 2
+
+
+def test_drive_negative_yield_raises_like_a_process():
+    sim = Simulator()
+
+    def bad(sim):
+        yield -1.0  # repro: noqa=D104 -- the rejection under test
+
+    with pytest.raises(SimulationError, match="negative"):
+        sim.drive(bad(sim), lambda: None)
+
+    def late(sim):
+        yield 1.0
+        yield -1.0  # repro: noqa=D104 -- the rejection under test
+
+    sim.drive(late(sim), lambda: None)
+    with pytest.raises(SimulationError, match="negative"):
+        sim.run()
+
+
+def test_drive_delivers_the_error_into_the_generator():
+    sim = Simulator()
+    caught = []
+
+    def recovers(sim):
+        try:
+            yield -1.0  # repro: noqa=D104 -- the rejection under test
+        except SimulationError as exc:
+            caught.append(str(exc))
+        yield 3.0
+
+    done = []
+    sim.drive(recovers(sim), done.append, "done")
+    sim.run()
+    assert caught and "negative" in caught[0]
+    assert done == ["done"] and sim.now == 3.0
+
+
+def test_drive_rejects_non_events_and_foreign_events():
+    sim, other = Simulator(), Simulator()
+
+    def yields(target):
+        yield target
+
+    with pytest.raises(SimulationError, match="expected an Event"):
+        sim.drive(yields("soon"), lambda: None)
+    with pytest.raises(SimulationError, match="another simulator"):
+        sim.drive(yields(other.event()), lambda: None)
+
+
+def test_drive_reraises_an_escaping_exception():
+    sim = Simulator()
+
+    def failing(sim):
+        yield 1.0
+        raise RuntimeError("handler bug")
+
+    sim.drive(failing(sim), lambda: None)
+    with pytest.raises(RuntimeError, match="handler bug"):
+        sim.run()

@@ -106,6 +106,18 @@ def test_debug_rejects_nan_bare_yield():
         sim.run()
 
 
+def test_debug_rejects_nan_yield_under_drive():
+    sim = Simulator(debug=True)
+
+    def proc(sim):
+        yield 1.0
+        yield math.nan  # repro: noqa=D104 -- the rejection under test
+
+    sim.drive(proc(sim), lambda: None)
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.run()
+
+
 def test_release_mode_accepts_nan_silently():
     """The release hot path deliberately skips the check (documents the
     hazard the sanitizer exists for): NaN corrupts the heap invariant."""

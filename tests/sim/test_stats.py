@@ -2,35 +2,7 @@
 
 import pytest
 
-from repro.sim import Histogram, RateMeter, TimeWeightedGauge
-
-
-def test_gauge_time_weighted_mean():
-    g = TimeWeightedGauge(t0=0.0)
-    g.update(10, 4)   # level 0 for 10 ns
-    g.update(20, 0)   # level 4 for 10 ns
-    # mean over [0, 20] = (0*10 + 4*10) / 20 = 2
-    assert g.mean(20) == pytest.approx(2.0)
-    assert g.max == 4
-    assert g.min == 0
-
-
-def test_gauge_mean_extends_to_now():
-    g = TimeWeightedGauge(t0=0.0, initial=2.0)
-    assert g.mean(10) == pytest.approx(2.0)
-
-
-def test_gauge_adjust_delta():
-    g = TimeWeightedGauge(t0=0.0)
-    g.adjust(5, +3)
-    g.adjust(10, -1)
-    assert g.level == 2
-
-
-def test_gauge_backwards_time_rejected():
-    g = TimeWeightedGauge(t0=10.0)
-    with pytest.raises(ValueError):
-        g.update(5, 1)
+from repro.sim import Histogram, RateMeter
 
 
 def test_histogram_exact_small_values():
