@@ -27,7 +27,6 @@ catches catastrophic regressions without being flaky)::
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path

@@ -45,16 +45,6 @@ class Dram:
     def _service_time(self, nbytes: int) -> float:
         return self.config.base_latency + nbytes / self.config.channel_bandwidth
 
-    def read(self, nbytes: int):
-        """Process: read ``nbytes`` (yield from / yield sim.process(...))."""
-        yield self._channels.request()
-        try:
-            yield self._service_time(nbytes)
-        finally:
-            self._channels.release()
-        self.bytes_read += nbytes
-        self.bandwidth_meter.record(self.sim.now, nbytes)
-
     def write(self, nbytes: int, done: Callable, *args) -> None:
         """Write ``nbytes``, then call ``done(*args)``: a callback access
         (the memory controller's), a channel request plus one delay."""

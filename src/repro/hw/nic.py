@@ -75,12 +75,6 @@ class OnNicMemory:
         yield self._bandwidth.take(nbytes)
         self.bytes_written += nbytes
 
-    def read(self, nbytes: int):
-        """Process: read from on-board memory (pre-DMA to host)."""
-        yield self._bandwidth.take(nbytes)
-        yield self.config.memory_latency
-        self.bytes_read += nbytes
-
     def bandwidth_take(self, nbytes: int):
         """Bandwidth-reservation event for an overlapped streaming read."""
         return self._bandwidth.take(nbytes)

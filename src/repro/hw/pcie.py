@@ -84,17 +84,6 @@ class PcieLink:
         bare delay, or the ``call_later`` delay of the landing."""
         return self.config.write_latency + self.extra_latency
 
-    def read(self, payload: int):
-        """Process: a host-issued DMA read returning ``payload`` bytes.
-
-        The request TLP is negligible; the completion stream pays wire
-        serialisation plus the round-trip latency.
-        """
-        wire = self.config.wire_bytes(payload)
-        yield self._wire.take(wire)
-        yield self.config.read_latency + self.extra_latency
-        self.account_read(payload)
-
     def set_wire_rate(self, rate: float) -> None:
         """Fault seam (hw.pcie "stall"): retrain the link to ``rate``
         bytes/ns; restored to ``config.bandwidth`` when the window closes."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from ..core import Finding, ModuleInfo, Rule, attr_chain, register
+from ..core import Finding, ModuleInfo, Rule, register
 
 __all__ = ["UnorderedIteration"]
 

@@ -4,9 +4,13 @@ Layers (each usable on its own):
 
 - :mod:`~repro.runner.sweep` — declarative parameter grids and
   :class:`Point` (stable structural identity + per-point seeds);
-- :mod:`~repro.runner.pool` — fault-tolerant ``multiprocessing`` worker
-  pool (per-point timeout, crash recovery, bounded retry with backoff,
-  serial fallback);
+- :mod:`~repro.runner.pool` — the supervised-worker primitive (one
+  process plus one pipe, waited on with its sentinel; one bounded
+  teardown) and the fault-tolerant point pool built on it (per-point
+  timeout, crash recovery, bounded retry with backoff, serial
+  fallback);
+- :mod:`~repro.runner.shardpool` — the process-mode shard pool of
+  :mod:`repro.shard`, on the same primitive;
 - :mod:`~repro.runner.cache` — content-addressed on-disk result cache
   keyed by params + seed + code fingerprint;
 - :mod:`~repro.runner.progress` — live progress/ETA lines and the

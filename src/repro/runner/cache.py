@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from .sweep import Point, canonical_params
+from .sweep import Point
 
 __all__ = ["ResultCache", "code_fingerprint", "cache_key", "DEFAULT_CACHE_DIR"]
 

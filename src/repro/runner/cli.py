@@ -16,13 +16,13 @@ parallelise against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .pool import PointOutcome, PoolConfig, WorkerPool
 from .progress import Progress
-from .sweep import Point, make_point
+from .sweep import Point
 
 __all__ = ["RunnerOptions", "SweepOutcome", "execute_points", "run_sweeps",
            "run_whole_experiment", "run_experiment_cached"]

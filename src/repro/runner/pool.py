@@ -1,22 +1,30 @@
-"""Fault-tolerant process pool for simulation points.
+"""Fault-tolerant process pool for simulation points, and the
+supervised-worker primitive it shares with :mod:`repro.runner.shardpool`.
 
-Each worker process pulls one point at a time from its own task queue and
-reports on a shared result queue; the supervisor (this module, in the
-parent) owns all policy:
+A :class:`Supervised` worker is one child process plus one duplex pipe.
+Each wait is one :func:`multiprocessing.connection.wait` on the pipe and
+the process sentinel, so one call tells a reply, a death (or an EOF or
+torn pipe: :class:`WorkerLost`) and a deadline apart, with no polling.
+:func:`stop_all` is the one bounded teardown.
+
+:class:`WorkerPool` sends each worker one point at a time and waits on
+every worker at once, until the nearest point deadline or retry backoff.
+The supervisor (this module, in the parent) owns all policy:
 
 - **per-point timeout** — a worker that overruns its deadline is
-  terminated and replaced; the point is retried;
+  killed and replaced; the point is retried;
 - **crash tolerance** — a worker that dies without reporting (segfault,
-  ``os._exit``, OOM-kill) is detected by liveness polling and replaced;
+  ``os._exit``, OOM-kill) wakes the supervisor through its sentinel and
+  is replaced;
 - **bounded retry with backoff** — every failure (exception, crash,
   timeout) is retried up to ``retries`` times, with exponentially growing
   delay, then recorded as a :class:`PointOutcome` failure — one bad point
   never aborts the sweep;
 - **graceful degradation** — ``jobs <= 1``, or any failure to start
-  ``multiprocessing`` workers (platforms without ``fork``/semaphores),
-  falls back to in-process serial execution with the same retry policy
-  (timeouts cannot be enforced without process isolation and are
-  documented as best-effort there).
+  worker processes (platforms without ``fork``/semaphores), falls back
+  to in-process serial execution with the same retry policy (timeouts
+  cannot be enforced without process isolation and are documented as
+  best-effort there).
 
 Results are deterministic regardless of scheduling: a point's value is a
 pure function of ``(fn, params, seed)``, so the supervisor only collates.
@@ -27,19 +35,111 @@ from __future__ import annotations
 import cProfile
 import multiprocessing
 import os
-import queue as queue_mod
 import re
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..audit import drain_reports
 from .sweep import Point, resolve_worker
 
-__all__ = ["PoolConfig", "PointOutcome", "WorkerPool"]
+__all__ = ["PoolConfig", "PointOutcome", "WorkerPool", "Supervised",
+           "WorkerLost", "in_supervised_child", "stop_all"]
 
-_POLL_S = 0.05
+#: Total wall-clock budget for joining every worker at teardown.
+_JOIN_S = 5.0
+
+# True in a child that :class:`Supervised` spawned (set there, so it is
+# child-local).
+_supervised_child = False
+
+
+def in_supervised_child() -> bool:
+    """Whether this process is a :class:`Supervised` child (a sweep-pool
+    or shard worker)."""
+    return _supervised_child
+
+
+class WorkerLost(Exception):
+    """A supervised child died, or closed or tore its pipe."""
+
+
+def _child_main(target, conn, parent_end, cpu: Optional[int],
+                args: Tuple) -> None:
+    global _supervised_child
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    _supervised_child = True
+    # The parent's end came along with the fork; closing it here makes
+    # the parent's death read as EOF.
+    parent_end.close()
+    # The child-local copy of the daemon flag would forbid children of
+    # our own (a sweep point that runs a sharded scenario); the parent
+    # still sees us as daemonic.
+    multiprocessing.current_process().daemon = False
+    target(conn, *args)
+
+
+class Supervised:
+    """One child process running ``target(conn, *args)`` and ``conn``,
+    the parent's end of a duplex pipe to it. The child is pinned to
+    ``cpu`` (unless ``None``) before anything else runs."""
+
+    def __init__(self, target: Callable, args: Tuple = (),
+                 name: Optional[str] = None, cpu: Optional[int] = None):
+        self.conn, child = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(
+            target=_child_main, args=(target, child, self.conn, cpu, args),
+            name=name, daemon=not multiprocessing.current_process().daemon)
+        self.proc.start()
+        # Closed here at once, so the child's death reads as EOF.
+        child.close()
+
+    def reply(self, timeout: Optional[float]) -> Any:
+        """The child's next message, or ``None`` if ``timeout`` seconds
+        (``None``: no limit) pass first. Raises :class:`WorkerLost` if
+        the child closed or tore its pipe, or died."""
+        ready = wait([self.conn, self.proc.sentinel], timeout)
+        if not ready:
+            return None
+        if self.conn in ready:
+            try:
+                return self.conn.recv()
+            except (EOFError, OSError):  # EOF, or a torn mid-kill write
+                pass
+        # The child's pipe end and its sentinel close as it exits.
+        self.proc.join(_JOIN_S)
+        raise WorkerLost(f"worker died (exit {self.proc.exitcode})")
+
+    def kill(self) -> None:
+        """Stop the child now — terminate, then kill if it lingers —
+        and close the pipe."""
+        for stop in (self.proc.terminate, self.proc.kill):
+            if not self.proc.is_alive():
+                break
+            stop()
+            self.proc.join(2)
+        self.conn.close()
+
+
+def stop_all(workers: Sequence[Supervised]) -> None:
+    """Shut ``workers`` down within a bounded wall-clock budget: a
+    polite exit (``None`` on the pipe), one shared join deadline, then
+    :meth:`Supervised.kill` for any that linger, which also closes every
+    pipe end."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except OSError:  # a dead child or a closed pipe
+            pass
+    deadline = time.monotonic() + _JOIN_S
+    for worker in workers:
+        worker.proc.join(max(0.0, deadline - time.monotonic()))
+    for worker in workers:
+        worker.kill()
 
 
 @dataclass
@@ -52,8 +152,6 @@ class PoolConfig:
     retries: int = 1
     #: Base retry delay in seconds; doubles per subsequent attempt.
     backoff: float = 0.5
-    #: multiprocessing start method (``None`` = platform default).
-    start_method: Optional[str] = None
     #: When set, wrap each point in ``cProfile`` and dump a ``.prof`` file
     #: per point into this directory. Forces serial in-process execution
     #: (child-process profiles would be lost with the worker).
@@ -79,68 +177,37 @@ class PointOutcome:
 class _TaskState:
     point: Point
     attempts: int = 0
-    ready_at: float = 0.0           # backoff gate for the next attempt
-    retry_pending: bool = False
+    #: While the task waits out a retry backoff: when it may run again.
+    retry_at: Optional[float] = None
+    #: While the task runs under a timeout: when it overruns.
+    deadline: Optional[float] = None
     outcome: Optional[PointOutcome] = None
     errors: List[str] = field(default_factory=list)
 
 
-class _Worker:
-    """One child process plus its dedicated task queue."""
-
-    def __init__(self, ctx, result_q, name: str):
-        self.task_q = ctx.Queue()
-        self.proc = ctx.Process(target=_worker_main,
-                                args=(self.task_q, result_q),
-                                name=name, daemon=True)
-        self.proc.start()
-        self.task_idx: Optional[int] = None
-        self.deadline: Optional[float] = None
-        self.started_at: float = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.task_idx is None
-
-    def assign(self, idx: int, point: Point,
-               timeout: Optional[float]) -> None:
-        now = time.monotonic()
-        self.task_idx = idx
-        self.started_at = now
-        self.deadline = (now + timeout) if timeout else None
-        self.task_q.put((idx, point.fn, dict(point.params), point.seed))
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join(timeout=5)
-        self.task_q.close()
-        self.task_q.cancel_join_thread()
+def _point_worker(conn) -> None:
+    """Point-worker main: run each ``(fn, params, seed)`` it is sent,
+    replying ``(ok, value, error, elapsed, audit)``, until told to
+    exit."""
+    try:
+        for fn, params, seed in iter(conn.recv, None):
+            start = time.monotonic()
+            try:
+                value = resolve_worker(fn)(params, seed)
+                conn.send((True, value, None, time.monotonic() - start,
+                           drain_reports()))
+            except BaseException as exc:  # report, don't die: the pool retries
+                drain_reports()  # discard partial reports of the failed attempt
+                detail = "".join(
+                    traceback.format_exception_only(type(exc), exc)).strip()
+                conn.send((False, None, detail, time.monotonic() - start,
+                           None))
+    except EOFError:  # the supervisor is gone
+        pass
 
 
-def _worker_main(task_q, result_q) -> None:
-    # The parent-side daemon flag (which reaps us on pool exit) also
-    # copies into this process and would forbid us children of our own.
-    # Clearing the child-local copy lets points that shard across worker
-    # processes (repro.runner.shardpool) run under the pool; the parent
-    # still sees us as daemonic.
-    multiprocessing.current_process().daemon = False
-    while True:
-        item = task_q.get()
-        if item is None:
-            return
-        idx, fn, params, seed = item
-        start = time.monotonic()
-        try:
-            value = resolve_worker(fn)(params, seed)
-            result_q.put((idx, True, value, None, time.monotonic() - start,
-                          drain_reports()))
-        except BaseException as exc:  # report, don't die: the pool retries
-            drain_reports()  # discard partial reports of the failed attempt
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)).strip()
-            result_q.put((idx, False, None, detail,
-                          time.monotonic() - start, None))
+def _spawn(i: int) -> Supervised:
+    return Supervised(_point_worker, name=f"repro-worker-{i}")
 
 
 class WorkerPool:
@@ -233,91 +300,90 @@ class WorkerPool:
     # Multiprocessing path
     # ------------------------------------------------------------------
     def _run_pool(self, points, on_start, on_done) -> List[PointOutcome]:
-        cfg = self.config
-        ctx = (multiprocessing.get_context(cfg.start_method)
-               if cfg.start_method else multiprocessing.get_context())
-        result_q = ctx.Queue()
-        n_workers = min(cfg.jobs, len(points))
-        workers = [_Worker(ctx, result_q, name=f"repro-worker-{i}")
-                   for i in range(n_workers)]
         tasks = [_TaskState(point=p) for p in points]
-        pending: List[int] = list(range(len(tasks)))
-        done_count = 0
+        waiting = deque(range(len(tasks)))
+        workers: List[Supervised] = []
+        # The index of the task each worker runs (None: idle).
+        running: List[Optional[int]] = []
+        left = len(tasks)
         try:
-            while done_count < len(tasks):
+            for i in range(min(self.config.jobs, len(tasks))):
+                workers.append(_spawn(i))
+                running.append(None)
+            while left:
                 now = time.monotonic()
-                done_count += self._drain_results(result_q, tasks, workers,
-                                                 on_done, now)
-                done_count += self._police_workers(ctx, result_q, tasks,
-                                                   workers, on_done)
-                self._dispatch(tasks, pending, workers, on_start)
-                if done_count < len(tasks):
-                    time.sleep(_POLL_S)
+                for idx, task in enumerate(tasks):
+                    if task.retry_at is not None and now >= task.retry_at:
+                        task.retry_at = None
+                        waiting.append(idx)
+                for i, worker in enumerate(workers):
+                    if running[i] is None and waiting:
+                        running[i] = waiting.popleft()
+                        self._assign(worker, tasks[running[i]], on_start)
+                wake = [t for task in tasks
+                        for t in (task.deadline, task.retry_at)
+                        if t is not None]
+                wait([h for w in workers for h in (w.conn, w.proc.sentinel)],
+                     max(0.0, min(wake) - now) if wake else None)
+                for i in range(len(workers)):
+                    left -= self._collect(i, workers, running, tasks,
+                                          on_done)
         finally:
-            self._shutdown(workers)
+            stop_all(workers)
         return [t.outcome for t in tasks]
 
     # -- supervisor steps ----------------------------------------------
-    def _drain_results(self, result_q, tasks, workers, on_done,
-                       now) -> int:
-        finished = 0
-        while True:
-            try:
-                idx, ok, value, error, elapsed, audit = result_q.get_nowait()
-            except queue_mod.Empty:
-                return finished
-            except (EOFError, OSError):  # queue torn by a killed worker
-                return finished
-            for worker in workers:
-                if worker.task_idx == idx:
-                    worker.task_idx = None
-                    worker.deadline = None
-            task = tasks[idx]
-            if task.outcome is not None:
-                continue  # late duplicate from a timed-out attempt
+    def _assign(self, worker: Supervised, task: _TaskState,
+                on_start) -> None:
+        task.attempts += 1
+        if on_start:
+            on_start(task.point, task.attempts)
+        timeout = self.config.timeout
+        task.deadline = time.monotonic() + timeout if timeout else None
+        try:
+            worker.conn.send((task.point.fn, dict(task.point.params),
+                              task.point.seed))
+        except OSError:  # died while idle: the collect reports it
+            pass
+
+    def _collect(self, i: int, workers: List[Supervised],
+                 running: List[Optional[int]], tasks, on_done) -> int:
+        """Take worker ``i``'s reply, if any; replace the worker if it
+        died or overran its point's deadline. Returns the number of
+        points this finished (0 or 1)."""
+        task = None if running[i] is None else tasks[running[i]]
+        try:
+            reply = workers[i].reply(0)
+            if reply is None:
+                if (task is None or task.deadline is None
+                        or time.monotonic() < task.deadline):
+                    return 0
+                error = f"timeout after {self.config.timeout}s"
+        except WorkerLost as lost:
+            reply, error = None, str(lost)
+        if reply is None:
+            workers[i].kill()
+            workers[i] = _spawn(i)
+        running[i] = None
+        if task is None:  # died between points
+            return 0
+        task.deadline = None
+        if reply is not None:
+            ok, value, error, elapsed, audit = reply
             if ok:
                 task.outcome = PointOutcome(
                     point=task.point, ok=True, value=value,
                     attempts=task.attempts, elapsed=elapsed, audit=audit)
-                finished += 1
                 if on_done:
                     on_done(task.outcome)
-            else:
-                task.errors.append(error)
-                finished += self._fail_or_retry(task, now, on_done)
-        return finished
+                return 1
+        task.errors.append(error)
+        return self._fail_or_retry(task, on_done)
 
-    def _police_workers(self, ctx, result_q, tasks, workers,
-                        on_done) -> int:
-        """Detect crashed and overrun workers; replace them; retry."""
-        finished = 0
-        now = time.monotonic()
-        for i, worker in enumerate(workers):
-            if worker.idle:
-                if not worker.proc.is_alive():  # died between tasks
-                    workers[i] = _Worker(ctx, result_q, worker.proc.name)
-                continue
-            crashed = not worker.proc.is_alive()
-            overrun = worker.deadline is not None and now > worker.deadline
-            if not (crashed or overrun):
-                continue
-            idx = worker.task_idx
-            task = tasks[idx]
-            worker.kill()
-            workers[i] = _Worker(ctx, result_q, worker.proc.name)
-            if task.outcome is not None:
-                continue  # result arrived in a drain just before the check
-            task.errors.append(
-                f"timeout after {self.config.timeout}s" if overrun
-                else f"worker died (exit {worker.proc.exitcode})")
-            finished += self._fail_or_retry(task, now, on_done)
-        return finished
-
-    def _fail_or_retry(self, task: _TaskState, now: float, on_done) -> int:
+    def _fail_or_retry(self, task: _TaskState, on_done) -> int:
         if task.attempts <= self.config.retries:
-            task.ready_at = now + self.config.backoff * (
+            task.retry_at = time.monotonic() + self.config.backoff * (
                 2 ** (task.attempts - 1))
-            task.retry_pending = True
             return 0
         task.outcome = PointOutcome(
             point=task.point, ok=False, value=None,
@@ -325,36 +391,3 @@ class WorkerPool:
         if on_done:
             on_done(task.outcome)
         return 1
-
-    def _dispatch(self, tasks, pending: List[int], workers, on_start):
-        now = time.monotonic()
-        # Refill the pending list with tasks whose backoff expired.
-        for idx, task in enumerate(tasks):
-            if task.retry_pending and now >= task.ready_at:
-                task.retry_pending = False
-                pending.append(idx)
-        for worker in workers:
-            if not pending:
-                return
-            if not worker.idle or not worker.proc.is_alive():
-                continue
-            idx = pending.pop(0)
-            task = tasks[idx]
-            task.attempts += 1
-            if on_start:
-                on_start(task.point, task.attempts)
-            worker.assign(idx, task.point, self.config.timeout)
-
-    @staticmethod
-    def _shutdown(workers) -> None:
-        for worker in workers:
-            try:
-                worker.task_q.put(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 5
-        for worker in workers:
-            worker.proc.join(timeout=max(0.1, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=2)

@@ -9,7 +9,8 @@ busy processes, not ``N + 1``, and the coordinator's routing work
 overlaps the workers' windows instead of waiting on them.
 
 **Placement.** When the coordinator's allowed CPU set holds at least
-``N`` CPUs and it is not itself a daemonic sweep-pool worker, it pins
+``N`` CPUs and it is not itself a supervised child (a sweep-pool
+worker, :func:`repro.runner.pool.in_supervised_child`), it pins
 itself to the lowest allowed CPU and each worker to one of the next
 ``N - 1`` (a rerun's workers land on the same CPUs), restoring its own
 mask in :meth:`ProcessShards.close`. Linux treats a pipe write as a
@@ -19,10 +20,9 @@ goes on to run its own kernel, so without pinning the two would share
 one core while the other idles. Placement touches no simulated state.
 In every other case the OS places the processes.
 
-The point pool (:mod:`repro.runner.pool`) polices sweep points between
-process boundaries; this module applies the same supervision *inside*
-one sharded run, where the failure unit is a worker shard, not a point
-(the hosted shard cannot die apart from the coordinator):
+The workers are :class:`~repro.runner.pool.Supervised` children, as
+the sweep pool's are, but the failure unit here is a worker shard, not
+a point (the hosted shard cannot die apart from the coordinator):
 
 - **heartbeats** — at most every ``heartbeat_s`` of wall time, one
   ``shard_heartbeat`` runlog event per shard records its simulated time
@@ -43,8 +43,9 @@ one sharded run, where the failure unit is a worker shard, not a point
   (:class:`~repro.runner.shardjournal.ShardJournal`), fails the run
   with a ``shard_failed`` event and an exception naming the shard.
 
-Every exit path runs the same *bounded* teardown, which joins every
-worker and closes every pipe end, so no orphan survives an attempt.
+Every exit path runs the same *bounded* teardown
+(:func:`~repro.runner.pool.stop_all`), which joins every worker and
+closes every pipe end, so no orphan survives an attempt.
 Events append to the same JSONL format the sweep runner's
 :class:`~repro.runner.progress.Progress` writes (``{"ts": ..., "event":
 ...}`` per line), so a shard pool can share ``runlog.jsonl`` with the
@@ -54,7 +55,6 @@ surrounding sweep.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 import traceback
@@ -62,15 +62,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from .pool import Supervised, WorkerLost, in_supervised_child, stop_all
 from .shardjournal import ShardJournal
 
 __all__ = ["ShardPoolConfig", "ProcessShards", "ShardDied",
            "check_kill_plan", "log_event", "worker_shards"]
-
-_POLL_S = 0.05
-
-#: Total wall-clock budget for joining all workers at teardown.
-_CLOSE_JOIN_S = 5.0
 
 
 @dataclass
@@ -144,11 +140,10 @@ def _placement(order: Tuple[int, ...]) -> List[Optional[int]]:
     """Each shard's CPU, shard ``order[k]`` getting the ``k``-th lowest
     allowed CPU — or ``None`` for every shard when the platform cannot
     pin, fewer CPUs than shards are allowed, or this process is a
-    daemonic sweep-pool worker (whose siblings would all pin onto the
-    same CPUs)."""
+    supervised child such as a sweep-pool worker (whose siblings would
+    all pin onto the same CPUs)."""
     cpus: List[Optional[int]] = [None] * len(order)
-    if (not hasattr(os, "sched_setaffinity")
-            or multiprocessing.current_process().daemon):
+    if not hasattr(os, "sched_setaffinity") or in_supervised_child():
         return cpus
     allowed = sorted(os.sched_getaffinity(0))
     if len(allowed) < len(order):
@@ -158,21 +153,18 @@ def _placement(order: Tuple[int, ...]) -> List[Optional[int]]:
     return cpus
 
 
-def _shard_worker(conn, normal, shards: int, index: int,
-                  cpu: Optional[int]) -> None:
-    """Worker main: pin to ``cpu`` (unless ``None``), build shard
-    ``index`` of a ``shards``-way partition, then serve coordinator
-    commands until told to exit.
+def _shard_worker(conn, normal, shards: int, index: int) -> None:
+    """Worker main: build shard ``index`` of a ``shards``-way
+    partition, then serve coordinator commands until told to exit.
 
     Commands: ``("advance", horizon, inclusive, inbox)`` injects the
     inbox and runs one window, replying ``("advanced", executed,
     outbox)``; ``("open",)`` opens measurement windows; ``("finish",)``
-    replies with the kernel's final export; ``("exit",)`` returns. Any
-    exception is reported as ``("error", detail)`` rather than killing
-    the pipe silently.
+    replies with the kernel's final export; ``None`` (the polite exit of
+    :func:`~repro.runner.pool.stop_all`) returns. Any exception is
+    reported as ``("error", detail)`` rather than killing the pipe
+    silently.
     """
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
     from ..scenario.schema import build_topology
     from ..shard.kernel import ShardKernel
     from ..topo.partition import partition
@@ -180,8 +172,7 @@ def _shard_worker(conn, normal, shards: int, index: int,
         plan = partition(build_topology(normal), shards)
         kernel = ShardKernel(normal, plan, index)
         conn.send(("ready", sorted(kernel.fabric.endpoints)))
-        while True:
-            msg = conn.recv()
+        for msg in iter(conn.recv, None):
             cmd = msg[0]
             if cmd == "advance":
                 _cmd, horizon, inclusive, inbox = msg
@@ -192,8 +183,6 @@ def _shard_worker(conn, normal, shards: int, index: int,
                 conn.send(("opened",))
             elif cmd == "finish":
                 conn.send(("finished",) + kernel.finish())
-            elif cmd == "exit":
-                return
     except EOFError:
         return
     except BaseException as exc:
@@ -238,32 +227,20 @@ class ProcessShards:
         self._log({"event": "shard_pool_start", "shards": self.n,
                    "hosted": self.hosted, "cpus": self.cpus,
                    "plan": plan.describe()})
-        self._conns: List[Any] = [None] * self.n
-        self._procs: List[Any] = [None] * self.n
-        # Daemonic workers die with the coordinator, but a daemonic
-        # parent (a sweep pool worker) may not have daemonic children;
-        # there the bounded close() teardown is the only reaper.
-        daemon = not multiprocessing.current_process().daemon
-        for i in self.workers:
-            parent, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_shard_worker,
-                args=(child, normal, self.n, i, self.cpus[i]),
-                name=f"repro-shard-{i}", daemon=daemon)
-            proc.start()
-            # Closed here at once, so a dead worker's pipe reads EOF
-            # instead of hanging.
-            child.close()
-            self._conns[i] = parent
-            self._procs[i] = proc
-        # Pinned after the spawns, so the workers start from the full
-        # mask and pin themselves.
-        if self.cpus[self.hosted] is not None:
-            self._saved_mask = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {self.cpus[self.hosted]})
-        # Built while the workers build theirs.
+        #: Each worker shard's process (``None`` at the hosted one).
+        self._workers: List[Optional[Supervised]] = [None] * self.n
         from ..shard.kernel import ShardKernel
         try:
+            for i in self.workers:
+                self._workers[i] = Supervised(
+                    _shard_worker, (normal, self.n, i),
+                    name=f"repro-shard-{i}", cpu=self.cpus[i])
+            # Pinned after the spawns, so the workers start from the
+            # full mask and pin themselves.
+            if self.cpus[self.hosted] is not None:
+                self._saved_mask = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {self.cpus[self.hosted]})
+            # Built while the workers build theirs.
             self.kernel = ShardKernel(normal, plan, self.hosted)
         except BaseException:
             self.close()
@@ -285,7 +262,6 @@ class ProcessShards:
         Raises :class:`ShardDied` on crash, pipe corruption, or
         timeout; fails the run outright on a worker's ``("error",
         ...)`` reply. Either way the pool is torn down first."""
-        conn = self._conns[index]
         cfg = self.config
         start = time.monotonic()
         stalled = False
@@ -298,21 +274,22 @@ class ProcessShards:
                            "events_executed": self._last_events[index]})
             if cfg.timeout_s is not None and waited >= cfg.timeout_s:
                 self._died(index, f"timeout after {cfg.timeout_s}s")
-            if conn.poll(_POLL_S):
-                try:
-                    reply = conn.recv()
-                except Exception as exc:  # EOF or a torn mid-kill write
-                    self._died(index, f"worker closed its pipe ({exc!r})")
-                if reply[0] == "error":
-                    self._fail(index, reply[1])
-                if stalled:
-                    self._log({"event": "shard_resume", "shard": index,
-                               "waited_s": round(
-                                   time.monotonic() - start, 3)})
-                return reply
-            if not self._procs[index].is_alive():
-                self._died(index, "worker died (exit "
-                                  f"{self._procs[index].exitcode})")
+            limits = [cfg.timeout_s] if cfg.timeout_s is not None else []
+            if not stalled:
+                limits.append(cfg.stall_s)
+            try:
+                reply = self._workers[index].reply(
+                    min(limits) - waited if limits else None)
+            except WorkerLost as lost:
+                self._died(index, str(lost))
+            if reply is None:
+                continue
+            if reply[0] == "error":
+                self._fail(index, reply[1])
+            if stalled:
+                self._log({"event": "shard_resume", "shard": index,
+                           "waited_s": round(time.monotonic() - start, 3)})
+            return reply
 
     def _died(self, index: int, reason: str) -> None:
         """Tear the pool down (bounded) and raise :class:`ShardDied`."""
@@ -341,13 +318,14 @@ class ProcessShards:
         t0 = time.perf_counter()
         for i in self.workers:
             try:
-                self._conns[i].send(command(i))
-            except (BrokenPipeError, OSError):
+                self._workers[i].conn.send(command(i))
+            except OSError:
                 pass
         if window is not None and self.journal.issue(window):
             for kill_window, shard in self.config.kill_plan:
-                if kill_window == window and self._procs[shard].is_alive():
-                    self._procs[shard].kill()
+                proc = self._workers[shard].proc
+                if kill_window == window and proc.is_alive():
+                    proc.kill()
         t1 = time.perf_counter()
         hosted = hosted_step()
         t2 = time.perf_counter()
@@ -413,44 +391,17 @@ class ProcessShards:
         return finals
 
     def close(self) -> None:
-        """Shut the workers down (idempotent) within a bounded
-        wall-clock budget: polite exit, one shared join deadline, then
-        terminate -> kill escalation, and close every parent pipe end —
-        also the teardown path of a failed or dead attempt, so no
-        orphaned process or fd survives, and the coordinator's CPU mask
-        is the one it had before the pool pinned it."""
+        """Shut the workers down (idempotent) through the bounded
+        :func:`~repro.runner.pool.stop_all` — also the teardown path of
+        a failed or dead attempt, so no orphaned process or fd survives
+        — and restore the coordinator's CPU mask from before the pool
+        pinned it."""
         if self._closed:
             return
         self._closed = True
         if self._saved_mask is not None:
             os.sched_setaffinity(0, self._saved_mask)
-        procs = [p for p in self._procs if p is not None]
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + _CLOSE_JOIN_S
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            if proc.is_alive():
-                proc.join(timeout=2)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=2)
-        for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.close()
-            except OSError:
-                pass
+        stop_all([w for w in self._workers if w is not None])
         self._log({"event": "shard_pool_done", "shards": self.n,
                    "events_executed": list(self._last_events),
                    "kernel_s": round(self._kernel_s, 6),

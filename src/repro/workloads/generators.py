@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator, List
 
 __all__ = ["FixedSize", "UniformSize", "LognormalSize", "LongTailSize",

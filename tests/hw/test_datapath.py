@@ -24,13 +24,10 @@ def test_dram_access_latency_includes_transfer():
     sim = Simulator()
     host = Host(sim)
     cfg = host.config.dram
-
-    def proc(sim):
-        t0 = sim.now
-        yield from host.dram.read(2048)
-        return sim.now - t0
-
-    latency = sim.run_process(proc(sim))
+    ends = []
+    host.dram.write(2048, lambda: ends.append(sim.now))
+    sim.run()
+    (latency,) = ends
     assert latency == pytest.approx(cfg.base_latency + 2048 / cfg.channel_bandwidth)
 
 
@@ -38,13 +35,8 @@ def test_dram_channels_parallelise():
     sim = Simulator()
     host = Host(sim)
     ends = []
-
-    def proc(sim):
-        yield from host.dram.read(2048)
-        ends.append(sim.now)
-
     for _ in range(host.config.dram.channels):
-        sim.process(proc(sim))
+        host.dram.write(2048, lambda: ends.append(sim.now))
     sim.run()
     assert len(set(ends)) == 1  # all channels in parallel, same finish time
 
@@ -122,7 +114,7 @@ def test_pcie_read_costs_round_trip():
 
     def proc(sim):
         t0 = sim.now
-        yield from host.pcie.read(2048)
+        yield from host.nic.dma.read_from_nic(host.nic.memory, 2048)
         return sim.now - t0
 
     latency = sim.run_process(proc(sim))

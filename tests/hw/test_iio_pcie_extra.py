@@ -116,7 +116,7 @@ def test_on_nic_memory_write_read_bandwidth_shared():
         # Exceed the bucket's burst so sustained bandwidth governs.
         for _ in range(8):
             yield from mem.write(64 * 1024)
-        yield from mem.read(64 * 1024)
+        yield from host.nic.dma.read_from_nic(mem, 64 * 1024)
 
     sim.process(worker(sim))
     sim.run()

@@ -1,4 +1,9 @@
-"""WorkerPool fault tolerance: retries, crashes, timeouts, degradation."""
+"""WorkerPool fault tolerance: retries, crashes, timeouts, degradation,
+teardown, and the points that run shard pools of their own."""
+
+import multiprocessing
+
+import pytest
 
 from repro.runner import Point, PoolConfig, WorkerPool
 
@@ -85,8 +90,48 @@ def test_pool_enforces_per_point_timeout():
     assert fast.ok
 
 
-def test_degrades_to_serial_when_start_method_is_bogus():
-    pool = WorkerPool(PoolConfig(jobs=4, start_method="no-such-method"))
+def test_a_run_with_a_timeout_kill_and_a_crash_leaves_no_children(
+        tmp_path):
+    _, outcomes = _run([_pt("sleepy", {"sleep": 30}, "slow"),
+                        _pt("hard_crash", {"dir": str(tmp_path),
+                                           "name": "h"}, "h"),
+                        _pt("ok", {"a": 1}, "fast")],
+                       jobs=2, retries=0, timeout=1.0)
+    slow, crash, fast = outcomes
+    assert "timeout after 1.0s" in slow.error
+    assert "worker died" in crash.error
+    assert fast.ok
+    assert multiprocessing.active_children() == []
+
+
+def test_placement_inside_a_pool_point_pins_nothing():
+    # Sibling points that each pinned a shard pool would all pin onto
+    # the same lowest CPUs.
+    _, outcomes = _run([_pt("placement", {"shards": 2, "point": i}, f"p{i}")
+                        for i in range(2)], jobs=2)
+    assert [o.value for o in outcomes] == [[None, None]] * 2
+
+
+@pytest.mark.slow
+def test_a_process_sharded_point_prints_the_single_kernel_bytes():
+    run = ["run", "all-to-all-storage"]
+    pool, (single, sharded) = _run(
+        [_pt("scenario_stdout", {"argv": run + ["--shards", "1"]}, "s1"),
+         _pt("scenario_stdout",
+             {"argv": run + ["--shards", "2", "--shard-mode", "process"]},
+             "s2")], jobs=2, retries=0)
+    assert not pool.degraded_to_serial
+    assert single.ok and sharded.ok, (single.error, sharded.error)
+    assert single.value["rc"] == sharded.value["rc"] == 0
+    assert sharded.value["stdout"] == single.value["stdout"]
+
+
+def test_degrades_to_serial_when_start_method_is_bogus(monkeypatch):
+    def start(self):
+        raise OSError("no-such-method")
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
+    pool = WorkerPool(PoolConfig(jobs=4))
     outcomes = pool.run([_pt("ok", {"a": 3}, "p")])
     assert pool.degraded_to_serial
     assert "no-such-method" in pool.degradation_reason

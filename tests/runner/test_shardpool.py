@@ -12,8 +12,14 @@ process or pipe fd survives a failed or dead attempt.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
+
+import repro
 
 from repro.runner import shardpool
 from repro.runner.shardpool import (ProcessShards, ShardDied,
@@ -87,8 +93,8 @@ def _record_attempts(monkeypatch):
 def _assert_torn_down(pool):
     """No worker process or parent pipe end of ``pool`` survives."""
     for i in pool.workers:
-        assert not pool._procs[i].is_alive()
-        assert pool._conns[i].closed
+        assert not pool._workers[i].proc.is_alive()
+        assert pool._workers[i].conn.closed
 
 
 def test_runlog_heartbeats_attribute_each_shard(tmp_path):
@@ -234,6 +240,48 @@ def test_failure_teardown_leaves_no_orphans():
     _assert_torn_down(pool)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process states from /proc")
+def test_workers_exit_when_the_coordinator_is_killed():
+    # A sweep point's timeout kills its process outright, with no
+    # teardown; the workers of a shard pool built there must see EOF.
+    coordinator = (
+        "import time\n"
+        "from repro.runner.shardpool import ProcessShards\n"
+        "from repro.scenario import validate\n"
+        "from repro.scenario.schema import build_topology\n"
+        "from repro.scenario.templates import template\n"
+        "from repro.topo.partition import partition\n"
+        "normal = validate(template('all-to-all-storage'))\n"
+        "pool = ProcessShards(normal, partition(build_topology(normal), 4))\n"
+        "print(*(pool._workers[i].proc.pid for i in pool.workers),"
+        " flush=True)\n"
+        "time.sleep(600)\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", coordinator],
+                            stdout=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    pids = [int(pid) for pid in proc.stdout.readline().split()]
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                return fh.read().split()[2] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 10.0
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert len(pids) == 3 and left == []
+
+
 def test_the_hosted_cell_is_the_heaviest():
     pool, plan = _pool()
     try:
@@ -243,8 +291,8 @@ def test_the_hosted_cell_is_the_heaviest():
         assert sorted(pool.workers + (pool.hosted,)) == \
             list(range(plan.n_shards))
         # Only the workers are processes.
-        assert pool._procs[pool.hosted] is None
-        assert all(pool._procs[i].is_alive() for i in pool.workers)
+        assert pool._workers[pool.hosted] is None
+        assert all(pool._workers[i].proc.is_alive() for i in pool.workers)
     finally:
         pool.close()
 
@@ -308,7 +356,7 @@ def test_each_shard_runs_on_a_cpu_of_its_own(tmp_path):
         mine = os.sched_getaffinity(0)
         assert mine == {min(before)} == {pool.cpus[pool.hosted]}
         for i in pool.workers:
-            theirs = os.sched_getaffinity(pool._procs[i].pid)
+            theirs = os.sched_getaffinity(pool._workers[i].proc.pid)
             assert theirs == {pool.cpus[i]}
             assert not theirs & mine
     finally:
@@ -354,7 +402,7 @@ def test_a_reruns_workers_land_on_the_same_cpus(monkeypatch):
     class Recorded(ProcessShards):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            masks = {i: os.sched_getaffinity(self._procs[i].pid)
+            masks = {i: os.sched_getaffinity(self._workers[i].proc.pid)
                      for i in self.workers}
             masks[self.hosted] = os.sched_getaffinity(0)
             placed.append((self.cpus, masks))

@@ -4,6 +4,8 @@ Workers are referenced as ``"tests.runner.workers:<name>"`` so both the
 parent process and forked/spawned pool workers can resolve them.
 """
 
+import contextlib
+import io
 import os
 import time
 from pathlib import Path
@@ -64,3 +66,19 @@ def audited(params, seed):
     if params.get("dir"):
         _attempt_count(params)
     return {"leak": leak}
+
+
+def placement(params, seed):
+    """The CPUs a shard pool built in this worker would pin."""
+    from repro.runner.shardpool import _placement
+    return _placement(tuple(range(params["shards"])))
+
+
+def scenario_stdout(params, seed):
+    """Run the scenario CLI with ``params["argv"]``; its exit code and
+    what it printed."""
+    from repro.scenario.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(params["argv"])
+    return {"rc": rc, "stdout": out.getvalue()}

@@ -3,7 +3,7 @@ process lifecycle, and scheduling determinism."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, SimulationError, Simulator
 
 
 def test_any_of_propagates_failure():
