@@ -7,9 +7,9 @@ reproduction run:
 
 - **timer-churn** — many processes doing ``yield <delay>`` in a tight loop
   (the firmware/link/DMA serialisation idiom);
-- **producer-consumer** — processes rendezvousing through a
-  :class:`~repro.sim.Store` with a serialisation timeout per item (the
-  ring/queue idiom);
+- **producer-consumer** — producer processes feeding callback servers
+  through a deque with one waiter callback, each item served for a
+  ``call_later`` delay (the ``IioBuffer``/memory-controller idiom);
 - **callback-chain** — ``call_later`` callables rescheduling themselves
   (the propagation-delay / control-tick idiom).
 
@@ -27,11 +27,13 @@ catches catastrophic regressions without being flaky)::
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 #: Events per workload run. Large enough that interpreter warm-up noise is
 #: <1%, small enough that the whole file runs in a few seconds.
@@ -65,7 +67,7 @@ def timer_churn(n_procs: int = 32, n_events: int = N_EVENTS) -> int:
 
     def ticker(period):
         for _ in range(per_proc):
-            yield sim.timeout(period)
+            yield period
 
     for i in range(n_procs):
         sim.process(ticker(1.0 + 0.1 * i), name=f"tick{i}")
@@ -73,27 +75,48 @@ def timer_churn(n_procs: int = 32, n_events: int = N_EVENTS) -> int:
     return n_procs * per_proc
 
 
+class _Server:
+    """A callback server fed through a deque: an idle server leaves one
+    waiter callback that the next put calls (``IioBuffer.take``)."""
+
+    def __init__(self, sim: Simulator, service: float):
+        self.sim = sim
+        self.service = service
+        self.items: deque = deque()
+        self.waiter = None
+        self._next()
+
+    def put(self, item) -> None:
+        if self.waiter is None:
+            self.items.append(item)
+        else:
+            self.waiter = None
+            self._serve(item)
+
+    def _next(self) -> None:
+        if self.items:
+            self._serve(self.items.popleft())
+        else:
+            self.waiter = self._serve
+
+    def _serve(self, _item) -> None:
+        self.sim.call_later(self.service, self._next)
+
+
 def producer_consumer(n_pairs: int = 8, n_events: int = N_EVENTS) -> int:
-    """Producer/consumer pairs rendezvousing through a bounded Store."""
+    """Producer processes feeding idle callback servers through a deque."""
     sim = Simulator()
-    per_pair = n_events // (4 * n_pairs)  # 4 kernel events per item
+    per_pair = n_events // (2 * n_pairs)  # 2 kernel events per item
 
-    def producer(store):
+    def producer(server):
         for i in range(per_pair):
-            yield store.put(i)
-            yield sim.timeout(1.0)
-
-    def consumer(store):
-        for _ in range(per_pair):
-            yield store.get()
-            yield sim.timeout(1.5)
+            server.put(i)
+            yield 1.5
 
     for i in range(n_pairs):
-        store = Store(sim, capacity=16, name=f"q{i}")
-        sim.process(producer(store), name=f"prod{i}")
-        sim.process(consumer(store), name=f"cons{i}")
+        sim.process(producer(_Server(sim, 1.0)), name=f"prod{i}")
     sim.run()
-    return 4 * n_pairs * per_pair
+    return 2 * n_pairs * per_pair
 
 
 def callback_chain(n_chains: int = 16, n_events: int = N_EVENTS) -> int:
@@ -141,6 +164,7 @@ def write_json(results: dict) -> None:
         "bench": "engine_hotpath",
         "n_events": N_EVENTS,
         "python": sys.version.split()[0],
+        "cores": len(os.sched_getaffinity(0)),
         "events_per_sec": results,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)

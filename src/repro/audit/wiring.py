@@ -18,11 +18,11 @@ components already keep. Each counter is registered as an
 Accounts marked ``barrier_safe`` have debit/credit transitions that are
 atomic within one kernel step, so they also hold at arbitrary mid-run
 barriers (the ``REPRO_SIM_DEBUG=1`` periodic checks). The PCIe credit
-account is *not* barrier-safe: :class:`repro.sim.resources.Container`
-debits its level synchronously but the waiting DMA process only counts the
-acquisition when it resumes (same timestamp), so that equation is exact
-only once the event calendar has drained — which ``Simulator.run(until=T)``
-guarantees at every return.
+account is *not* barrier-safe: a credit release debits
+``PcieLink.credits_available`` for the waiters it grants synchronously,
+but each granted DMA process only counts its acquisition when it resumes
+(same timestamp), so that equation is exact only once the event calendar
+has drained — which ``Simulator.run(until=T)`` guarantees at every return.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _register_dma_path(ledger: Union[Ledger, _PrefixedLedger],
     credits.credit("released", (pcie, "credits_released"))
     credits.credit("outstanding",
                    lambda: pcie.config.posted_credits
-                   - pcie._credits.level)
+                   - pcie.credits_available)
 
     nicmem = ledger.account("hw.nicmem", "bytes", barrier_safe=True)
     nicmem.debit("allocated", (host.nic.memory, "allocated_bytes"))

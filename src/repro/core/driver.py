@@ -12,9 +12,29 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..net.packet import Flow
-from ..sim import Interrupt
+from ..sim import Event, Interrupt, Process, Simulator
 
 __all__ = ["CeioDriver"]
+
+
+def _first_of(sim: Simulator, procs: List[Process]) -> Event:
+    """An event that fires when the first of ``procs`` ends, failing with
+    its exception if it crashed. Every process keeps the callback, so a
+    later crash is delivered here and ignored instead of raising out of
+    the kernel (:meth:`Process._crash` raises only with no waiter)."""
+    first = sim.event()
+
+    def ended(proc: Process) -> None:
+        if first.triggered:
+            return
+        if proc.ok:
+            first.succeed()
+        else:
+            first.fail(proc.value)
+
+    for proc in procs:
+        proc.add_callback(ended)
+    return first
 
 
 class CeioDriver:
@@ -141,7 +161,7 @@ class CeioDriver:
                                 name="drain-batch"))
                             continue
                     if outstanding:
-                        yield sim.any_of(outstanding)
+                        yield _first_of(sim, outstanding)
                     else:
                         yield self.runtime.poll_interval
             except Interrupt:

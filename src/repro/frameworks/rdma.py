@@ -19,11 +19,12 @@ own DMA/completion engine, not software.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
+from collections import deque
+from typing import Deque, Dict, List
 
 from ..io_arch.base import IOArchitecture, RxRecord
 from ..net.packet import Flow
-from ..sim import Simulator, Store
+from ..sim import Simulator
 
 __all__ = ["QpType", "WorkCompletion", "CompletionQueue", "QueuePair",
            "RdmaEndpoint"]
@@ -52,28 +53,28 @@ class WorkCompletion:
 
 
 class CompletionQueue:
-    """Completion queue polled (or blocked on) by the application."""
+    """A bounded FIFO of completions polled by the application; a push
+    onto a full queue is counted as an overflow and dropped."""
 
     def __init__(self, sim: Simulator, depth: int = 4096):
         self.sim = sim
-        self._cq = Store(sim, capacity=depth, name="cq")
+        self.depth = depth
+        self._cq: Deque[WorkCompletion] = deque()
         self.overflows = 0.0
 
     def __len__(self) -> int:
         return len(self._cq)
 
     def push(self, wc: WorkCompletion) -> None:
-        if not self._cq.try_put(wc):
+        if len(self._cq) < self.depth:
+            self._cq.append(wc)
+        else:
             self.overflows += 1
 
     def poll(self, max_wc: int) -> List[WorkCompletion]:
         """Non-blocking poll (ibv_poll_cq)."""
-        return self._cq.get_batch(max_wc)
-
-    def wait(self):
-        """Process: block until one completion is available (event channel)."""
-        wc = yield self._cq.get()
-        return wc
+        cq = self._cq
+        return [cq.popleft() for _ in range(min(max_wc, len(cq)))]
 
 
 class QueuePair:

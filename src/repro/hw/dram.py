@@ -9,9 +9,10 @@ LLC misses burn.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import deque
+from typing import Callable, Deque
 
-from ..sim import Resource, Simulator
+from ..sim import Simulator
 from ..sim.stats import RateMeter
 from .config import DramConfig
 
@@ -22,7 +23,10 @@ class Dram:
     def __init__(self, sim: Simulator, config: DramConfig):
         self.sim = sim
         self.config = config
-        self._channels = Resource(sim, capacity=config.channels, name="dram")
+        #: Channels held by an access, and the accesses waiting for one
+        #: in arrival order, as ``(nbytes, done, args)``.
+        self._busy = 0
+        self._queued: Deque[tuple] = deque()
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         self.bandwidth_meter = RateMeter("dram.bw", window=10_000.0)
@@ -47,15 +51,25 @@ class Dram:
 
     def write(self, nbytes: int, done: Callable, *args) -> None:
         """Write ``nbytes``, then call ``done(*args)``: a callback access
-        (the memory controller's), a channel request plus one delay."""
-        def granted(_event) -> None:
-            self.sim.call_later(self._service_time(nbytes), self._written,
-                                nbytes, done, args)
+        (the memory controller's). A free channel is granted one calendar
+        entry from now; otherwise the access queues FIFO and is granted
+        the channel the next finishing access releases."""
+        if self._busy < self.config.channels and not self._queued:
+            self._busy += 1
+            self.sim.call_later(0.0, self._granted, nbytes, done, args)
+        else:
+            self._queued.append((nbytes, done, args))
 
-        self._channels.request().add_callback(granted)
+    def _granted(self, nbytes: int, done: Callable, args: tuple) -> None:
+        self.sim.call_later(self._service_time(nbytes), self._written,
+                            nbytes, done, args)
 
     def _written(self, nbytes: int, done: Callable, args: tuple) -> None:
-        self._channels.release()
+        if self._queued:
+            # Hand the channel straight to the oldest queued access.
+            self.sim.call_later(0.0, self._granted, *self._queued.popleft())
+        else:
+            self._busy -= 1
         self.bytes_written += nbytes
         self.bandwidth_meter.record(self.sim.now, nbytes)
         done(*args)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from ..sim import Simulator, TokenBucket
+from ..sim import Event, Simulator, TokenBucket
 from .config import NicConfig
 from .iio import IioBuffer
 from .memctrl import DmaWrite
@@ -24,6 +24,24 @@ __all__ = ["OnNicMemory", "DmaEngine", "ArmCores", "Nic"]
 
 #: MAC-side receive buffer (packet FIFO in front of the firmware), bytes.
 MAC_BUFFER_BYTES = 1024 * 1024
+
+
+def _joined(first: Event, second: Event) -> Event:
+    """An event that succeeds once ``first`` and ``second`` have both
+    fired: one calendar entry, pushed when the later one fires. (Both are
+    token-bucket takes, which never fail.)"""
+    joined = first.sim.event()
+    pending = 2
+
+    def fired(_event: Event) -> None:
+        nonlocal pending
+        pending -= 1
+        if not pending:
+            joined.succeed()
+
+    first.add_callback(fired)
+    second.add_callback(fired)
+    return joined
 
 
 class OnNicMemory:
@@ -144,9 +162,8 @@ class DmaEngine:
         """
         if self.sim.now < self.stall_until:
             yield self.stall_until - self.sim.now
-        nicmem_take = nic_memory.bandwidth_take(nbytes)
-        wire_take = self.pcie.wire_take(nbytes)
-        yield self.sim.all_of([nicmem_take, wire_take])
+        yield _joined(nic_memory.bandwidth_take(nbytes),
+                      self.pcie.wire_take(nbytes))
         yield (nic_memory.config.memory_latency
                + self.pcie.config.read_latency + self.pcie.extra_latency)
         nic_memory.bytes_read += nbytes

@@ -13,7 +13,10 @@ Models the three properties the paper's data path depends on:
 
 from __future__ import annotations
 
-from ..sim import Container, Simulator, TokenBucket
+from collections import deque
+from typing import Deque
+
+from ..sim import Simulator, TokenBucket
 from ..sim.stats import RateMeter
 from .config import PcieConfig
 
@@ -28,10 +31,10 @@ class PcieLink:
         self._wire = TokenBucket(sim, rate=config.bandwidth,
                                  burst=max(128 * 1024, config.max_payload * 8),
                                  name="pcie.wire")
-        # Posted-write credits in payload bytes.
-        self._credits = Container(sim, capacity=config.posted_credits,
-                                  init=config.posted_credits,
-                                  name="pcie.credits")
+        #: Posted-write credits in payload bytes, and the writers waiting
+        #: for credits in arrival order, as ``(event, amount)``.
+        self.credits_available: float = config.posted_credits
+        self._credit_waiters: Deque[tuple] = deque()
         self.bytes_written = 0.0
         self.bytes_read = 0.0
         self.bandwidth_meter = RateMeter("pcie.bw", window=10_000.0)
@@ -43,26 +46,40 @@ class PcieLink:
         #: nanoseconds added to every transaction; 0.0 when healthy.
         self.extra_latency = 0.0
 
-    @property
-    def credits_available(self) -> float:
-        return self._credits.level
-
     def utilization(self, now: float) -> float:
         """Recent wire utilisation (HostCC samples this)."""
         return min(1.0, self.bandwidth_meter.rate(now) / self.config.bandwidth)
 
     def acquire_write_credits(self, payload: int):
-        """Process: wait for posted-write credits for ``payload`` bytes."""
+        """Process: wait for posted-write credits for ``payload`` bytes.
+
+        Taken now only when nobody waits; otherwise the writer queues
+        FIFO, so a large request at the head holds back smaller ones."""
         amount = min(payload, self.config.posted_credits)
-        if not self._credits.try_get(amount):
-            yield self._credits.get(amount)
+        if self._credit_waiters or self.credits_available < amount:
+            granted = self.sim.event()
+            self._credit_waiters.append((granted, amount))
+            yield granted
+        else:
+            self.credits_available -= amount
         self.credits_acquired += amount
 
     def release_write_credits(self, payload: int) -> None:
-        """Credits return when the IIO entry drains (memctrl calls this)."""
+        """Credits return when the IIO entry drains (memctrl calls this).
+
+        A release that would overflow the pool is refused; otherwise the
+        waiters at the head are granted while the level covers them."""
         amount = min(payload, self.config.posted_credits)
-        if self._credits.try_put(amount):
-            self.credits_released += amount
+        level = self.credits_available + amount
+        if level > self.config.posted_credits:
+            return
+        waiters = self._credit_waiters
+        while waiters and level >= waiters[0][1]:
+            granted, take = waiters.popleft()
+            level -= take
+            granted.succeed()
+        self.credits_available = level
+        self.credits_released += amount
 
     def write_issue(self, payload: int):
         """Process: serialise a posted write onto the wire.

@@ -91,13 +91,12 @@ class Rule:
 
 #: Attribute-call names that mean "this module schedules on the engine".
 SCHEDULING_ATTRS = frozenset({
-    "call_later", "call_at", "process", "timeout",
-    "spawn_loop", "any_of", "all_of", "run_process",
+    "call_later", "call_at", "process", "spawn_loop", "run_process",
 })
 
 
 def attr_chain(node: ast.AST) -> Optional[str]:
-    """Dotted source text of a Name/Attribute chain (``self.sim.timeout``),
+    """Dotted source text of a Name/Attribute chain (``self.sim.event``),
     or ``None`` if the chain roots in something else (a call, a subscript)."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -151,7 +150,7 @@ class ModuleInfo:
     @property
     def touches_scheduling(self) -> bool:
         """Whether this module calls into the engine's scheduling API
-        (``sim.process``/``call_later``/``timeout``/... or constructs a
+        (``sim.process``/``call_later``/... or constructs a
         ``Simulator``). Ordering-sensitivity rules only fire here."""
         if self._touches_scheduling is None:
             found = False

@@ -21,8 +21,8 @@ D105 catches dropped ownership:
 - a ``call_later``/``call_at`` handle bound to a local that
   is never read again — either :meth:`Simulator.cancel` it somewhere or
   do not bind it;
-- ``sim.timeout(...)`` / ``sim.event()`` as a bare statement creates an
-  event nobody can ever wait on (almost always a missing ``yield``).
+- ``sim.event()`` as a bare statement creates an event nobody can ever
+  wait on (almost always a missing ``yield``).
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class EngineIdioms(Rule):
                 if isinstance(fn, ast.Attribute):
                     if fn.attr in _SCHED_CALLS:
                         self._lambda_capture(node)
-                    if fn.attr in ("call_later", "timeout"):
+                    if fn.attr == "call_later":
                         self._negative_delay(node)
                 self.generic_visit(node)
 
@@ -211,7 +211,7 @@ class DroppedHandles(Rule):
     code = "D105"
     summary = ("dropped process/cancellation handles: bare sim.process() "
                "statements, never-read call_later handles, discarded "
-               "timeout()/event() results")
+               "event() results")
 
     def applies(self, module: ModuleInfo) -> bool:
         return (self.config.is_sim_side(module.package)
@@ -227,12 +227,11 @@ class DroppedHandles(Rule):
                         "spawned process handle discarded — keep the "
                         "Process (e.g. on self) so it can be interrupted "
                         "and its crash attributed")
-                elif _sim_receiver(chain, "timeout") \
-                        or _sim_receiver(chain, "event"):
+                elif _sim_receiver(chain, "event"):
                     yield module.finding(
                         node, self.code,
-                        f"result of {chain}() discarded — the event fires "
-                        "with no waiter (missing yield?)")
+                        f"result of {chain}() discarded — nothing can "
+                        "ever wait on the event (missing yield?)")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._dead_handles(module, node)
 

@@ -16,8 +16,7 @@ dominant operations have allocation-free fast paths (see
 
 - ``yield <float>`` from a process means "timeout of that many
   nanoseconds": the process is rescheduled directly on the calendar with
-  no :class:`Timeout` (or any other) object constructed. This is the
-  preferred way to suspend when the timeout's event object is not needed.
+  no event object constructed. It is the one way to wait for a delay.
 - :meth:`Simulator.call_later` / :meth:`Simulator.call_at` push a plain
   callable (plus positional args) onto the calendar — no ``Event``, no
   closure. They return a *handle* that :meth:`Simulator.cancel` turns
@@ -25,13 +24,8 @@ dominant operations have allocation-free fast paths (see
 - :meth:`Simulator.drive` runs a generator inline for a callback state
   machine and calls back when it returns; it reaches the calendar only
   when the generator suspends.
-- ``Simulator.timeout()`` recycles fired :class:`Timeout` objects through
-  a small free-list when the sole waiter was a process (the ``yield
-  sim.timeout(d)`` idiom). A timeout yielded to the kernel is owned by
-  the kernel once the process resumes and must not be retained across
-  the resume.
 
-Determinism contract: every scheduling action — event trigger, timeout,
+Determinism contract: every scheduling action — event trigger,
 bare-float yield, ``call_later`` — consumes exactly one monotonically
 increasing sequence number, and ties at equal simulated time are broken
 by that sequence number. Fast paths change *what is allocated*, never
@@ -70,11 +64,8 @@ for the full contract). The release hot path is unchanged and stays
 allocation-free; when the sanitizer is on the kernel additionally
 
 - asserts monotonic event time in the run loop (and rejects NaN times),
-- rejects NaN timeout delays at every scheduling entry point (negative
+- rejects NaN delays at every scheduling entry point (negative
   delays are rejected unconditionally, debug or not),
-- poisons sole-waiter :class:`Timeout` objects after they fire instead
-  of recycling them, so a process that illegally retains one across its
-  resume gets a hard error instead of silent state aliasing,
 - detects events triggered and callbacks scheduled after
   :meth:`Simulator.close` (run teardown), and
 - tracks every spawned :class:`Process` so :meth:`Simulator.close`
@@ -99,16 +90,13 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "Simulator",
     "Event",
-    "Timeout",
     "Process",
     "Interrupt",
-    "AnyOf",
-    "AllOf",
     "SimulationError",
     "DOMAIN_SHIFT",
 ]
@@ -139,14 +127,8 @@ class Interrupt(Exception):
 #: Sentinel distinguishing "not yet triggered" from a ``None`` event value.
 _PENDING = object()
 
-#: Sanitizer poison value: a recycled Timeout retained across a resume.
-_RECYCLED = object()
-
 #: Sentinel target for a process suspended on a bare-float timeout.
 _BARE = object()
-
-#: Fired Timeouts kept for reuse, per simulator.
-_POOL_MAX = 128
 
 _EMPTY = ()
 
@@ -192,10 +174,6 @@ class Event:
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value is not yet available")
-        if self._value is _RECYCLED:
-            raise SimulationError(
-                "timeout was recycled by the kernel: a timeout yielded to "
-                "the kernel must not be retained across the resume")
         return self._value
 
     # -- triggering ------------------------------------------------------
@@ -239,14 +217,9 @@ class Event:
         if self.callbacks is None:
             # Already fired: deliver at the current step.
             sim = self.sim
-            if sim._debug:
-                if self._value is _RECYCLED:
-                    raise SimulationError(
-                        "waiting on a timeout the kernel already recycled")
-                if sim._closed:
-                    raise SimulationError(
-                        f"callback scheduled on {self!r} after "
-                        "Simulator.close()")
+            if sim._debug and sim._closed:
+                raise SimulationError(
+                    f"callback scheduled on {self!r} after Simulator.close()")
             seq = sim._seq + 1
             sim._seq = seq
             heappush(sim._queue, [sim._now, seq, fn, (self,)])
@@ -263,62 +236,6 @@ class Event:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` nanoseconds after creation.
-
-    Instances whose sole waiter is a process (``yield sim.timeout(d)``)
-    are recycled through the simulator's free-list after firing; such a
-    timeout must not be retained by the process across the resume.
-    """
-
-    __slots__ = ("delay", "_delayed_value", "_armed")
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        Event.__init__(self, sim)
-        self.delay = delay
-        self._delayed_value = value
-        #: True when the kernel may recycle this instance after it fires.
-        self._armed = False
-        seq = sim._seq + 1
-        sim._seq = seq
-        heappush(sim._queue, [sim._now + delay, seq, self._process, _EMPTY])
-
-    def _process(self) -> None:
-        # The value is only published when the timeout actually fires so
-        # that ``triggered`` stays False while the timeout is pending.
-        if self._value is _PENDING:
-            self._value = self._delayed_value
-        callbacks, self.callbacks = self.callbacks, None
-        if self._armed and len(callbacks) == 1:
-            # Sole waiter is a process: deliver, then recycle. The resumed
-            # generator runs inside this call and reads the value before
-            # the reset below.
-            callbacks[0](self)
-            if self.sim._debug:
-                # Sanitizer: poison instead of recycling, so a process
-                # that retained this timeout across its resume trips a
-                # hard error on the next value/wait instead of silently
-                # aliasing a reused instance.
-                self._value = _RECYCLED
-                self._ok = True
-                self._delayed_value = None
-                self._armed = False
-                return
-            self._value = _PENDING
-            self._ok = True
-            self._delayed_value = None
-            self._armed = False
-            self.callbacks = []
-            pool = self.sim._timeout_pool
-            if len(pool) < _POOL_MAX:
-                pool.append(self)
-            return
-        for fn in callbacks:
-            fn(self)
 
 
 class Process(Event):
@@ -494,11 +411,8 @@ class Process(Event):
         callbacks = target.callbacks
         if callbacks is None:
             target.add_callback(self._resume_cb)
-            return
-        if not callbacks and type(target) is Timeout:
-            # Sole waiter on a plain timeout: arm it for free-list reuse.
-            target._armed = True
-        callbacks.append(self._resume_cb)
+        else:
+            callbacks.append(self._resume_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} alive={self.is_alive}>"
@@ -571,73 +485,16 @@ class _Driven:
         callbacks = target.callbacks
         if callbacks is None:
             target.add_callback(self._resume)
-            return
-        if not callbacks and type(target) is Timeout:
-            target._armed = True
-        callbacks.append(self._resume)
-
-
-class _Condition(Event):
-    """Base for :class:`AnyOf` / :class:`AllOf` composite events."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes simulators")
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed({})
         else:
-            for ev in self.events:
-                ev.add_callback(self._check)
-
-    def _collect(self) -> dict:
-        return {ev: ev._value for ev in self.events if ev.triggered}
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Fires once every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
+            callbacks.append(self._resume)
 
 
 class Simulator:
     """The event calendar and simulated clock.
 
     All model components hold a reference to one ``Simulator`` and interact
-    through :meth:`timeout`, :meth:`event`, :meth:`process`, and the
-    allocation-free :meth:`call_later` / :meth:`call_at`.
+    through :meth:`event`, :meth:`process`, :meth:`drive`, ``yield
+    <delay>`` and the allocation-free :meth:`call_later` / :meth:`call_at`.
 
     Calendar entries are ``[time, seq, fn, args]`` lists; ``fn(*args)``
     runs when the entry fires. ``seq`` breaks ties at equal times in
@@ -660,7 +517,6 @@ class Simulator:
         #: Events executed by :meth:`run_until` (the shard scaling
         #: metric); plain :meth:`run` does not count.
         self.events_executed = 0
-        self._timeout_pool: List[Timeout] = []
         #: Sanitizer mode (see module docstring). Checked with a plain
         #: attribute load on a handful of scheduling paths; never causes
         #: an allocation when off.
@@ -751,7 +607,7 @@ class Simulator:
         """Tear the simulator down and return the leak report.
 
         After ``close()`` a debug-mode simulator rejects every further
-        scheduling action (event triggers, timeouts, process spawns,
+        scheduling action (event triggers, process spawns,
         ``call_later``/``call_at``, ``run``) with :class:`SimulationError`
         — catching components that keep scheduling work past the end of
         an experiment. The returned list contains the never-terminated
@@ -766,28 +622,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a fresh untriggered event."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ns from now.
-
-        Prefer ``yield <delay>`` inside processes when the event object is
-        not needed — it allocates nothing.
-        """
-        if self._debug:
-            self._debug_check_delay(delay)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay!r}")
-            t = pool.pop()
-            t.delay = delay
-            t._delayed_value = value
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._queue, [self._now + delay, seq, t._process,
-                                   _EMPTY])
-            return t
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Any, Any, Any],
                 name: str = "") -> Process:
@@ -813,12 +647,6 @@ class Simulator:
             done(*args)
             return
         _Driven(self, generator, done, args)._suspend(target)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- allocation-free scheduling ---------------------------------------
     def call_at(self, when: float, fn: Callable, *args: Any) -> list:
@@ -867,13 +695,6 @@ class Simulator:
             raise SimulationError("NaN delay scheduled on the calendar")
 
     # -- execution ---------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        """Schedule ``event._process`` ``delay`` ns from now (internal)."""
-        seq = self._seq + 1
-        self._seq = seq
-        heappush(self._queue, [self._now + delay, seq, event._process,
-                               _EMPTY])
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")

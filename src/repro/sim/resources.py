@@ -1,237 +1,19 @@
-"""Synchronisation primitives built on the DES kernel.
+"""Rate limiting built on the DES kernel.
 
-These mirror the classic SimPy resource set, specialised for the needs of
-the I/O-path models:
-
-- :class:`Store` — a bounded FIFO of Python objects (descriptor rings,
-  switch queues, IIO entries).
-- :class:`Container` — a continuous level with blocking ``get``/``put``
-  (credit pools, PCIe flow-control credits, byte counters).
-- :class:`Resource` — a counted server with FIFO request queue (DMA engines,
-  memory channels).
-- :class:`TokenBucket` — a rate limiter replenishing tokens continuously
-  (link pacing, DMA throttling).
+:class:`TokenBucket` is a rate limiter replenishing tokens continuously
+(PCIe wire serialisation, on-NIC memory bandwidth, HostCC's pacer).
+The model's other waits — DRAM channels, PCIe posted-write credits,
+completion queues — are private FIFO code next to their one user.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Deque, Optional
 
 from .engine import Event, Simulator, SimulationError
 
-__all__ = ["Store", "Container", "Resource", "TokenBucket"]
-
-
-class Store:
-    """A bounded FIFO queue of items with blocking get/put.
-
-    ``put`` returns an event that fires once the item is accepted (possibly
-    immediately); ``get`` returns an event whose value is the item.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 name: str = ""):
-        if capacity <= 0:
-            raise SimulationError("Store capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def level(self) -> int:
-        return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Enqueue ``item``; blocks (as an event) while the store is full."""
-        ev = self.sim.event()
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed()
-        elif len(self.items) < self.capacity:
-            self.items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False (dropping nothing) when full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            return True
-        return False
-
-    def get(self) -> Event:
-        """Dequeue the oldest item; blocks while empty."""
-        ev = self.sim.event()
-        if self.items:
-            ev.succeed(self.items.popleft())
-            self._admit_putters()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if not self.items:
-            return None
-        item = self.items.popleft()
-        self._admit_putters()
-        return item
-
-    def get_batch(self, max_items: int) -> List[Any]:
-        """Drain up to ``max_items`` immediately (polling idiom)."""
-        batch: List[Any] = []
-        while self.items and len(batch) < max_items:
-            batch.append(self.items.popleft())
-        if batch:
-            self._admit_putters()
-        return batch
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self.items.append(item)
-            ev.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking get/put against a capacity.
-
-    Used for credit pools: ``get(n)`` blocks until at least ``n`` units are
-    available; ``put(n)`` blocks while the container would overflow.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"),
-                 init: float = 0.0, name: str = ""):
-        if init < 0 or init > capacity:
-            raise SimulationError("Container init out of range")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._level = init
-        self._getters: Deque[tuple] = deque()  # (event, amount)
-        self._putters: Deque[tuple] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        ev = self.sim.event()
-        if not self._getters and self._level >= amount:
-            self._level -= amount
-            ev.succeed(amount)
-            self._admit_putters()
-        else:
-            self._getters.append((ev, amount))
-        return ev
-
-    def try_get(self, amount: float) -> bool:
-        """Non-blocking get; fairness-preserving (fails if anyone waits)."""
-        if self._getters or self._level < amount:
-            return False
-        self._level -= amount
-        self._admit_putters()
-        return True
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        ev = self.sim.event()
-        if not self._putters and self._level + amount <= self.capacity:
-            self._level += amount
-            ev.succeed()
-            self._admit_getters()
-        else:
-            self._putters.append((ev, amount))
-        return ev
-
-    def try_put(self, amount: float) -> bool:
-        if self._putters or self._level + amount > self.capacity:
-            return False
-        self._level += amount
-        self._admit_getters()
-        return True
-
-    def _admit_getters(self) -> None:
-        while self._getters and self._level >= self._getters[0][1]:
-            ev, amount = self._getters.popleft()
-            self._level -= amount
-            ev.succeed(amount)
-
-    def _admit_putters(self) -> None:
-        while self._putters and self._level + self._putters[0][1] <= self.capacity:
-            ev, amount = self._putters.popleft()
-            self._level += amount
-            ev.succeed()
-        # Puts may have freed room for smaller pending gets.
-        self._admit_getters()
-
-
-class Resource:
-    """A counted server: up to ``capacity`` concurrent holders, FIFO queue."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        ev = self.sim.event()
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        if self._waiters:
-            # Hand the slot directly to the next waiter; _in_use unchanged.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-    def use(self, duration: float):
-        """Process helper: acquire, hold for ``duration`` ns, release."""
-        yield self.request()
-        try:
-            yield duration
-        finally:
-            self.release()
+__all__ = ["TokenBucket"]
 
 
 class TokenBucket:

@@ -7,6 +7,7 @@ from repro.audit.wiring import _register_dma_path, _register_llc
 from repro.hw import (
     CpuConfig,
     DmaWrite,
+    DramConfig,
     Host,
     HostConfig,
     NicConfig,
@@ -137,6 +138,34 @@ def test_pcie_credits_block_writer_until_released():
     assert proc.value == 500.0
 
 
+def test_pcie_credit_waiters_are_served_fifo():
+    """A large credit request at the head of the queue holds back a
+    smaller later one until a release covers it; a release that would
+    overflow the pool is refused."""
+    sim = Simulator()
+    host = Host(sim, HostConfig(pcie=PcieConfig(posted_credits=4096)))
+    pcie = host.pcie
+    got = []
+
+    def taker(sim, name, amount):
+        yield from pcie.acquire_write_credits(amount)
+        got.append((name, sim.now))
+
+    procs = [sim.process(taker(sim, "hog", 4096)),
+             sim.process(taker(sim, "big", 4096)),
+             sim.process(taker(sim, "small", 1024))]
+    sim.call_later(10, pcie.release_write_credits, 2048)  # not enough for big
+    sim.call_later(20, pcie.release_write_credits, 2048)
+    sim.call_later(30, pcie.release_write_credits, 4096)
+    sim.run()
+    assert all(not p.is_alive for p in procs)
+    assert got == [("hog", 0.0), ("big", 20.0), ("small", 30.0)]
+    assert pcie.credits_available == 3072
+    pcie.release_write_credits(4096)  # would overflow: refused
+    assert pcie.credits_available == 3072
+    assert pcie.credits_released == 8192
+
+
 # ---------------------------------------------------------------------------
 # IIO + memory controller end-to-end
 # ---------------------------------------------------------------------------
@@ -261,6 +290,55 @@ def test_posted_write_calendar_cost():
     assert executed == 4 + n * (ENTRIES_PER_WRITE + 1)
 
 
+def test_dram_write_calendar_cost_under_channel_contention():
+    """Cache-bypassing writes reach a one-channel DRAM that a second
+    user keeps busy, so accesses queue for the channel."""
+    sim = Simulator()
+    host = Host(sim, HostConfig(dram=DramConfig(channels=1)))
+    n = 50
+    ends = []
+
+    def writer(sim):
+        for i in range(n):
+            host.dram.write(4096, lambda: ends.append(sim.now))
+            yield from host.nic.dma.write_to_host(
+                DmaWrite(f"p{i}", 2048, ddio=False, deliver=ends.append))
+            yield 100.0
+
+    sim.process(writer(sim))
+    executed = sim.run_until(n * 1_000.0, inclusive=True)
+    assert host.memctrl.writes_completed == n
+    assert host.dram.bytes_written == n * (4096 + 2048)
+    cfg = host.config.dram
+    busy = n * (2 * cfg.base_latency + 6144 / cfg.channel_bandwidth)
+    assert max(ends) >= busy  # one channel, never idle: all serialised
+    # Start-up and exit as above; per write, the writer's gap, the
+    # landing, and a channel grant plus a completion for each of the
+    # two DRAM accesses.
+    assert executed == 4 + n * (1 + 1 + 2 + 2)
+
+
+def test_credit_starved_write_calendar_cost():
+    """Back-to-back writes with credits for two in flight: every write
+    after the second waits for the release of an earlier one."""
+    sim = Simulator()
+    host = Host(sim, HostConfig(pcie=PcieConfig(posted_credits=4096)))
+    n = 50
+
+    def writer(sim):
+        for i in range(n):
+            yield from host.nic.dma.write_to_host(
+                DmaWrite(f"p{i}", 2048, ddio=True))
+
+    sim.process(writer(sim))
+    executed = sim.run_until(n * 1_000.0, inclusive=True)
+    assert host.memctrl.writes_completed == n
+    assert host.pcie.credits_acquired == host.pcie.credits_released
+    # Start-up and exit as above, two entries per write, and one credit
+    # grant for each of the n - 2 writes that found the pool empty.
+    assert executed == 4 + n * ENTRIES_PER_WRITE + (n - 2)
+
+
 # ---------------------------------------------------------------------------
 # CPU core
 # ---------------------------------------------------------------------------
@@ -348,7 +426,7 @@ class _CountingHandler:
 
     def on_packet(self, packet):
         self.seen.append(packet)
-        yield self.sim.timeout(1)
+        yield 1
 
     def on_drop(self, packet):
         self.drops.append(packet)
@@ -379,7 +457,7 @@ def test_nic_mac_buffer_overflow_drops_and_notifies():
 
     class Blocker(_CountingHandler):
         def on_packet(self, packet):
-            yield self.sim.timeout(10**9)
+            yield 10**9
 
     handler = Blocker(sim)
     host.nic.install_handler(handler)

@@ -221,8 +221,8 @@ def test_d104_flags_bad_yield_values():
     """ + SCHED) == ["D104"]
     assert codes("""
         def proc(sim):
-            yield [sim.timeout(1)]
-    """) == ["D104"]
+            yield [sim.event()]
+    """ + SCHED) == ["D104"]
     assert codes("""
         def proc(sim):
             yield -5.0
@@ -234,7 +234,7 @@ def test_d104_allows_kernel_idioms():
         def proc(sim, delay):
             yield 10.0
             yield delay
-            yield sim.timeout(5.0)
+            yield sim.process(sub(sim))
             t = yield sim.event()
             yield from sub(sim)
 
@@ -309,9 +309,9 @@ def test_d105_allows_kept_process_handle():
 def test_d105_flags_discarded_timeout_and_event():
     assert codes("""
         def proc(sim):
-            sim.timeout(5.0)
+            sim.event()
             yield 1.0
-    """) == ["D105"]
+    """ + SCHED) == ["D105"]
 
 
 def test_d105_flags_never_read_cancel_handle():

@@ -1,14 +1,8 @@
-"""Unit tests for the DES kernel: events, processes, timeouts, conditions."""
+"""Unit tests for the DES kernel: events, processes, delays, interrupts."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import Interrupt, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -20,9 +14,9 @@ def test_timeout_advances_clock():
     sim = Simulator()
 
     def proc(sim):
-        yield sim.timeout(5)
+        yield 5
         assert sim.now == 5.0
-        yield sim.timeout(2.5)
+        yield 2.5
         assert sim.now == 7.5
 
     sim.run_process(proc(sim))
@@ -32,14 +26,18 @@ def test_timeout_advances_clock():
 def test_timeout_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.timeout(-1)  # repro: noqa=D104 -- the rejection under test
+        sim.call_later(-1, print)  # repro: noqa=D104 -- under test
+    with pytest.raises(SimulationError):
+        sim.reserve_key(-1)
 
 
 def test_timeout_carries_value():
     sim = Simulator()
 
     def proc(sim):
-        got = yield sim.timeout(1, value="hello")
+        ev = sim.event()
+        sim.call_later(1, ev.succeed, "hello")
+        got = yield ev
         return got
 
     assert sim.run_process(proc(sim)) == "hello"
@@ -50,9 +48,9 @@ def test_run_until_stops_before_later_events():
     fired = []
 
     def proc(sim):
-        yield sim.timeout(10)
+        yield 10
         fired.append(sim.now)
-        yield sim.timeout(10)
+        yield 10
         fired.append(sim.now)
 
     sim.process(proc(sim))
@@ -79,7 +77,7 @@ def test_events_fire_in_time_order_with_fifo_ties():
     order = []
 
     def proc(sim, name, delay):
-        yield sim.timeout(delay)
+        yield delay
         order.append(name)
 
     sim.process(proc(sim, "late", 2))
@@ -98,7 +96,7 @@ def test_event_succeed_delivers_value():
         return value
 
     def firer(sim, ev):
-        yield sim.timeout(3)
+        yield 3
         ev.succeed(42)
 
     proc = sim.process(waiter(sim, ev))
@@ -148,7 +146,7 @@ def test_process_return_value():
     sim = Simulator()
 
     def proc(sim):
-        yield sim.timeout(1)
+        yield 1
         return "done"
 
     assert sim.run_process(proc(sim)) == "done"
@@ -158,7 +156,7 @@ def test_process_waits_for_subprocess():
     sim = Simulator()
 
     def child(sim):
-        yield sim.timeout(7)
+        yield 7
         return "child-result"
 
     def parent(sim):
@@ -180,7 +178,7 @@ def test_process_yielding_non_event_raises():
 
 
 def test_bare_number_yield_is_a_timeout():
-    """Fast path: ``yield <float|int>`` suspends like ``yield timeout()``."""
+    """``yield <float|int>`` suspends for that many nanoseconds."""
     sim = Simulator()
 
     def proc(sim):
@@ -205,7 +203,8 @@ def test_bare_negative_yield_raises_in_process():
 
 
 def test_bare_yield_orders_like_timeout_yield():
-    """Equal-time bare and event timeouts fire in scheduling order."""
+    """A bare delay and an event scheduled for the same time fire in
+    scheduling order."""
     sim = Simulator()
     log = []
 
@@ -214,7 +213,9 @@ def test_bare_yield_orders_like_timeout_yield():
         log.append("bare")
 
     def evented(sim):
-        yield sim.timeout(5.0)
+        ev = sim.event()
+        sim.call_later(5.0, ev.succeed)
+        yield ev
         log.append("evented")
 
     sim.process(bare(sim))
@@ -228,7 +229,7 @@ def test_interrupt_delivers_cause():
 
     def sleeper(sim):
         try:
-            yield sim.timeout(100)
+            yield 100
         except Interrupt as intr:
             return ("interrupted", intr.cause, sim.now)
         return "slept"
@@ -236,7 +237,7 @@ def test_interrupt_delivers_cause():
     proc = sim.process(sleeper(sim))
 
     def interrupter(sim, target):
-        yield sim.timeout(5)
+        yield 5
         target.interrupt("wake")
 
     sim.process(interrupter(sim, proc))
@@ -249,16 +250,16 @@ def test_interrupted_process_can_continue():
 
     def sleeper(sim):
         try:
-            yield sim.timeout(100)
+            yield 100
         except Interrupt:
             pass
-        yield sim.timeout(10)
+        yield 10
         return sim.now
 
     proc = sim.process(sleeper(sim))
 
     def interrupter(sim, target):
-        yield sim.timeout(5)
+        yield 5
         target.interrupt()
 
     sim.process(interrupter(sim, proc))
@@ -270,7 +271,7 @@ def test_interrupt_finished_process_raises():
     sim = Simulator()
 
     def quick(sim):
-        yield sim.timeout(1)
+        yield 1
 
     proc = sim.process(quick(sim))
     sim.run()
@@ -279,61 +280,25 @@ def test_interrupt_finished_process_raises():
 
 
 def test_interrupt_detaches_original_target():
-    """After an interrupt, the original timeout must not resume the process."""
+    """After an interrupt, the event the process waited on must not
+    resume it when it fires."""
     sim = Simulator()
     resumed = []
+    target = sim.event()
+    sim.call_later(10, target.succeed)
 
     def sleeper(sim):
         try:
-            yield sim.timeout(10)
+            yield target
         except Interrupt:
             resumed.append(("interrupt", sim.now))
-        yield sim.timeout(100)
+        yield 100
         resumed.append(("end", sim.now))
 
     proc = sim.process(sleeper(sim))
     sim.call_later(5, lambda: proc.interrupt())
     sim.run()
     assert resumed == [("interrupt", 5.0), ("end", 105.0)]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    t1 = None
-
-    def proc(sim):
-        a = sim.timeout(5, value="a")
-        b = sim.timeout(10, value="b")
-        results = yield AnyOf(sim, [a, b])
-        return results, sim.now
-
-    results, now = sim.run_process(proc(sim))
-    assert now == 5.0
-    assert list(results.values()) == ["a"]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-
-    def proc(sim):
-        a = sim.timeout(5, value="a")
-        b = sim.timeout(10, value="b")
-        results = yield AllOf(sim, [a, b])
-        return sorted(results.values()), sim.now
-
-    values, now = sim.run_process(proc(sim))
-    assert now == 10.0
-    assert values == ["a", "b"]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-
-    def proc(sim):
-        yield AllOf(sim, [])
-        return sim.now
-
-    assert sim.run_process(proc(sim)) == 0.0
 
 
 def test_schedule_runs_plain_callable():
@@ -358,7 +323,7 @@ def test_run_process_propagates_process_failure():
     sim = Simulator()
 
     def failing(sim):
-        yield sim.timeout(1)
+        yield 1
         raise RuntimeError("inner failure")
 
     with pytest.raises(RuntimeError, match="inner failure"):
@@ -371,7 +336,7 @@ def test_many_processes_interleave_deterministically():
 
     def worker(sim, name, period, n):
         for _ in range(n):
-            yield sim.timeout(period)
+            yield period
             log.append((sim.now, name))
 
     sim.process(worker(sim, "x", 2, 5))
@@ -404,7 +369,7 @@ def _mixed(sim, ev, log):
     log.append(("bare", sim.now))
     value = yield ev
     log.append(("event", sim.now, value))
-    yield sim.timeout(2)
+    yield 2
     log.append(("timeout", sim.now))
 
 

@@ -88,7 +88,7 @@ def test_debug_run_until_advances_clock():
 def test_debug_rejects_nan_delays():
     sim = Simulator(debug=True)
     with pytest.raises(SimulationError, match="NaN"):
-        sim.timeout(math.nan)
+        sim.reserve_key(math.nan)
     with pytest.raises(SimulationError, match="NaN"):
         sim.call_later(math.nan, lambda: None)
     with pytest.raises(SimulationError, match="NaN"):
@@ -137,7 +137,7 @@ def test_close_rejects_further_scheduling():
     with pytest.raises(SimulationError):
         sim.call_later(1.0, lambda: None)
     with pytest.raises(SimulationError):
-        sim.timeout(1.0)
+        sim.call_at(1.0, lambda: None)
     with pytest.raises(SimulationError):
         sim.process(iter(()))
     with pytest.raises(SimulationError):
@@ -194,40 +194,6 @@ def test_release_mode_does_not_track_processes():
     sim.process(forever(sim))
     sim.run(until=50)
     assert sim.close() == []
-
-
-# ---------------------------------------------------------------------------
-# recycled-timeout poisoning
-# ---------------------------------------------------------------------------
-
-def test_debug_poisons_retained_timeouts():
-    """A timeout yielded to the kernel must not be read after the resume:
-    release mode recycles it through the free list (stale reads return
-    another event's state); debug mode poisons it so the read raises."""
-    sim = Simulator(debug=True)
-    retained = []
-
-    def proc(sim):
-        t = sim.timeout(5.0, value="v")
-        retained.append(t)
-        yield t
-
-    sim.run_process(proc(sim))
-    with pytest.raises(SimulationError, match="recycled"):
-        retained[0].value
-
-
-def test_debug_disables_timeout_pooling():
-    sim = Simulator(debug=True)
-
-    def proc(sim):
-        first = sim.timeout(1.0)
-        yield first
-        second = sim.timeout(1.0)
-        assert second is not first  # release mode would recycle here
-        yield second
-
-    sim.run_process(proc(sim))
 
 
 # ---------------------------------------------------------------------------

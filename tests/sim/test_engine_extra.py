@@ -1,47 +1,9 @@
-"""Additional DES-kernel edge cases: condition failures, event reuse,
-process lifecycle, and scheduling determinism."""
+"""Additional DES-kernel edge cases: event misuse, process lifecycle,
+and scheduling determinism."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, SimulationError, Simulator
-
-
-def test_any_of_propagates_failure():
-    sim = Simulator()
-    bad = sim.event()
-
-    def waiter(sim):
-        try:
-            yield AnyOf(sim, [sim.timeout(100), bad])
-        except RuntimeError as exc:
-            return str(exc)
-
-    proc = sim.process(waiter(sim))
-    sim.call_later(5, lambda: bad.fail(RuntimeError("broken")))
-    sim.run()
-    assert proc.value == "broken"
-
-
-def test_all_of_propagates_failure():
-    sim = Simulator()
-    bad = sim.event()
-
-    def waiter(sim):
-        try:
-            yield AllOf(sim, [sim.timeout(1), bad])
-        except RuntimeError as exc:
-            return str(exc)
-
-    proc = sim.process(waiter(sim))
-    sim.call_later(5, lambda: bad.fail(RuntimeError("oops")))
-    sim.run()
-    assert proc.value == "oops"
-
-
-def test_condition_rejects_cross_simulator_events():
-    sim1, sim2 = Simulator(), Simulator()
-    with pytest.raises(SimulationError):
-        AnyOf(sim1, [sim2.event()])
+from repro.sim import SimulationError, Simulator
 
 
 def test_event_value_before_trigger_raises():
@@ -57,20 +19,11 @@ def test_event_fail_requires_exception():
         sim.event().fail("not an exception")
 
 
-def test_timeout_value_not_visible_until_fired():
-    sim = Simulator()
-    timeout = sim.timeout(10, value="later")
-    assert not timeout.triggered
-    sim.run()
-    assert timeout.triggered
-    assert timeout.value == "later"
-
-
 def test_process_result_available_after_completion():
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(3)
+        yield 3
         return 99
 
     proc = sim.process(worker(sim))
@@ -102,7 +55,7 @@ def test_nested_process_failure_propagates_to_parent():
     sim = Simulator()
 
     def child(sim):
-        yield sim.timeout(1)
+        yield 1
         raise ValueError("child blew up")
 
     def parent(sim):
@@ -120,11 +73,16 @@ def test_same_time_events_fifo_across_mixed_sources():
     sim = Simulator()
     order = []
     sim.call_later(5, lambda: order.append("first-scheduled"))
-    ev = sim.timeout(5)
-    ev.add_callback(lambda _e: order.append("second-timeout"))
-    sim.call_later(5, lambda: order.append("third-scheduled"))
+
+    def driven(sim):
+        yield 5
+        order.append("second-bare-yield")
+
+    sim.drive(driven(sim), lambda: None)
+    sim.call_at(5, lambda: order.append("third-scheduled"))
     sim.run()
-    assert order == ["first-scheduled", "second-timeout", "third-scheduled"]
+    assert order == ["first-scheduled", "second-bare-yield",
+                     "third-scheduled"]
 
 
 def test_run_to_exact_until_with_event_at_until():
@@ -145,7 +103,7 @@ def test_interrupt_cause_none_by_default():
 
     def sleeper(sim):
         try:
-            yield sim.timeout(100)
+            yield 100
         except Interrupt as intr:
             return intr.cause
 
