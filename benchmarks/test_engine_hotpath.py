@@ -13,8 +13,11 @@ reproduction run:
 - **callback-chain** — ``call_later`` callables rescheduling themselves
   (the propagation-delay / control-tick idiom).
 
-Results are written to ``BENCH_engine.json`` next to the repo root so the
-numbers form a trajectory across commits. Run standalone::
+Each workload runs once for warm-up and then ``REPEATS`` timed times;
+``BENCH_engine.json`` (next to the repo root) records the median and the
+quartiles of those runs, so a kernel regression shows against the spread
+of same-code runs and the numbers form a trajectory across commits. Run
+standalone::
 
     PYTHONPATH=src python benchmarks/test_engine_hotpath.py
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from collections import deque
@@ -39,6 +43,10 @@ from repro.sim import Simulator
 #: <1%, small enough that the whole file runs in a few seconds.
 N_EVENTS = 200_000
 
+#: Timed runs per workload in the recorded file: same-code runs on a
+#: shared host spread widely, so one run cannot show a regression.
+REPEATS = 7
+
 #: CI smoke floor (events/sec): an order of magnitude below what even the
 #: pre-refactor kernel sustains, so only a catastrophic regression trips it.
 FLOOR = 20_000.0
@@ -47,13 +55,16 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = _REPO_ROOT / "BENCH_engine.json"
 
 
-def _bench(fn, *args):
-    """Run ``fn`` once for warm-up, then timed; returns events/sec."""
+def _bench(fn, *args, repeats: int = 1) -> list:
+    """Run ``fn`` once for warm-up, then ``repeats`` times timed; returns
+    the events/sec of each timed run."""
     fn(*args)  # warm-up: heap growth, bytecode caches
-    t0 = time.perf_counter()
-    events = fn(*args)
-    elapsed = time.perf_counter() - t0
-    return events / elapsed
+    rates = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        events = fn(*args)
+        rates.append(events / (time.perf_counter() - t0))
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +163,13 @@ WORKLOADS = {
 # ---------------------------------------------------------------------------
 
 def run_all() -> dict:
+    """Median and quartiles of ``REPEATS`` timed runs per workload."""
     results = {}
     for name, fn in WORKLOADS.items():
-        rate = _bench(fn)
-        results[name] = round(rate, 1)
+        q1, median, q3 = statistics.quantiles(_bench(fn, repeats=REPEATS),
+                                              n=4)
+        results[name] = {"median": round(median, 1), "q1": round(q1, 1),
+                         "q3": round(q3, 1)}
     return results
 
 
@@ -163,6 +177,7 @@ def write_json(results: dict) -> None:
     payload = {
         "bench": "engine_hotpath",
         "n_events": N_EVENTS,
+        "repeats": REPEATS,
         "python": sys.version.split()[0],
         "cores": len(os.sched_getaffinity(0)),
         "events_per_sec": results,
@@ -174,7 +189,8 @@ def write_json(results: dict) -> None:
 def main() -> int:
     results = run_all()
     for name, rate in results.items():
-        print(f"{name:<20} {rate:>12,.0f} events/sec")
+        print(f"{name:<20} {rate['median']:>12,.0f} events/sec "
+              f"(quartiles {rate['q1']:,.0f}-{rate['q3']:,.0f})")
     write_json(results)
     print(f"wrote {BENCH_PATH}")
     return 0
@@ -185,15 +201,15 @@ def main() -> int:
 # ---------------------------------------------------------------------------
 
 def test_timer_churn_smoke():
-    assert _bench(timer_churn, 32, 20_000) > FLOOR
+    assert _bench(timer_churn, 32, 20_000)[0] > FLOOR
 
 
 def test_producer_consumer_smoke():
-    assert _bench(producer_consumer, 8, 20_000) > FLOOR
+    assert _bench(producer_consumer, 8, 20_000)[0] > FLOOR
 
 
 def test_callback_chain_smoke():
-    assert _bench(callback_chain, 16, 20_000) > FLOOR
+    assert _bench(callback_chain, 16, 20_000)[0] > FLOOR
 
 
 if __name__ == "__main__":

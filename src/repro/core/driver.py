@@ -21,7 +21,9 @@ def _first_of(sim: Simulator, procs: List[Process]) -> Event:
     """An event that fires when the first of ``procs`` ends, failing with
     its exception if it crashed. Every process keeps the callback, so a
     later crash is delivered here and ignored instead of raising out of
-    the kernel (:meth:`Process._crash` raises only with no waiter)."""
+    the kernel (:meth:`Process._crash` raises only with no waiter); the
+    caller must look at the processes it still holds (the drain loop
+    re-raises a crashed batch when it prunes them)."""
     first = sim.event()
 
     def ended(proc: Process) -> None:
@@ -143,6 +145,12 @@ class CeioDriver:
             outstanding = []
             try:
                 while state.swring.has_nonresident or outstanding:
+                    for proc in outstanding:
+                        if proc.triggered and not proc.ok:
+                            # Crashed after another batch had already
+                            # fired _first_of: raise it here instead of
+                            # pruning it away.
+                            raise proc.value
                     outstanding = [p for p in outstanding if not p.triggered]
                     # Demand-driven prefetch: never run more than a window
                     # ahead of the application, or drained data would evict

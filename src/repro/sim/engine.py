@@ -46,15 +46,23 @@ to the historical single-counter kernel (composite == plain count).
 Cross-shard messages carry their full ``(time, composite seq)`` key,
 computed by the sending shard, and are inserted verbatim with
 :meth:`Simulator.post_keyed` — no local sequence number is consumed, so
-the merged calendar order equals the single-kernel order. The run loops
-restore the *scheduling* domain of each entry (``seq >> DOMAIN_SHIFT``)
+the merged calendar order equals the single-kernel order. The run loop
+restores the *scheduling* domain of each entry (``seq >> DOMAIN_SHIFT``)
 before executing it, so work scheduled by a resumed callback is charged
 to the correct counter; callbacks that act on another domain's state
 (the fabric's boundary-link deliveries and ACK executions) switch
-domains explicitly at the top. :meth:`Simulator.run_until` is the
-bounded-horizon variant of :meth:`run` used by the conservative
-barrier-window protocol: it drains events strictly below (or up to,
-inclusive) a horizon and counts executed events.
+domains explicitly at the top.
+
+One run loop
+------------
+:meth:`Simulator.run` and :meth:`Simulator.run_until` drain the calendar
+through one release loop that executes every entry up to a limit: ``inf``
+for ``run()``, the horizon for ``run(until=T)`` and inclusive windows,
+and the float just below it (``math.nextafter``) for the exclusive
+windows of the conservative barrier protocol. Every call counts the
+entries it executed. Under the sanitizer the same calls go through one
+debug loop with the same semantics. :meth:`Simulator.step` executes a
+single entry.
 
 Sanitizer (debug) mode
 ----------------------
@@ -63,7 +71,8 @@ environment — turns on a dynamic sanitizer (see ``docs/DETERMINISM.md``
 for the full contract). The release hot path is unchanged and stays
 allocation-free; when the sanitizer is on the kernel additionally
 
-- asserts monotonic event time in the run loop (and rejects NaN times),
+- asserts monotonic event time in the debug run loop (and rejects NaN
+  times),
 - rejects NaN delays at every scheduling entry point (negative
   delays are rejected unconditionally, debug or not),
 - detects events triggered and callbacks scheduled after
@@ -90,6 +99,8 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
+from itertools import count
+from math import inf, nextafter
 from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
@@ -104,7 +115,7 @@ __all__ = [
 #: Bits reserved for the per-domain event count in a composite sequence
 #: number: domain ``d``'s counters live in ``[d << 40, (d+1) << 40)``,
 #: giving every domain ~1.1e12 events before overflow into the next
-#: domain's range (far beyond any run; the debug loop asserts it).
+#: domain's range (far beyond any run).
 DOMAIN_SHIFT = 40
 
 
@@ -238,7 +249,90 @@ class Event:
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
-class Process(Event):
+def _yielded(target: Any) -> Any:
+    """``resume`` for a generator that has already yielded ``target``."""
+    return target
+
+
+class _Resumable:
+    """What :class:`Process` and :class:`_Driven` share: resuming a
+    generator and suspending it on what it yields next.
+
+    A bare number is one calendar entry that calls ``_bare_cb`` (the
+    prebound :meth:`_bare_resume`); a negative delay (or, under the
+    sanitizer, a NaN) is thrown back into the generator; an
+    :class:`Event` of the same simulator gets ``_resume_cb`` (the
+    prebound :meth:`_resume`) as a callback. The wait is recorded on
+    ``_target`` (and a bare entry on ``_bare_entry``) so
+    :meth:`Process.interrupt` can detach it. Subclasses provide those
+    attributes, ``sim``, ``generator``, its ``_send`` and ``name``, and
+    say what a return (``_finish``) and an escaping exception
+    (``_crash``) do.
+    """
+
+    __slots__ = ()
+
+    def _step(self, resume: Callable, value: Any) -> None:
+        """Resume the generator with ``resume(value)`` — its ``send`` or
+        ``throw`` — and suspend it on what it yields."""
+        try:
+            target = resume(value)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except Interrupt:
+            raise SimulationError(
+                f"process {self.name!r} did not catch an Interrupt")
+        except Exception as exc:
+            self._crash(exc)
+            return
+        cls = target.__class__
+        if cls is float or cls is int:
+            # Bare-number yield: a timeout with nothing allocated beyond
+            # the calendar entry itself.
+            if target < 0:
+                self._step(self.generator.throw, SimulationError(
+                    f"negative timeout delay: {target!r}"))
+                return
+            sim = self.sim
+            if sim._debug and target != target:
+                self._step(self.generator.throw, SimulationError(
+                    f"NaN timeout delay in {self.name!r}"))
+                return
+            seq = sim._seq + 1
+            sim._seq = seq
+            entry = [sim._now + target, seq, self._bare_cb, _EMPTY]
+            heappush(sim._queue, entry)
+            self._bare_entry = entry
+            self._target = _BARE
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"{self.name!r} yielded {target!r}, expected an Event or a "
+                "bare number of nanoseconds")
+        if target.sim is not self.sim:
+            raise SimulationError("cannot wait on an event from another simulator")
+        self._target = target
+        callbacks = target.callbacks
+        if callbacks is None:
+            target.add_callback(self._resume_cb)
+        else:
+            callbacks.append(self._resume_cb)
+
+    def _resume(self, event: Event) -> None:
+        self._target = None
+        if event._ok:
+            self._step(self._send, event._value)
+        else:
+            self._step(self.generator.throw, event._value)
+
+    def _bare_resume(self) -> None:
+        self._target = None
+        self._bare_entry = None
+        self._step(self._send, None)
+
+
+class Process(Event, _Resumable):
     """A running generator; also an event that fires when the generator ends.
 
     The event value is the generator's return value (``StopIteration.value``).
@@ -250,6 +344,9 @@ class Process(Event):
 
     __slots__ = ("generator", "name", "_target", "_send", "_resume_cb",
                  "_bare_cb", "_bare_entry")
+
+    #: The generator's return value triggers the process event.
+    _finish = Event.succeed
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Any, Any, Any],
@@ -309,87 +406,12 @@ class Process(Event):
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._queue,
-                 [sim._now, seq, self._step_throw, (Interrupt(cause),)])
+        heappush(sim._queue, [sim._now, seq, self._step,
+                              (self.generator.throw, Interrupt(cause))])
 
     # -- internal --------------------------------------------------------
     def _start(self) -> None:
-        self._step_send(None)
-
-    def _resume(self, event: Event) -> None:
-        self._target = None
-        if event._ok:
-            self._step_send(event._value)
-        else:
-            self._step_throw(event._value)
-
-    def _bare_resume(self) -> None:
-        self._target = None
-        self._bare_entry = None
-        self._step_send(None)
-
-    def _step_send(self, value: Any) -> None:
-        try:
-            target = self._send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Exception as exc:
-            self._crash(exc)
-            return
-        cls = target.__class__
-        if cls is float or cls is int:
-            # Bare-number yield: a timeout with nothing allocated beyond
-            # the calendar entry itself.
-            if target < 0:
-                self._step_throw(
-                    SimulationError(f"negative timeout delay: {target!r}"))
-                return
-            sim = self.sim
-            if sim._debug and target != target:
-                self._step_throw(
-                    SimulationError(f"NaN timeout delay in {self.name!r}"))
-                return
-            seq = sim._seq + 1
-            sim._seq = seq
-            entry = [sim._now + target, seq, self._bare_cb, _EMPTY]
-            heappush(sim._queue, entry)
-            self._bare_entry = entry
-            self._target = _BARE
-            return
-        self._wait_on(target)
-
-    def _step_throw(self, exc: BaseException) -> None:
-        try:
-            target = self.generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            raise SimulationError(
-                f"process {self.name!r} did not catch an Interrupt")
-        except Exception as inner:
-            self._crash(inner)
-            return
-        cls = target.__class__
-        if cls is float or cls is int:
-            if target < 0:
-                self._step_throw(
-                    SimulationError(f"negative timeout delay: {target!r}"))
-                return
-            sim = self.sim
-            if sim._debug and target != target:
-                self._step_throw(
-                    SimulationError(f"NaN timeout delay in {self.name!r}"))
-                return
-            seq = sim._seq + 1
-            sim._seq = seq
-            entry = [sim._now + target, seq, self._bare_cb, _EMPTY]
-            heappush(sim._queue, entry)
-            self._bare_entry = entry
-            self._target = _BARE
-            return
-        self._wait_on(target)
+        self._step(self._send, None)
 
     def _crash(self, exc: BaseException) -> None:
         """An exception escaped the generator. If another process is
@@ -400,32 +422,20 @@ class Process(Event):
         else:
             raise exc
 
-    def _wait_on(self, target: Event) -> None:
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an "
-                "Event or a bare number of nanoseconds")
-        if target.sim is not self.sim:
-            raise SimulationError("cannot wait on an event from another simulator")
-        self._target = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            target.add_callback(self._resume_cb)
-        else:
-            callbacks.append(self._resume_cb)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
-class _Driven:
+class _Driven(_Resumable):
     """A generator suspended under :meth:`Simulator.drive`.
 
     Built only when the generator first suspends; resumes it exactly as
-    :class:`Process` would and calls ``done(*args)`` when it returns.
+    :class:`Process` would, calls ``done(*args)`` when it returns and
+    lets an escaping exception propagate.
     """
 
-    __slots__ = ("sim", "generator", "done", "args")
+    __slots__ = ("sim", "generator", "done", "args", "_target",
+                 "_bare_entry", "_send", "_bare_cb", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any],
                  done: Callable, args: tuple):
@@ -433,60 +443,19 @@ class _Driven:
         self.generator = generator
         self.done = done
         self.args = args
+        self._send = generator.send
+        self._bare_cb = self._bare_resume
+        self._resume_cb = self._resume
 
-    def _send(self, value: Any) -> None:
-        try:
-            target = self.generator.send(value)
-        except StopIteration:
-            self.done(*self.args)
-            return
-        self._suspend(target)
-
-    def _throw(self, exc: BaseException) -> None:
-        try:
-            target = self.generator.throw(exc)
-        except StopIteration:
-            self.done(*self.args)
-            return
-        self._suspend(target)
-
-    def _resume(self, event: Event) -> None:
-        if event._ok:
-            self._send(event._value)
-        else:
-            self._throw(event._value)
-
-    def _name(self) -> str:
+    @property
+    def name(self) -> str:
         return getattr(self.generator, "__name__", "generator")
 
-    def _suspend(self, target: Any) -> None:
-        """:meth:`Process._step_send`'s dispatch on what was yielded."""
-        sim = self.sim
-        cls = target.__class__
-        if cls is float or cls is int:
-            if target < 0:
-                self._throw(
-                    SimulationError(f"negative timeout delay: {target!r}"))
-                return
-            if sim._debug and target != target:
-                self._throw(SimulationError(
-                    f"NaN timeout delay in {self._name()!r}"))
-                return
-            seq = sim._seq + 1
-            sim._seq = seq
-            heappush(sim._queue, [sim._now + target, seq, self._send, (None,)])
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"generator {self._name()!r} yielded {target!r}, "
-                "expected an Event or a bare number of nanoseconds")
-        if target.sim is not sim:
-            raise SimulationError("cannot wait on an event from another simulator")
-        callbacks = target.callbacks
-        if callbacks is None:
-            target.add_callback(self._resume)
-        else:
-            callbacks.append(self._resume)
+    def _finish(self, _value: Any) -> None:
+        self.done(*self.args)
+
+    def _crash(self, exc: BaseException) -> None:
+        raise exc
 
 
 class Simulator:
@@ -510,12 +479,12 @@ class Simulator:
         #: Active event domain and the saved composite counters of the
         #: inactive ones (see module docstring, "Event domains"). A
         #: simulator that never leaves domain 0 keeps ``_multi_domain``
-        #: False and pays nothing on the hot run loop.
+        #: False and pays one local test per entry on the run loop.
         self._domain = 0
         self._domain_seqs: dict = {}
         self._multi_domain = False
-        #: Events executed by :meth:`run_until` (the shard scaling
-        #: metric); plain :meth:`run` does not count.
+        #: Events executed by every :meth:`run` and :meth:`run_until`
+        #: call (the shard scaling metric); :meth:`step` does not count.
         self.events_executed = 0
         #: Sanitizer mode (see module docstring). Checked with a plain
         #: attribute load on a handful of scheduling paths; never causes
@@ -593,6 +562,9 @@ class Simulator:
                 f"post_keyed({when}) is in the past (now={self._now})")
         if self._debug:
             self._debug_check_delay(when - self._now)
+        # The key may carry a domain this kernel never entered: the run
+        # loop must restore it.
+        self._multi_domain = True
         entry = [when, seq, fn, args]
         heappush(self._queue, entry)
         return entry
@@ -646,7 +618,7 @@ class Simulator:
         except StopIteration:
             done(*args)
             return
-        _Driven(self, generator, done, args)._suspend(target)
+        _Driven(self, generator, done, args)._step(_yielded, target)
 
     # -- allocation-free scheduling ---------------------------------------
     def call_at(self, when: float, fn: Callable, *args: Any) -> list:
@@ -697,7 +669,7 @@ class Simulator:
     # -- execution ---------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else inf
 
     def step(self) -> None:
         """Process exactly one scheduled event."""
@@ -719,138 +691,96 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar empties or simulated time reaches ``until``.
 
-        When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier, so rate computations based on
-        ``sim.now`` are well-defined.
+        When ``until`` is given, entries at exactly ``until`` still run
+        and the clock is advanced to exactly ``until`` even if the last
+        event fires earlier, so rate computations based on ``sim.now``
+        are well-defined. Without it the clock stays at the last entry.
         """
-        if self._debug:
-            self._run_debug(until)
-            return
-        if self._multi_domain:
-            self._run_domains(until)
-            return
-        queue = self._queue
-        pop = heappop
         if until is None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                args = entry[3]
-                if args:
-                    entry[2](*args)
-                else:
-                    entry[2]()
-            return
-        if until < self._now:
-            raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if when > until:
-                break
-            pop(queue)
-            self._now = when
-            args = entry[3]
-            if args:
-                entry[2](*args)
-            else:
-                entry[2]()
-        if self._now < until:
-            self._now = until
-
-    def _run_domains(self, until: Optional[float]) -> None:
-        """Release run loop for multi-domain simulators: identical to
-        :meth:`run` plus restoring each entry's scheduling domain
-        (``seq >> DOMAIN_SHIFT``) before executing it, so cascaded
-        scheduling draws from the correct per-domain counter."""
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
-        queue = self._queue
-        pop = heappop
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if until is not None and when > until:
-                break
-            pop(queue)
-            self._now = when
-            domain = entry[1] >> DOMAIN_SHIFT
-            if domain != self._domain:
-                self.set_domain(domain)
-            args = entry[3]
-            if args:
-                entry[2](*args)
-            else:
-                entry[2]()
-        if until is not None and self._now < until:
-            self._now = until
+            self._run(inf, None, "run")
+        else:
+            self._run(until, until, "run")
 
     def run_until(self, until: float, inclusive: bool = False) -> int:
         """Bounded-horizon run for the conservative shard protocol.
 
         Drains every entry with time strictly below ``until`` — or at
         most ``until`` when ``inclusive`` — then advances the clock to
-        exactly ``until`` and returns the number of events executed
-        (also accumulated on :attr:`events_executed`). Exclusive windows
-        are what barrier synchronisation needs: events *at* a barrier
-        belong to the next window, except at the final horizon where
-        ``inclusive=True`` reproduces ``run(until=T)`` semantics.
+        exactly ``until`` and returns the number of events executed.
+        Exclusive windows are what barrier synchronisation needs: events
+        *at* a barrier belong to the next window, except at the final
+        horizon where ``inclusive=True`` reproduces ``run(until=T)``
+        semantics.
         """
-        if until < self._now:
+        limit = until if inclusive else nextafter(until, -inf)
+        return self._run(limit, until, "run_until")
+
+    def _run(self, limit: float, until: Optional[float], name: str) -> int:
+        """The one release run loop behind :meth:`run` and
+        :meth:`run_until`: execute every entry whose time is at most
+        ``limit`` in ``(time, seq)`` order, then advance the clock to
+        ``until`` when one is given. Returns the number of entries
+        executed, also added to :attr:`events_executed`.
+
+        Whether entries need their domain restored (module docstring,
+        "Event domains") is read once per call: domains are entered at
+        build time or by :meth:`post_keyed`, before a run.
+        """
+        if until is not None and until < self._now:
             raise SimulationError(
-                f"run_until({until}) is in the past (now={self._now})")
-        if self._debug and self._closed:
-            raise SimulationError("run_until() after Simulator.close()")
-        queue = self._queue
-        pop = heappop
-        debug = self._debug
-        executed = 0
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if when > until or (when == until and not inclusive):
-                break
-            if debug and not when >= self._now:
-                raise SimulationError(
-                    f"event time went backwards: {when!r} < {self._now!r}")
-            pop(queue)
-            self._now = when
-            domain = entry[1] >> DOMAIN_SHIFT
-            if domain != self._domain:
-                self.set_domain(domain)
-            executed += 1
-            args = entry[3]
-            if args:
-                entry[2](*args)
-            else:
-                entry[2]()
-        if self._now < until:
+                f"{name}(until={until}) is in the past (now={self._now})")
+        if self._debug:
+            executed = self._run_debug(limit, name)
+        else:
+            queue = self._queue
+            pop = heappop
+            multi = self._multi_domain
+            # ``executed`` is the number of entries already run; the
+            # for loop counts them cheaper than an increment per entry.
+            for executed in count():
+                if not queue:
+                    break
+                entry = queue[0]
+                when = entry[0]
+                if when > limit:
+                    break
+                pop(queue)
+                self._now = when
+                if multi:
+                    domain = entry[1] >> DOMAIN_SHIFT
+                    if domain != self._domain:
+                        self.set_domain(domain)
+                args = entry[3]
+                if args:
+                    entry[2](*args)
+                else:
+                    entry[2]()
+        if until is not None and self._now < until:
             self._now = until
         self.events_executed += executed
         return executed
 
-    def _run_debug(self, until: Optional[float]) -> None:
-        """Sanitizer run loop: same semantics as :meth:`run`, plus a
-        monotonic-time assertion (which also rejects NaN event times) on
-        every entry popped from the calendar."""
+    def _run_debug(self, limit: float, name: str) -> int:
+        """Sanitizer run loop: the release loop of :meth:`_run`, plus a
+        closed-simulator check and a monotonic-time assertion (which
+        also rejects NaN event times) on every entry at the head of the
+        calendar."""
         if self._closed:
-            raise SimulationError("run() after Simulator.close()")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})")
+            raise SimulationError(f"{name}() after Simulator.close()")
         queue = self._queue
-        while queue:
+        multi = self._multi_domain
+        for executed in count():
+            if not queue:
+                break
             when = queue[0][0]
             if not when >= self._now:
                 raise SimulationError(
                     f"event time went backwards: {when!r} < {self._now!r}")
-            if until is not None and when > until:
+            if when > limit:
                 break
             entry = heappop(queue)
             self._now = when
-            if self._multi_domain:
+            if multi:
                 domain = entry[1] >> DOMAIN_SHIFT
                 if domain != self._domain:
                     self.set_domain(domain)
@@ -859,8 +789,7 @@ class Simulator:
                 entry[2](*args)
             else:
                 entry[2]()
-        if until is not None and self._now < until:
-            self._now = until
+        return executed
 
     def run_process(self, generator: Generator[Any, Any, Any],
                     until: Optional[float] = None) -> Any:

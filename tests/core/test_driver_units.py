@@ -1,11 +1,15 @@
 """Unit tests for CEIO driver helpers that need no full testbed."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import CeioConfig
+from repro.core.driver import CeioDriver
 from repro.hw import CacheConfig, HostConfig
 from repro.io_arch import build_arch
 from repro.net import Flow, FlowKind
+from repro.sim import Simulator
 from tests.conftest import host_endpoint
 
 
@@ -79,3 +83,47 @@ def test_active_share_scales_with_inactive_count():
     for f in flows[:2]:
         arch.states[f.flow_id].inactive = True
     assert arch._active_share() == pytest.approx(2 * full_share)
+
+
+class _Ring:
+    """The slice of a SW ring a drain reads: one-packet entries that
+    stay nonresident until a batch claims them."""
+
+    ready_count = 0
+
+    def __init__(self, n):
+        self.entries = [SimpleNamespace(fetching=False) for _ in range(n)]
+
+    @property
+    def has_nonresident(self):
+        return any(not entry.fetching for entry in self.entries)
+
+    def nonresident_head(self, n):
+        return [entry for entry in self.entries if not entry.fetching][:n]
+
+
+def test_drain_reraises_a_batch_that_crashes_after_another_ended():
+    """Two one-entry batches end at t = 1: the first ends cleanly and
+    fires the drain's wait, the second crashes just after. The crash
+    must reach the drain, not be pruned with the finished batches."""
+    sim = Simulator()
+    started = []
+
+    def drain_batch(swring, entries):
+        index = len(started)
+        started.append(entries)
+        yield 1.0
+        if index == 1:
+            raise ValueError("batch crashed")
+
+    runtime = SimpleNamespace(
+        sim=sim, config=SimpleNamespace(drain_batch=1, drain_prefetch=0),
+        buffer_manager=SimpleNamespace(drain_batch=drain_batch),
+        poll_interval=10.0, on_drain_complete=lambda state: None)
+    state = SimpleNamespace(
+        draining=False, drain_proc=None, swring=_Ring(2),
+        flow=Flow(FlowKind.CPU_INVOLVED, message_payload=512))
+    CeioDriver(runtime)._start_drain(state, background=True)
+    with pytest.raises(ValueError, match="batch crashed"):
+        sim.run()
+    assert len(started) == 2 and not state.draining

@@ -7,6 +7,8 @@ exclusive/inclusive window semantics of ``run_until``, and the
 calendar key another kernel executes.
 """
 
+from math import inf
+
 import pytest
 
 from repro.sim import SimulationError, Simulator
@@ -124,3 +126,61 @@ def test_post_keyed_in_the_past_raises():
     sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.post_keyed(5.0, 1, _noop)
+
+
+# ---------------------------------------------------------------------------
+# The run loop: every drain call, with and without domains and sanitizer
+# ---------------------------------------------------------------------------
+
+#: (call, horizon call ``f(sim, T)``, entries executed, final clock,
+#: next pending time, return value) for a calendar holding entries at
+#: t = 5, 10, 10 and 15 and a horizon T = 10.
+_LOOP_CALLS = {
+    "run()": (lambda sim, t: sim.run(), 4, 15.0, inf, None),
+    "run(until=T)": (lambda sim, t: sim.run(until=t), 3, 10.0, 15.0, None),
+    "run_until(T)": (lambda sim, t: sim.run_until(t), 1, 10.0, 10.0, 1),
+    "run_until(T, inclusive=True)": (
+        lambda sim, t: sim.run_until(t, inclusive=True), 3, 10.0, 15.0, 3),
+}
+
+#: (name, time, domain the execution must see) in execution order. One
+#: domain: the two t = 10 entries tie in scheduling order. Three
+#: domains: they tie by domain, and each runs in its own domain.
+_ORDER = {
+    False: [("a1", 5.0, 0), ("b2", 10.0, 0), ("b0", 10.0, 0), ("c1", 15.0, 0)],
+    True: [("a1", 5.0, 1), ("b0", 10.0, 0), ("b2", 10.0, 2), ("c1", 15.0, 1)],
+}
+
+
+@pytest.mark.parametrize("call", list(_LOOP_CALLS))
+@pytest.mark.parametrize("multi", [False, True], ids=["one-domain", "domains"])
+@pytest.mark.parametrize("debug", [False, True], ids=["release", "debug"])
+def test_run_loop_matrix(debug, multi, call):
+    drain, count, clock, pending, returned = _LOOP_CALLS[call]
+    sim = Simulator(debug=debug)
+    ran = []
+    # Scheduled out of time order; the name's digit is its domain.
+    for when, name in ((10.0, "b2"), (5.0, "a1"), (10.0, "b0"), (15.0, "c1")):
+        if multi:
+            sim.set_domain(int(name[1]))
+        sim.call_at(when, lambda name=name: ran.append(
+            (name, sim.now, sim.domain)))
+    sim.set_domain(0)
+
+    assert drain(sim, 10.0) == returned
+    assert ran == _ORDER[multi][:count]
+    assert sim.now == clock
+    assert sim.peek() == pending  # exclusive run_until leaves t = T queued
+    assert sim.events_executed == count
+    if call != "run()":
+        with pytest.raises(SimulationError, match="in the past"):
+            drain(sim, 5.0)
+    sim.close()
+    if debug:
+        with pytest.raises(SimulationError, match="after Simulator.close"):
+            drain(sim, 20.0)
+    else:  # release close() is lenient: the rest of the calendar runs
+        drain(sim, 20.0)
+        assert [name for name, _, _ in ran] == [
+            name for name, _, _ in _ORDER[multi]]
+        assert sim.events_executed == 4
