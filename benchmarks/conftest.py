@@ -3,35 +3,17 @@
 Every benchmark runs one reproduction experiment exactly once (pedantic
 mode — these are minutes-long simulations, not microbenchmarks), prints
 the paper-style table, and asserts the shape checks that define a
-successful reproduction.
-
-Set ``REPRO_BENCH_CACHE=1`` to route experiments through
-``repro.runner``'s content-addressed result cache (``.repro_cache/``):
-simulation points completed by a previous benchmark run — or by a
-``python -m repro.experiments`` sweep — are reused instead of recomputed.
-The cache key includes a fingerprint of the ``repro`` sources, so edits
-to the simulator invalidate stale entries automatically. (Benchmark
-*timings* then measure collection, not simulation — use the default
-uncached mode when the wall-clock numbers matter.)
+successful reproduction. Points run serially in-process through
+:func:`repro.experiments.run_experiment`, with no result cache, so the
+timings always measure simulation.
 """
-
-import os
 
 import pytest
 
 from repro.experiments import run_experiment
-from repro.runner import RunnerOptions, run_experiment_cached
-
-
-def _use_cache() -> bool:
-    return os.environ.get("REPRO_BENCH_CACHE", "") not in ("", "0")
 
 
 def _run(exp_id: str, quick: bool = True):
-    if _use_cache():
-        return run_experiment_cached(
-            exp_id, quick=quick,
-            options=RunnerOptions(quiet=True, retries=0))
     return run_experiment(exp_id, quick)
 
 

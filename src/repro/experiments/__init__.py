@@ -1,12 +1,13 @@
 """Experiment registry: one entry per paper figure/table.
 
-Each experiment is an :class:`ExperimentSpec`. Point-based experiments
-expose their sweep as ``points(quick, seed)`` (independent simulation
-points), ``run_point(params, seed)`` (the picklable worker), and
-``collect(results, quick, seed)`` (rows + shape checks) — the contract
-``repro.runner`` uses to execute sweeps across a process pool. Calling
-:func:`run_experiment` runs the same points serially, so results are
-bit-identical for any ``--jobs`` value. Run from the command line::
+Every experiment is an :class:`ExperimentSpec` with one contract:
+``points(quick, seed)`` lists its independent simulation points (each
+naming its picklable worker, ``run_point(params, seed)``), and
+``collect(results, quick, seed)`` turns the ``point_id -> value`` mapping
+into rows + shape checks. ``repro.runner`` executes the points across a
+process pool and a result cache; :func:`run_experiment` runs the same
+points serially, so results are bit-identical for any ``--jobs`` value.
+Run from the command line::
 
     python -m repro.experiments fig09
     python -m repro.experiments all --full --jobs 8
@@ -18,6 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..runner.sweep import run_points_serial
 from . import (
     ablations,
     capacity,
@@ -43,30 +45,20 @@ __all__ = ["EXPERIMENTS", "ExperimentSpec", "run_experiment",
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Registry entry: how to run (and optionally how to sweep) one
-    figure/table."""
+    """Registry entry: how to sweep and collect one figure/table."""
 
     exp_id: str
     description: str
-    #: ``run(quick, seed=None) -> ExperimentResult`` — serial execution.
-    run: Callable[..., ExperimentResult]
-    #: ``points(quick, seed=None) -> List[Point]`` (None = not sweepable;
-    #: the runner falls back to one whole-experiment point).
-    points: Optional[Callable] = None
+    #: ``points(quick, seed=None) -> List[Point]``.
+    points: Callable
     #: ``collect(results, quick, seed=None) -> ExperimentResult``.
-    collect: Optional[Callable] = None
-
-    def __call__(self, quick: bool = True,
-                 seed: Optional[int] = None) -> ExperimentResult:
-        return self.run(quick, seed=seed)
+    collect: Callable
 
 
-def _dynamic_spec(exp_id: str, variant_runner, variant: str,
-                  description: str) -> ExperimentSpec:
+def _dynamic_spec(exp_id: str, description: str) -> ExperimentSpec:
     return ExperimentSpec(
         exp_id=exp_id,
         description=description,
-        run=functools.partial(variant_runner, variant=variant),
         points=functools.partial(dynamic.points, exp_id),
         collect=functools.partial(dynamic.collect, exp_id),
     )
@@ -74,22 +66,20 @@ def _dynamic_spec(exp_id: str, variant_runner, variant: str,
 
 def _module_spec(exp_id: str, module, description: str) -> ExperimentSpec:
     return ExperimentSpec(exp_id=exp_id, description=description,
-                          run=module.run, points=module.points,
-                          collect=module.collect)
+                          points=module.points, collect=module.collect)
 
 
 _SPECS: List[ExperimentSpec] = [
-    _dynamic_spec("fig04a", dynamic.run_fig04, "a",
+    _dynamic_spec("fig04a",
                   "Motivation: HostCC/ShRing degrade when the flow mix "
                   "changes (dynamic flow distribution)"),
-    _dynamic_spec("fig04b", dynamic.run_fig04, "b",
+    _dynamic_spec("fig04b",
                   "Motivation: HostCC/ShRing degrade under network bursts"),
     _module_spec("fig09", fig09,
                  "Throughput & LLC miss rate vs packet size, static load"),
-    _dynamic_spec("fig10a", dynamic.run_fig10, "a",
+    _dynamic_spec("fig10a",
                   "End-to-end dynamic flow distribution, CEIO included"),
-    _dynamic_spec("fig10b", dynamic.run_fig10, "b",
-                  "End-to-end network burst, CEIO included"),
+    _dynamic_spec("fig10b", "End-to-end network burst, CEIO included"),
     _module_spec("fig11", fig11,
                  "CEIO fast/slow path bandwidth vs raw ib_write_bw"),
     _module_spec("fig12", fig12,
@@ -107,9 +97,8 @@ _SPECS: List[ExperimentSpec] = [
                  "Fast/slow path latency vs raw RDMA write (ib_write_lat)"),
     _module_spec("table4", table4,
                  "Mixed involved/bypass flows with CEIO ablations"),
-    ExperimentSpec("limits",
-                   "Scenarios with limited benefit: low pressure & jumbo",
-                   run=limits.run),
+    _module_spec("limits", limits,
+                 "Scenarios with limited benefit: low pressure & jumbo"),
     _module_spec("ablations", ablations,
                  "Design-choice ablations (credit release, exclusivity, "
                  "cache model)"),
@@ -123,10 +112,9 @@ _SPECS: List[ExperimentSpec] = [
     _module_spec("soak", soak,
                  "Randomized invariant soak: sampled scenario x arch x "
                  "fault plans gated on conservation (repro.audit)"),
-    ExperimentSpec("lessons",
-                   "§6.4 lessons: zero-copy necessity & transport "
-                   "agnosticism",
-                   run=lessons.run),
+    _module_spec("lessons", lessons,
+                 "§6.4 lessons: zero-copy necessity & transport "
+                 "agnosticism"),
 ]
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {s.exp_id: s for s in _SPECS}
@@ -139,4 +127,5 @@ def run_experiment(exp_id: str, quick: bool = True,
     except KeyError:
         raise ValueError(f"unknown experiment {exp_id!r}; "
                          f"choose from {sorted(EXPERIMENTS)}") from None
-    return spec.run(quick, seed=seed)
+    return spec.collect(run_points_serial(spec.points(quick, seed)),
+                        quick, seed)

@@ -84,8 +84,7 @@ def main(argv=None) -> int:
     if args.list:
         width = max(len(eid) for eid in EXPERIMENTS)
         for eid, spec in EXPERIMENTS.items():
-            kind = "sweep" if spec.points is not None else "whole"
-            print(f"{eid:<{width}}  [{kind}]  {spec.description}")
+            print(f"{eid:<{width}}  {spec.description}")
         return 0
     if not args.experiments:
         parser.error("no experiments given (try --list or 'all')")

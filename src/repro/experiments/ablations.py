@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 MIXED_SEED = 29
 EXCLUSIVITY_SEED = 31
@@ -178,7 +178,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         "(real DDIO alignment waste), the fully-associative model charges "
         "bytes")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..scenario import canonical, template
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 DEFAULT_SEED = 7
 _FN = "repro.experiments.capacity:run_point"
@@ -257,7 +257,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         f"guarded worst window {guarded['worst_p999_us']:.1f}us vs "
         f"ablation {unguarded['worst_p999_us']:.1f}us")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

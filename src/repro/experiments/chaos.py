@@ -34,12 +34,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..faults import FaultPlan, FaultSpec
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..sim.units import US
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 DEFAULT_SEED = 23
 _FN = "repro.experiments.chaos:run_point"
@@ -207,7 +207,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         "backlog (the very over-provisioning that thrashes its LLC) but "
         "silently loses every dropped request — see the 'dropped' column")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..workloads import TopoScenario, compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run_fig04", "run_fig10", "points", "scenario_spec", "run_point",
-           "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 DEFAULT_SEED = 11
 EXPECTED_SEED = 3
@@ -179,18 +178,3 @@ def collect(exp_id: str, results: Mapping[str, Any], quick: bool = True,
             mpps["ceio"][last] > 0.65 * expected_last,
             f"{mpps['ceio'][last]:.1f} vs expected {expected_last:.1f}")
     return result
-
-
-def _run(exp_id: str, quick: bool, seed: Optional[int]) -> ExperimentResult:
-    return collect(exp_id, run_points_serial(points(exp_id, quick, seed)),
-                   quick, seed)
-
-
-def run_fig04(quick: bool = True, variant: str = "a",
-              seed: Optional[int] = None) -> ExperimentResult:
-    return _run(f"fig04{variant}", quick, seed)
-
-
-def run_fig10(quick: bool = True, variant: str = "a",
-              seed: Optional[int] = None) -> ExperimentResult:
-    return _run(f"fig10{variant}", quick, seed)

@@ -11,19 +11,19 @@ Paper's observations reproduced as shape checks:
 
 The sweep is exposed as independent :class:`~repro.runner.sweep.Point`\\ s
 (``points()`` / ``run_point()`` / ``collect()``) so ``repro.runner`` can
-execute it across a worker pool; ``run()`` is the serial composition of
-the three and produces bit-identical results for any ``--jobs`` value.
+execute it across a worker pool, with bit-identical results for any
+``--jobs`` value.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 ARCHS = ["baseline", "hostcc", "shring", "ceio"]
 SIZES_QUICK = [144, 512, 1024]
@@ -140,7 +140,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
                 miss["ceio"][sizes[-1]] < 0.15,
                 f"{miss['ceio'][sizes[-1]]*100:.1f}%")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

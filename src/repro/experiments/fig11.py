@@ -15,11 +15,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..apps import ib_write_bw
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..sim.units import MS
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 SIZES_QUICK = [512, 4096, 65536]
 SIZES_FULL = [64, 512, 1024, 4096, 16384, 65536]
@@ -85,7 +85,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         <= min(slow[s] / max(1e-9, fast[s]) for s in big) + 1e-9,
     )
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..sim.units import US
 from ..workloads import ChurnConfig, UdChurnScenario
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 FLOWS_QUICK = [32, 1024]
 FLOWS_FULL = [16, 128, 512, 1024, 2048]
@@ -93,7 +93,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         > 0.5 * data[(few, fast_slot)]["mpps"],
     )
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

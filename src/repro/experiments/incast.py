@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..scenario import canonical, incast_template
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 ARCHS = ["baseline", "hostcc", "shring", "ceio"]
 ARCHS_QUICK = ["baseline", "ceio"]
@@ -142,7 +142,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         mpps["ceio"][wide] > mpps["ceio"][narrow],
         f"{mpps['ceio'][narrow]:.1f} -> {mpps['ceio'][wide]:.1f} Mpps")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -12,24 +12,31 @@ Three lessons with measurable content:
    internal switch; ~15 Gbps at 512 B in the paper);
 3. **CEIO is transport-agnostic** — eRPC gains hold under both the DPDK
    and RDMA transports (the compatibility claim of §5).
+
+Sweep decomposition: one point per zero-copy variant (lesson 1) and one
+per (transport, arch) (lesson 3).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..apps.erpc import ErpcConfig, ErpcServer
 from ..net import Flow, FlowKind, SaturatingSource
 from ..io_arch import build_arch
+from ..runner.sweep import Point, make_point
 from ..sim.units import US
 from ..topo import Fabric, two_host
 from ..workloads import compile_scenario, scaled_host_config, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "scenario_spec"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 
 DEFAULT_SEED = 37
+TRANSPORTS = ["dpdk", "rdma"]
+ARCHS = ["baseline", "ceio"]
+_FN = "repro.experiments.lessons:run_point"
 
 
 def _rpc_throughput(zero_copy: bool, quick: bool, seed: int) -> float:
@@ -70,9 +77,32 @@ def scenario_spec(transport: str, arch: str, quick: bool,
         duration_us=400.0 if quick else 800.0)
 
 
-def run(quick: bool = True,
-        seed: Optional[int] = None) -> ExperimentResult:
-    root_seed = DEFAULT_SEED if seed is None else seed
+def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
+    pts = []
+    for variant, zero_copy in (("zero-copy", True), ("copying", False)):
+        params = {"zero_copy": zero_copy, "quick": quick}
+        pts.append(make_point("lessons", _FN, params, seed, DEFAULT_SEED,
+                              label=f"zero-copy.{variant}"))
+    for transport in TRANSPORTS:
+        for arch in ARCHS:
+            params = {"transport": transport, "arch": arch, "quick": quick}
+            pts.append(make_point("lessons", _FN, params, seed,
+                                  DEFAULT_SEED,
+                                  label=f"transport-{transport}.{arch}"))
+    return pts
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+    quick = params["quick"]
+    if "zero_copy" in params:
+        return {"mpps": _rpc_throughput(params["zero_copy"], quick, seed)}
+    spec = scenario_spec(params["transport"], params["arch"], quick, seed)
+    m = compile_scenario(spec).run_measure()["host"]
+    return {"mpps": m.involved_mpps}
+
+
+def collect(results: Mapping[str, Any], quick: bool = True,
+            seed: Optional[int] = None) -> ExperimentResult:
     result = ExperimentResult(
         exp_id="lessons",
         title="§6.4 lessons: zero-copy necessity & transport agnosticism",
@@ -82,9 +112,8 @@ def run(quick: bool = True,
     )
     result.headers = ["lesson", "variant", "mpps"]
 
-    zc = _rpc_throughput(zero_copy=True, quick=quick, seed=root_seed)
-    copying = _rpc_throughput(zero_copy=False, quick=quick,
-                              seed=root_seed)
+    zc = results["lessons/zero-copy.zero-copy"]["mpps"]
+    copying = results["lessons/zero-copy.copying"]["mpps"]
     result.rows.append(["zero-copy", "zero-copy", zc])
     result.rows.append(["zero-copy", "copying", copying])
     result.check(
@@ -94,17 +123,13 @@ def run(quick: bool = True,
         f"({copying / zc:.0%})")
 
     gains = {}
-    for transport in ("dpdk", "rdma"):
-        rates = {}
-        for arch in ("baseline", "ceio"):
-            spec = scenario_spec(transport, arch, quick, root_seed)
-            rates[arch] = compile_scenario(
-                spec).run_measure()["host"].involved_mpps
+    for transport in TRANSPORTS:
+        rates = {arch: results[f"lessons/transport-{transport}.{arch}"]
+                 ["mpps"] for arch in ARCHS}
         gains[transport] = rates["ceio"] / max(1e-9, rates["baseline"])
-        result.rows.append([f"transport-{transport}", "baseline",
-                            rates["baseline"]])
-        result.rows.append([f"transport-{transport}", "ceio",
-                            rates["ceio"]])
+        for arch in ARCHS:
+            result.rows.append([f"transport-{transport}", arch,
+                                rates[arch]])
     result.check(
         "CEIO's speedup is comparable under DPDK and RDMA (within 30%)",
         abs(gains["dpdk"] - gains["rdma"])

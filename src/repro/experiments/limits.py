@@ -8,19 +8,25 @@ must also show):
   same, with negligible miss rates;
 - **large packets**: 9000 B jumbo frames amortise per-packet costs so the
   baseline reaches line rate even while missing the LLC.
+
+Sweep decomposition: one point per (scenario kind, arch).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
+from ..runner.sweep import Point, make_point
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "scenario_spec"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 
 DEFAULT_SEED = 23
+KINDS = ["low-pressure", "jumbo"]
+ARCHS = ["baseline", "ceio"]
+_FN = "repro.experiments.limits:run_point"
 
 
 def scenario_spec(kind: str, arch: str, quick: bool,
@@ -43,15 +49,25 @@ def scenario_spec(kind: str, arch: str, quick: bool,
                          duration_us=400.0 if quick else 800.0, **host)
 
 
-def _measure(kind: str, arch: str, quick: bool, seed: int) -> tuple:
-    spec = scenario_spec(kind, arch, quick, seed)
+def points(quick: bool = True, seed: Optional[int] = None) -> List[Point]:
+    pts = []
+    for kind in KINDS:
+        for arch in ARCHS:
+            params = {"kind": kind, "arch": arch, "quick": quick}
+            pts.append(make_point("limits", _FN, params, seed, DEFAULT_SEED,
+                                  label=f"{kind}.{arch}"))
+    return pts
+
+
+def run_point(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
+    spec = scenario_spec(params["kind"], params["arch"], params["quick"],
+                         seed)
     m = compile_scenario(spec).run_measure()["host"]
-    return m.involved_mpps, m.llc_miss_rate
+    return {"mpps": m.involved_mpps, "miss": m.llc_miss_rate}
 
 
-def run(quick: bool = True,
-        seed: Optional[int] = None) -> ExperimentResult:
-    root_seed = DEFAULT_SEED if seed is None else seed
+def collect(results: Mapping[str, Any], quick: bool = True,
+            seed: Optional[int] = None) -> ExperimentResult:
     result = ExperimentResult(
         exp_id="limits",
         title="Scenarios with limited benefit: low pressure & jumbo frames",
@@ -62,8 +78,9 @@ def run(quick: bool = True,
     result.headers = ["scenario", "arch", "mpps", "gbps", "miss_%"]
 
     lp = {}
-    for arch in ("baseline", "ceio"):
-        mpps, miss = _measure("low-pressure", arch, quick, root_seed)
+    for arch in ARCHS:
+        value = results[f"limits/low-pressure.{arch}"]
+        mpps, miss = value["mpps"], value["miss"]
         lp[arch] = (mpps, miss)
         result.rows.append(["64B-low-pressure", arch, mpps,
                             mpps * 64 * 8 / 1000.0, miss * 100])
@@ -78,8 +95,9 @@ def run(quick: bool = True,
         f"{lp['baseline'][1]*100:.1f}%")
 
     jb = {}
-    for arch in ("baseline", "ceio"):
-        mpps, miss = _measure("jumbo", arch, quick, root_seed)
+    for arch in ARCHS:
+        value = results[f"limits/jumbo.{arch}"]
+        mpps, miss = value["mpps"], value["miss"]
         gbps = mpps * 9000 * 8 / 1000.0
         jb[arch] = (mpps, gbps, miss)
         result.rows.append(["9000B-jumbo", arch, mpps, gbps, miss * 100])

@@ -94,34 +94,6 @@ class ExperimentResult:
         return all(c.passed for c in self.checks)
 
     # ------------------------------------------------------------------
-    # JSON round-trip (the runner caches whole-experiment results)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "exp_id": self.exp_id,
-            "title": self.title,
-            "paper_claim": self.paper_claim,
-            "headers": list(self.headers),
-            "rows": [list(row) for row in self.rows],
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in self.checks],
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
-        return cls(
-            exp_id=data["exp_id"],
-            title=data["title"],
-            paper_claim=data["paper_claim"],
-            headers=list(data.get("headers", [])),
-            rows=[list(row) for row in data.get("rows", [])],
-            checks=[ShapeCheck(c["name"], c["passed"], c.get("detail", ""))
-                    for c in data.get("checks", [])],
-            notes=list(data.get("notes", [])),
-        )
-
-    # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
     def render(self) -> str:

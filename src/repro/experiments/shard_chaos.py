@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..faults import FaultPlan, FaultSpec
 from ..runner.shardpool import ShardPoolConfig, worker_shards
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..scenario import build_topology, validate
 from ..shard import run_sharded
 from ..sim.rng import RngRegistry
@@ -42,7 +42,7 @@ from ..topo import partition
 from ..workloads.topo_scenario import TopoScenario
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 DEFAULT_SEED = 29
 _FN = "repro.experiments.shard_chaos:run_point"
@@ -269,7 +269,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         "determinism gate is inline == process at fixed shard count; "
         "host-site faults are gated against the single kernel directly")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

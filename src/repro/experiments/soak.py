@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..faults import FaultPlan, FaultSpec
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..sim.rng import RngRegistry
 from ..sim.units import US
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 DEFAULT_SEED = 407
 _FN = "repro.experiments.soak:run_point"
@@ -279,7 +279,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         f"{len(demand)} demand points ({guarded} with admission "
         f"control armed)")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect"]
+__all__ = ["points", "scenario_spec", "run_point", "collect"]
 
 ARCHS = ["baseline", "hostcc", "shring", "ceio"]
 DEFAULT_SEED = 13
@@ -132,7 +132,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         "shows under dynamic conditions — see fig10 and the P99.9 spikes "
         "in the 144B smoke runs")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

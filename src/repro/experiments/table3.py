@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..apps import ib_write_lat
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "run_point", "collect"]
+__all__ = ["points", "run_point", "collect"]
 
 SIZES = [64, 1024, 4096]
 MODES = ["raw", "fast", "slow"]
@@ -71,7 +71,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
             fast / raw < 1.6,
             f"{fast / raw:.2f}x")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..runner.sweep import Point, make_point, run_points_serial
+from ..runner.sweep import Point, make_point
 from ..workloads import compile_scenario, two_host_spec
 from .report import ExperimentResult
 
-__all__ = ["run", "points", "scenario_spec", "run_point", "collect",
+__all__ = ["points", "scenario_spec", "run_point", "collect",
            "RATIOS"]
 
 RATIOS = [(6, 2), (4, 4), (2, 6)]  # 3:1, 1:1, 1:3 over 8 flows
@@ -106,7 +106,3 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         "so the paper's 1.71x baseline gap does not reproduce at that "
         "ratio; the optimisation ordering (full CEIO > unoptimised) does")
     return result
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> ExperimentResult:
-    return collect(run_points_serial(points(quick, seed)), quick, seed)

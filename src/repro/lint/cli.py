@@ -22,8 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Determinism & sim-correctness static analysis "
-                    "(per-file rules D101-D106 plus whole-program "
-                    "rules D107, D109 and D111).")
+                    "(per-file rules D101-D103, D105 and D106 plus "
+                    "whole-program rules D107, D109 and D111).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--select", metavar="CODES",

@@ -9,8 +9,9 @@ computed "touches the engine's scheduling API" flag.
 Findings pass one filter before they reach the report: inline
 ``# repro: noqa=DXXX`` suppressions (:mod:`repro.lint.suppress`).
 
-Rules come in two *scopes*. ``scope = "file"`` rules (D101–D106) see one
-:class:`ModuleInfo` at a time and also run under :func:`lint_source`.
+Rules come in two *scopes*. ``scope = "file"`` rules (D101–D103, D105,
+D106) see one :class:`ModuleInfo` at a time and also run under
+:func:`lint_source`.
 ``scope = "project"`` rules (D107, D109, D111) run only in :func:`lint_paths`,
 after every file has been parsed, against the resolved
 :class:`~repro.lint.project.Project` view — which is exactly why a

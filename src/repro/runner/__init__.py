@@ -26,7 +26,6 @@ from .cli import (
     RunnerOptions,
     SweepOutcome,
     execute_points,
-    run_experiment_cached,
     run_sweeps,
 )
 from .pool import PointOutcome, PoolConfig, WorkerPool
@@ -44,8 +43,7 @@ from .sweep import (
 
 __all__ = [
     "DEFAULT_CACHE_DIR", "ResultCache", "cache_key", "code_fingerprint",
-    "RunnerOptions", "SweepOutcome", "execute_points",
-    "run_experiment_cached", "run_sweeps",
+    "RunnerOptions", "SweepOutcome", "execute_points", "run_sweeps",
     "PointOutcome", "PoolConfig", "WorkerPool",
     "Progress",
     "Point", "canonical_params", "content_id", "derive_seed", "grid",

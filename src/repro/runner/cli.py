@@ -9,9 +9,6 @@ retries.
 
 :func:`run_sweeps` builds the point list for a set of experiment ids,
 executes it, and collects each experiment's :class:`ExperimentResult`.
-Experiments that don't (yet) expose a sweep run as a single opaque
-"whole" point via :func:`run_whole_experiment`, so they still cache and
-parallelise against each other.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from .pool import PointOutcome, PoolConfig, WorkerPool
 from .progress import Progress
 from .sweep import Point
 
-__all__ = ["RunnerOptions", "SweepOutcome", "execute_points", "run_sweeps",
-           "run_whole_experiment", "run_experiment_cached"]
+__all__ = ["RunnerOptions", "SweepOutcome", "execute_points", "run_sweeps"]
 
 
 @dataclass
@@ -121,23 +117,6 @@ def execute_points(points: List[Point], options: RunnerOptions,
 
 
 # ----------------------------------------------------------------------
-# Whole-experiment fallback worker (experiments without points()/collect())
-# ----------------------------------------------------------------------
-def run_whole_experiment(params: Dict[str, Any],
-                         seed: Optional[int]) -> Dict[str, Any]:
-    from ..experiments import run_experiment
-    result = run_experiment(params["exp_id"], quick=params["quick"],
-                            seed=seed)
-    return result.to_dict()
-
-
-def _whole_point(exp_id: str, quick: bool, seed: Optional[int]) -> Point:
-    return Point(exp_id=exp_id, fn="repro.runner.cli:run_whole_experiment",
-                 params={"exp_id": exp_id, "quick": quick}, seed=seed,
-                 label="whole")
-
-
-# ----------------------------------------------------------------------
 # Experiment-level orchestration
 # ----------------------------------------------------------------------
 def run_sweeps(exp_ids: List[str], quick: bool = True,
@@ -147,17 +126,12 @@ def run_sweeps(exp_ids: List[str], quick: bool = True,
                ) -> Tuple[List[SweepOutcome], Progress]:
     """Execute the combined sweep of several experiments, then collect."""
     from ..experiments import EXPERIMENTS
-    from ..experiments.report import ExperimentResult
 
     options = options or RunnerOptions()
     plans: List[Tuple[str, Any, List[Point]]] = []  # (exp_id, spec, points)
     for exp_id in exp_ids:
         spec = EXPERIMENTS[exp_id]
-        if spec.points is not None:
-            pts = spec.points(quick=quick, seed=seed)
-        else:
-            pts = [_whole_point(exp_id, quick, seed)]
-        plans.append((exp_id, spec, pts))
+        plans.append((exp_id, spec, spec.points(quick=quick, seed=seed)))
 
     all_points = [p for _, _, pts in plans for p in pts]
     if progress is None:
@@ -177,26 +151,7 @@ def run_sweeps(exp_ids: List[str], quick: bool = True,
                 for p in missing[:3])
             outcome.error = (f"{len(missing)}/{len(pts)} points failed "
                              f"({details})")
-        elif spec.points is not None:
-            outcome.result = spec.collect(results, quick=quick, seed=seed)
         else:
-            outcome.result = ExperimentResult.from_dict(
-                results[pts[0].point_id])
+            outcome.result = spec.collect(results, quick=quick, seed=seed)
         outcomes.append(outcome)
     return outcomes, progress
-
-
-def run_experiment_cached(exp_id: str, quick: bool = True,
-                          seed: Optional[int] = None,
-                          options: Optional[RunnerOptions] = None):
-    """One experiment through the cache (used by benchmarks/conftest.py).
-
-    Returns the ExperimentResult; raises RuntimeError if points failed.
-    """
-    options = options or RunnerOptions(quiet=True)
-    outcomes, _ = run_sweeps([exp_id], quick=quick, seed=seed,
-                             options=options)
-    outcome = outcomes[0]
-    if outcome.error:
-        raise RuntimeError(f"{exp_id}: {outcome.error}")
-    return outcome.result

@@ -1,16 +1,9 @@
-"""Unit tests for the chaos experiment module: registration, point
-construction, and collect() verdicts on synthetic results (the expensive
-end-to-end points run in tests/faults/test_recovery.py)."""
+"""Unit tests for the chaos experiment module: point construction and
+collect() verdicts on synthetic results (the expensive end-to-end points
+run in tests/faults/test_recovery.py)."""
 
-from repro.experiments import EXPERIMENTS, chaos
+from repro.experiments import chaos
 from repro.faults import FaultPlan
-
-
-def test_registered_with_sweep_contract():
-    spec = EXPERIMENTS["chaos"]
-    assert spec.points is chaos.points
-    assert spec.collect is chaos.collect
-    assert spec.run is chaos.run
 
 
 def test_points_carry_their_fault_plan():

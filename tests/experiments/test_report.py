@@ -70,6 +70,23 @@ def test_registry_lists_all_paper_artifacts():
     assert expected == set(EXPERIMENTS)
 
 
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_registered_with_sweep_contract(exp_id):
+    """Every experiment is a point sweep: ``points`` + ``collect``, unique
+    point ids, and a point list that is a pure function of its inputs."""
+    spec = EXPERIMENTS[exp_id]
+    assert callable(spec.points) and callable(spec.collect)
+    pts = spec.points(quick=True)
+    assert pts
+    assert len({p.point_id for p in pts}) == len(pts)
+    assert spec.points(quick=True) == pts
+    # With no root seed, every lessons/limits point runs at the seed its
+    # EXPERIMENTS.md table was calibrated at.
+    default_seed = {"lessons": 37, "limits": 23}.get(exp_id)
+    if default_seed is not None:
+        assert all(p.seed == default_seed for p in pts)
+
+
 def test_run_experiment_unknown_id():
     with pytest.raises(ValueError, match="unknown experiment"):
         run_experiment("fig99")

@@ -130,7 +130,7 @@ def test_cli_list_rules():
     code, out = run_cli(["--list-rules"])
     assert code == 0
     listed = [line.split()[0] for line in out.splitlines()]
-    assert listed == ["D101", "D102", "D103", "D104", "D105", "D106",
+    assert listed == ["D101", "D102", "D103", "D105", "D106",
                       "D107", "D109", "D111"]
 
 

@@ -202,94 +202,12 @@ def test_d103_name_demoted_when_rebound_ordered():
 
 
 # ---------------------------------------------------------------------------
-# D104 — engine idiom misuse
-# ---------------------------------------------------------------------------
-
-# D104 only applies to modules that touch the scheduler; fixtures that do
-# not already call a scheduling API carry this helper to opt in.
-SCHED = "\n        def _touch(sim):\n            sim.call_later(1.0, print)\n"
-
-
-def test_d104_flags_bad_yield_values():
-    assert codes("""
-        def proc(sim):
-            yield "not a delay"
-    """ + SCHED) == ["D104"]
-    assert codes("""
-        def proc(sim):
-            yield None
-    """ + SCHED) == ["D104"]
-    assert codes("""
-        def proc(sim):
-            yield [sim.event()]
-    """ + SCHED) == ["D104"]
-    assert codes("""
-        def proc(sim):
-            yield -5.0
-    """ + SCHED) == ["D104"]
-
-
-def test_d104_allows_kernel_idioms():
-    assert codes("""
-        def proc(sim, delay):
-            yield 10.0
-            yield delay
-            yield sim.process(sub(sim))
-            t = yield sim.event()
-            yield from sub(sim)
-
-        def sub(sim):
-            yield 1.0
-    """) == []
-
-
-def test_d104_allows_bare_yield_generator_idiom():
-    assert codes("""
-        def recv(sim):
-            return []
-            yield  # pragma: no cover - makes this a generator
-    """ + SCHED) == []
-
-
-def test_d104_ignores_non_sim_generators():
-    # A data generator yielding tuples is not a process.
-    assert codes("""
-        def pairs(items):
-            for a, b in items:
-                yield (b, a)
-
-        def _touch(sim):
-            sim.call_later(1.0, print)
-    """) == []
-
-
-def test_d104_flags_lambda_loop_capture():
-    assert codes("""
-        def arm(sim, flows):
-            for fid in flows:
-                sim.call_later(10.0, lambda: print(fid))
-    """) == ["D104"]
-
-
-def test_d104_allows_args_binding_and_loop_free_lambdas():
-    assert codes("""
-        def arm(sim, flows):
-            for fid in flows:
-                sim.call_later(10.0, print, fid)
-            sim.call_later(10.0, lambda: print("done"))
-    """) == []
-
-
-def test_d104_flags_literal_negative_delay_call():
-    assert codes("""
-        def arm(sim):
-            sim.call_later(-1.0, print)
-    """) == ["D104"]
-
-
-# ---------------------------------------------------------------------------
 # D105 — dropped handles
 # ---------------------------------------------------------------------------
+
+# D105 only applies to modules that touch the scheduler; fixtures that do
+# not already call a scheduling API carry this helper to opt in.
+SCHED = "\n        def _touch(sim):\n            sim.call_later(1.0, print)\n"
 
 def test_d105_flags_discarded_process():
     assert codes("""

@@ -105,10 +105,7 @@ def _fake_spec(leak):
         return ExperimentResult(exp_id="fake", title="fake",
                                 paper_claim="none")
 
-    def run(quick=True, seed=None):
-        return collect({})
-
-    return ExperimentSpec(exp_id="fake", description="fake", run=run,
+    return ExperimentSpec(exp_id="fake", description="fake",
                           points=points, collect=collect)
 
 

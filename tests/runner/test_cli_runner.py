@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import fig09
-from repro.experiments.report import ExperimentResult
 from repro.runner import Point, Progress, RunnerOptions, execute_points
 
 W = "tests.runner.workers:"
@@ -77,18 +76,6 @@ def test_failures_are_reported_not_raised(tmp_path):
     assert len(failures) == 1
     assert failures[0].point.point_id == "exp/bad"
     assert "boom on b" in failures[0].error
-
-
-def test_experiment_result_json_roundtrip():
-    result = ExperimentResult(exp_id="x", title="t", paper_claim="c")
-    result.headers = ["a", "b"]
-    result.rows = [["r", 1.5]]
-    result.check("passes", True, "fine")
-    result.check("fails", False, "nope")
-    result.notes.append("a note")
-    clone = ExperimentResult.from_dict(result.to_dict())
-    assert clone.render() == result.render()
-    assert clone.all_passed == result.all_passed
 
 
 @pytest.mark.slow

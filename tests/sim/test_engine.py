@@ -26,7 +26,7 @@ def test_timeout_advances_clock():
 def test_timeout_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.call_later(-1, print)  # repro: noqa=D104 -- under test
+        sim.call_later(-1, print)
     with pytest.raises(SimulationError):
         sim.reserve_key(-1)
 
@@ -170,7 +170,7 @@ def test_process_yielding_non_event_raises():
     sim = Simulator()
 
     def bad(sim):
-        yield "not an event"  # repro: noqa=D104 -- the rejection under test
+        yield "not an event"
 
     sim.process(bad(sim))
     with pytest.raises(SimulationError):
@@ -195,7 +195,7 @@ def test_bare_negative_yield_raises_in_process():
     sim = Simulator()
 
     def bad(sim):
-        yield -1.0  # repro: noqa=D104 -- the rejection under test
+        yield -1.0
 
     sim.process(bad(sim))
     with pytest.raises(SimulationError):
@@ -416,14 +416,14 @@ def test_drive_negative_yield_raises_like_a_process():
     sim = Simulator()
 
     def bad(sim):
-        yield -1.0  # repro: noqa=D104 -- the rejection under test
+        yield -1.0
 
     with pytest.raises(SimulationError, match="negative"):
         sim.drive(bad(sim), lambda: None)
 
     def late(sim):
         yield 1.0
-        yield -1.0  # repro: noqa=D104 -- the rejection under test
+        yield -1.0
 
     sim.drive(late(sim), lambda: None)
     with pytest.raises(SimulationError, match="negative"):
@@ -436,7 +436,7 @@ def test_drive_delivers_the_error_into_the_generator():
 
     def recovers(sim):
         try:
-            yield -1.0  # repro: noqa=D104 -- the rejection under test
+            yield -1.0
         except SimulationError as exc:
             caught.append(str(exc))
         yield 3.0

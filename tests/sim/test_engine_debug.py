@@ -99,7 +99,7 @@ def test_debug_rejects_nan_bare_yield():
     sim = Simulator(debug=True)
 
     def proc(sim):
-        yield math.nan  # repro: noqa=D104 -- the rejection under test
+        yield math.nan
 
     sim.process(proc(sim))
     with pytest.raises(SimulationError, match="NaN"):
@@ -111,7 +111,7 @@ def test_debug_rejects_nan_yield_under_drive():
 
     def proc(sim):
         yield 1.0
-        yield math.nan  # repro: noqa=D104 -- the rejection under test
+        yield math.nan
 
     sim.drive(proc(sim), lambda: None)
     with pytest.raises(SimulationError, match="NaN"):
