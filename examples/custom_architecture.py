@@ -5,8 +5,9 @@ Implements a toy "static partition" architecture — every flow gets a fixed
 1/n slice of the DDIO buffer budget, enforced by dropping — and runs it
 against CEIO on the KV workload. The point is the API surface: subclass
 :class:`repro.io_arch.IOArchitecture`, override ``on_packet`` (NIC
-firmware context) and ``release`` (host buffer recycling), register it,
-and every app, workload, and experiment in the library can use it.
+firmware context: return None, or the generator of whatever the packet
+must wait for) and ``release`` (host buffer recycling), register it, and
+every app, workload, and experiment in the library can use it.
 
 Run:  python examples/custom_architecture.py
 """
@@ -29,8 +30,8 @@ class StaticPartitionArch(IOArchitecture):
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or rx.in_use >= self.quota():
             self._drop(packet, rx)
-            return
-        yield from self._dma_to_host(packet, rx, ddio=True)
+            return None
+        return self._dma_to_host(packet, rx, ddio=True)
 
 
 def main() -> None:

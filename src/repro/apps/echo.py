@@ -104,7 +104,9 @@ class EchoServer:
     def _loop(self):
         cfg = self.config
         while self._running:
-            records = yield from self.ethdev.rx_burst(self.flow, cfg.rx_burst)
+            records = self.ethdev.rx_burst(self.flow, cfg.rx_burst)
+            if not isinstance(records, list):
+                records = yield from records
             if not records:
                 yield cfg.poll_gap
                 continue

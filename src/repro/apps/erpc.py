@@ -20,7 +20,7 @@ is the request's network+host path plus the fixed reverse delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from ..frameworks.dpdk import EthDev, RX_BURST_MAX
 from ..hw.cpu import Core
@@ -60,12 +60,28 @@ class RequestContext:
         self.payload = record.packet.payload
 
 
+def _noop() -> None:
+    """Does nothing: the calendar entry a finished loop leaves behind,
+    and the end of a blocking receive (which serves its burst itself)."""
+
+
 class ErpcServer:
     """One RPC event loop: a flow, a dedicated core, and a handler.
 
     ``handler(ctx) -> cycles`` returns the application cycles to charge
     (the handler may also do real Python work, e.g. the KV store's dict
     operations).
+
+    The loop is a callback state machine: :meth:`_poll` receives a
+    burst (or waits ``poll_gap`` on an empty one), and each record goes
+    through :meth:`_serve` (the buffer read), :meth:`_handle` (the copy
+    when zero-copy is off, then the handler and the compute) and
+    :meth:`_served`; the last record of a burst frees it and polls
+    again. Every wait is one ``call_later`` entry, at the same
+    ``(time, seq)`` the same loop written as a process would use. A
+    receive that must block (CEIO's synchronous-drain ablation) runs
+    through :meth:`Simulator.drive`. :meth:`stop` takes effect at the
+    next poll: a burst being served is finished first.
     """
 
     def __init__(self, arch: IOArchitecture, flow: Flow, core: Core,
@@ -85,14 +101,12 @@ class ErpcServer:
         self.requests = 0.0
         self.responses = 0.0
         self._running = False
-        self._proc = None
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self._proc = self.sim.process(self._event_loop(),
-                                      name=f"erpc-{self.flow.name}")
+        self.sim.call_later(0.0, self._poll)
 
     def stop(self) -> None:
         self._running = False
@@ -104,35 +118,64 @@ class ErpcServer:
             extra += self.config.rdma_extra_cycles
         return extra
 
-    def _event_loop(self):
-        cfg = self.config
-        while self._running:
-            records = yield from self.ethdev.rx_burst(self.flow, cfg.rx_burst)
-            if not records:
-                yield cfg.poll_gap
-                continue
-            for record in records:
-                # A record may belong to another flow on shared-ring
-                # architectures; account it against its own flow.
-                rx = self.arch.flows.get(record.flow.flow_id)
-                yield from self._serve_one(record, rx)
-            self.ethdev.free(records)
-            self.ethdev.tx_burst(len(records))
+    def _poll(self) -> None:
+        if not self._running:
+            # A finished loop triggers its end at the current time (one
+            # calendar entry, as a process's return does).
+            self.sim.call_later(0.0, _noop)
+            return
+        records = self.ethdev.rx_burst(self.flow, self.config.rx_burst)
+        if isinstance(records, list):
+            self._burst(records)
+        else:
+            self.sim.drive(self._receive_blocking(records), _noop)
 
-    def _serve_one(self, record: RxRecord, rx):
-        cfg = self.config
+    def _receive_blocking(self, waiting):
+        """Wait in a blocking receive, then serve what it returns."""
+        self._burst((yield from waiting))
+
+    def _burst(self, records: List[RxRecord]) -> None:
+        if records:
+            self._serve(records, 0)
+        else:
+            self.sim.call_later(self.config.poll_gap, self._poll)
+
+    def _serve(self, records: List[RxRecord], index: int) -> None:
+        record = records[index]
+        # A record may belong to another flow on shared-ring
+        # architectures; account it against its own flow.
+        rx = self.arch.flows.get(record.flow.flow_id)
         # Zero-copy read of the request straight from the I/O buffer: the
         # LLC hit/miss on this access is the paper's entire story.
-        yield from self.core.read_buffer(record.key, record.packet.payload)
-        if not cfg.zero_copy:
+        stall, _missed = self.core.read_stall(record.key,
+                                              record.packet.payload)
+        self.sim.call_later(stall, self._handle, records, index, rx)
+
+    def _handle(self, records: List[RxRecord], index: int, rx,
+                copied: bool = False) -> None:
+        cfg = self.config
+        record = records[index]
+        if not (cfg.zero_copy or copied):
             # Copying path: stage the request into an application buffer
             # (usually cold) before handling it.
-            yield from self.core.copy_to_app_buffer(record.packet.payload)
+            self.sim.call_later(self.core.copy_stall(record.packet.payload),
+                                self._handle, records, index, rx, True)
+            return
         app_cycles = self.handler(RequestContext(record))
         total = (cfg.rpc_overhead_cycles + app_cycles + cfg.tx_cycles
                  + self.per_packet_extra_cycles)
-        yield self.core.compute(total)
+        self.sim.call_later(self.core.compute(total), self._served,
+                            records, index, rx)
+
+    def _served(self, records: List[RxRecord], index: int, rx) -> None:
         self.requests += 1
         self.responses += 1
         if rx is not None:
-            rx.record_processed(record, self.sim.now)
+            rx.record_processed(records[index], self.sim.now)
+        index += 1
+        if index < len(records):
+            self._serve(records, index)
+            return
+        self.ethdev.free(records)
+        self.ethdev.tx_burst(len(records))
+        self._poll()

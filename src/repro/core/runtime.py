@@ -19,6 +19,7 @@ Wiring (Figure 5):
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..hw import DmaWrite, Host
@@ -166,28 +167,31 @@ class CeioArchitecture(IOArchitecture):
     # NIC data path
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet):
+        """Steer one packet: a plain call that returns None or its
+        waiting tail (see :meth:`IOArchitecture.on_packet`). The slow
+        path always has a tail: its on-NIC memory write waits on a
+        bandwidth take."""
         self.rx_offered += 1
         fid = packet.flow.flow_id
         state = self.states.get(fid)
         rx = self.flows.get(fid)
         if state is None or rx is None:
             self._drop(packet, rx)
-            return
+            return None
         if self._dedup(packet, rx):
-            return
+            return None
         if self.admission is not None and not self.admission.admit(
                 len(state.swring), self.buffer_manager.slow_bytes(fid)):
             self._shed(packet, rx)
-            return
+            return None
         action = self.steering.match(fid, packet.size, self.sim.now)
         self._touched.add(fid)
         if action is SteeringAction.DROP:
             self._drop(packet, rx)
-            return
+            return None
         if action is SteeringAction.FAST_PATH and not self.buffer_manager.fast_path_paused:
-            yield from self._fast_path(packet, state, rx)
-        else:
-            yield from self._slow_path(packet, state, rx)
+            return self._fast_path(packet, state, rx)
+        return self._slow_path(packet, state, rx)
 
     def _fast_path(self, packet: Packet, state: CeioFlowState, rx: FlowRx):
         if not self.credits.consume(packet.flow.flow_id, self.sim.now):
@@ -203,20 +207,11 @@ class CeioArchitecture(IOArchitecture):
         record = RxRecord(packet, next(_keys), path="fast")
         self._accept(packet)
 
-        swring = state.swring
-        overhead = self.config.fast_path_overhead_ns
-        sim = self.sim
-
-        def deliver(now: float) -> None:
-            # The RMT/credit pipeline stage adds latency but is pipelined,
-            # so it is charged at delivery rather than serialised in the
-            # firmware loop. Equal delay on every packet preserves order.
-            sim.call_later(overhead, self._push_fast, packet, record,
-                           swring, rx)
-
-        write = DmaWrite(record.key, packet.size, ddio=True, deliver=deliver,
+        write = DmaWrite(record.key, packet.size, ddio=True,
+                         deliver=partial(self._fast_delivered, record,
+                                         state.swring, rx),
                          flow_id=packet.flow.flow_id)
-        yield from self.host.nic.dma.write_to_host(write)
+        tail = self.host.nic.dma.write_to_host(write)
         if write.dropped:
             # Descriptor-drop fault: the accepted packet will never deliver.
             # Account the loss to the flow (it was ACKed, so the sender
@@ -227,6 +222,16 @@ class CeioArchitecture(IOArchitecture):
             self.fast_write_drops += 1
             self.dma_write_drops += 1
             rx.dropped += 1
+        return tail
+
+    def _fast_delivered(self, record: RxRecord, swring: SwRing, rx: FlowRx,
+                        now: float) -> None:
+        # The RMT/credit pipeline stage adds latency but is pipelined, so
+        # it is charged at delivery rather than serialised in the firmware
+        # loop. Equal delay on every packet preserves order.
+        self.sim.call_later(self.config.fast_path_overhead_ns,
+                            self._push_fast, record.packet, record, swring,
+                            rx)
 
     def _ack_deferred(self, packet: Packet) -> None:
         if self.ack is not None:
@@ -250,7 +255,8 @@ class CeioArchitecture(IOArchitecture):
             # the flow keeps making progress instead of wedging; with the
             # fallback disabled this is a counted drop.
             if self.config.spill_to_dram:
-                yield from self._spill_to_dram(packet, state, rx, record)
+                yield from self._spill_to_dram(packet, state, rx,
+                                               record) or ()
             else:
                 self.buffer_manager.slow_drops += 1
                 self._drop(packet, rx)
@@ -288,7 +294,8 @@ class CeioArchitecture(IOArchitecture):
     def _spill_to_dram(self, packet: Packet, state: CeioFlowState,
                        rx: FlowRx, record: RxRecord):
         """Overflow fallback: DMA the packet to host DRAM, bypassing both
-        on-NIC memory and the DDIO partition.
+        on-NIC memory and the DDIO partition. Returns None or the write's
+        waiting tail.
 
         The record enters the SW ring like a slow-path entry (ordering is
         preserved) but needs no later DMA read — it becomes host-resident
@@ -322,13 +329,14 @@ class CeioArchitecture(IOArchitecture):
         # Overflow is hard congestion: assert CE on the ACK so senders back
         # off toward whatever rate the spill path sustains.
         self._accept(packet, extra_mark=True)
-        yield from self.host.nic.dma.write_to_host(write)
+        tail = self.host.nic.dma.write_to_host(write)
         if write.dropped:
             # The spilled entry can never become host-resident; account the
             # loss to the flow (delivery counters already balanced at
             # admission, so only the flow-visible drop is recorded).
             self.dma_write_drops += 1
             rx.dropped += 1
+        return tail
 
     # ------------------------------------------------------------------
     # Host software API
@@ -344,11 +352,12 @@ class CeioArchitecture(IOArchitecture):
         return state is not None and state.swring.head_ready
 
     def recv_burst(self, flow: Flow, max_packets: int):
-        """Process-context receive honouring the async ablation switch."""
+        """Application-side receive honouring the async ablation switch:
+        the records, or with ``async_drain`` off the generator of a
+        receive that may stall the application (it returns them)."""
         if self.config.async_drain:
             return self.driver.async_recv(flow, max_packets)
-            yield  # pragma: no cover - makes this a generator
-        return (yield from self._sync_recv(flow, max_packets))
+        return self._sync_recv(flow, max_packets)
 
     def _sync_recv(self, flow: Flow, max_packets: int):
         state = self.flow_state(flow.flow_id)

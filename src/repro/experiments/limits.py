@@ -7,7 +7,10 @@ must also show):
   VxLAN decapsulation) fits in the LLC; baseline and CEIO perform the
   same, with negligible miss rates;
 - **large packets**: 9000 B jumbo frames amortise per-packet costs so the
-  baseline reaches line rate even while missing the LLC.
+  baseline reaches line rate even while missing the LLC. The paper
+  measures a 48% baseline miss rate there; this model's baseline misses
+  0% on jumbo frames, so the checks test only the line rate and the gap
+  to CEIO, not that miss rate.
 
 Sweep decomposition: one point per (scenario kind, arch).
 """
@@ -34,8 +37,7 @@ def scenario_spec(kind: str, arch: str, quick: bool,
     """``low-pressure``: a 64B VxLAN-decap-style workload whose total
     descriptor footprint (2 flows x 4096 buffers x ~106 B frames) fits
     inside the DDIO partition, so the LLC cannot be the bottleneck for
-    anyone. ``jumbo``: 9000B echo on 16 KB I/O buffers, line rate
-    despite misses."""
+    anyone. ``jumbo``: 9000B echo on 16 KB I/O buffers at line rate."""
     if kind == "low-pressure":
         tenant = {"name": "kv", "workload": "kvstore", "flows": 2,
                   "payload": 64, "outstanding": 24}
@@ -102,11 +104,11 @@ def collect(results: Mapping[str, Any], quick: bool = True,
         jb[arch] = (mpps, gbps, miss)
         result.rows.append(["9000B-jumbo", arch, mpps, gbps, miss * 100])
     result.check(
-        "jumbo: baseline within 15% of CEIO despite its misses",
+        "jumbo: baseline within 15% of CEIO",
         jb["baseline"][1] >= 0.85 * jb["ceio"][1],
         f"baseline {jb['baseline'][1]:.0f} vs ceio {jb['ceio'][1]:.0f} Gbps")
     result.check(
-        "jumbo: baseline tolerates a substantial miss rate",
-        jb["baseline"][2] > 0.2 or jb["baseline"][1] > 150,
+        "jumbo: baseline holds line rate (> 150 Gbps)",
+        jb["baseline"][1] > 150,
         f"miss {jb['baseline'][2]*100:.0f}%, {jb['baseline'][1]:.0f} Gbps")
     return result

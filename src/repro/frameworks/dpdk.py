@@ -73,13 +73,23 @@ class EthDev:
         self.arch.register_flow(flow)
 
     def rx_burst(self, flow: Flow, max_packets: int = RX_BURST_MAX):
-        """Process: receive up to ``max_packets`` records (rte_eth_rx_burst).
+        """Receive up to ``max_packets`` records (rte_eth_rx_burst).
 
-        Generator so that architectures with blocking receive semantics can
-        stall the caller; the common case returns immediately.
+        Returns the list of records. On an architecture whose receive
+        can stall the caller it may instead return the generator of that
+        wait, which returns the records (see
+        :meth:`IOArchitecture.recv_burst`).
         """
         self.rx_burst_calls += 1
-        records = yield from self.arch.recv_burst(flow, max_packets)
+        records = self.arch.recv_burst(flow, max_packets)
+        if not isinstance(records, list):
+            return self._allocated(records)
+        if records:
+            self.mempool.alloc(len(records))
+        return records
+
+    def _allocated(self, waiting):
+        records = yield from waiting
         if records:
             self.mempool.alloc(len(records))
         return records

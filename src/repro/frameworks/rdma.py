@@ -144,7 +144,9 @@ class RdmaEndpoint:
                 continue
             progressed = False
             for fid, qp in list(self.qps.items()):
-                records = yield from self.arch.recv_burst(qp.flow, self.burst)
+                records = self.arch.recv_burst(qp.flow, self.burst)
+                if not isinstance(records, list):
+                    records = yield from records
                 if records:
                     progressed = True
                     self._absorb(qp, records)

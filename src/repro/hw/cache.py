@@ -114,8 +114,11 @@ class FullyAssociativeLLC:
         self._bytes += nbytes
         self.audit_inserted_bytes += nbytes
         self.audit_evicted_bytes += evicted
-        self.stats.io_lines_inserted += self._lines(nbytes)
-        self.stats.io_lines_evicted += self._lines(evicted) if evicted else 0
+        line = self.config.line
+        stats = self.stats
+        stats.io_lines_inserted += (nbytes + line - 1) // line
+        if evicted:
+            stats.io_lines_evicted += (evicted + line - 1) // line
         return evicted
 
     # -- CPU side ----------------------------------------------------------

@@ -61,19 +61,27 @@ class Core:
                    + (1.0 - hit_fraction) * cfg.miss_penalty + dram_ns)
         return latency, True
 
+    def read_stall(self, key, nbytes: int) -> Tuple[float, bool]:
+        """Charge a read of an I/O buffer: the stall in ns (hit/miss
+        latency under the slowdown, added to busy time) for the caller to
+        wait, and whether the read missed the LLC."""
+        latency, missed = self.read_latency(key, nbytes)
+        latency *= self.slowdown
+        self.busy_ns += latency
+        return latency, missed
+
     def read_buffer(self, key, nbytes: int):
         """Process: read an I/O buffer, stalling for hit/miss latency.
 
         Returns ``True`` if the read missed the LLC.
         """
-        latency, missed = self.read_latency(key, nbytes)
-        latency *= self.slowdown
-        self.busy_ns += latency
+        latency, missed = self.read_stall(key, nbytes)
         yield latency
         return missed
 
-    def copy_to_app_buffer(self, nbytes: int):
-        """Process: memcpy from the I/O buffer into an application buffer.
+    def copy_stall(self, nbytes: int) -> float:
+        """Charge a memcpy from the I/O buffer into an application
+        buffer; returns the stall in ns for the caller to wait.
 
         The destination is usually cold (§6.4: LineFS suffers ~10% extra
         misses from exactly this), so the copy pays DRAM write bandwidth
@@ -86,7 +94,11 @@ class Core:
         latency = (copy_cycles * self.config.cycle_ns
                    + cfg.miss_penalty * 0.5 + dram_ns * 0.1) * self.slowdown
         self.busy_ns += latency
-        yield latency
+        return latency
+
+    def copy_to_app_buffer(self, nbytes: int):
+        """Process: :meth:`copy_stall`, waited."""
+        yield self.copy_stall(nbytes)
 
     def utilization(self, now: float) -> float:
         return self.busy_ns / now if now > 0 else 0.0

@@ -101,6 +101,7 @@ class IioBuffer:
         """Release the space held by ``entry`` (write to LLC/DRAM done)."""
         self._bytes -= entry.nbytes
         self.inbound_inflight -= 1
-        waiters, self._space_waiters = self._space_waiters, []
-        for payload, nbytes in waiters:
-            self.sim.call_later(0.0, self.put, payload, nbytes)
+        if self._space_waiters:
+            waiters, self._space_waiters = self._space_waiters, []
+            for payload, nbytes in waiters:
+                self.sim.call_later(0.0, self.put, payload, nbytes)

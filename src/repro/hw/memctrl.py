@@ -76,6 +76,9 @@ class MemoryController:
         # delivered to an I/O-architecture descriptor or had no consumer.
         self.deliveries = 0.0
         self.no_deliver = 0.0
+        # Bound once: an idle controller hands it to the IIO buffer on
+        # every empty take.
+        self._serve = self._serve  # type: ignore[method-assign]
         sim.call_later(0.0, self._serve_next)
 
     def _serve_next(self) -> None:

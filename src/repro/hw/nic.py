@@ -123,28 +123,40 @@ class DmaEngine:
         self.pending_writes = 0
 
     def write_to_host(self, write: DmaWrite):
-        """Process: stage 1+2 of Figure 2 — credits, wire, then IIO.
+        """Stage 1+2 of Figure 2 — credits, wire, then IIO.
 
-        Returns once the write is issued onto the wire; the in-flight PCIe
-        latency is pipelined (the landing in the IIO buffer is a callback
-        scheduled that far ahead), so back-to-back DMAs overlap exactly as
-        posted writes do. Back-pressure comes from posted credits and wire
-        bandwidth; credits and wire are taken without suspending when
-        they are available.
+        A plain call: it returns None once the write is issued onto the
+        wire (or dropped), and otherwise the generator the write waits
+        in — an armed ``dma_stall``, posted credits, then the wire — which
+        the caller must run (yield from, or :meth:`Simulator.drive`).
+        The in-flight PCIe latency is pipelined (the landing in the IIO
+        buffer is a callback scheduled that far ahead), so back-to-back
+        DMAs overlap exactly as posted writes do.
         """
         self.requests += 1
         if self.drop_filter is not None and self.drop_filter(write):
-            # The drop verdict is synchronous (before any yield), so the
-            # caller observes ``write.dropped`` the moment this returns and
-            # can account the loss to the owning flow.
+            # The drop verdict is synchronous, so the caller observes
+            # ``write.dropped`` the moment this returns and can account
+            # the loss to the owning flow.
             write.dropped = True
             self.dropped_writes += 1
-            return
+            return None
         self.pending_writes += 1
+        if self.sim.now >= self.stall_until and \
+                self.pcie.try_write(write.nbytes):
+            self._issued(write)
+            return None
+        return self._write_waiting(write)
+
+    def _write_waiting(self, write: DmaWrite):
+        """The waiting tail of :meth:`write_to_host`."""
         if self.sim.now < self.stall_until:
             yield self.stall_until - self.sim.now
         yield from self.pcie.acquire_write_credits(write.nbytes)
         yield from self.pcie.write_issue(write.nbytes)
+        self._issued(write)
+
+    def _issued(self, write: DmaWrite) -> None:
         self.pending_writes -= 1
         self.writes_issued += 1
         self.iio.inbound_inflight += 1
@@ -218,9 +230,12 @@ class Nic:
     The firmware is a callback state machine, not a process: a packet
     that arrives while it is idle starts the ``firmware_overhead`` delay
     from :meth:`receive` itself; one that arrives while it is busy waits
-    in the MAC FIFO. After the delay the handler's ``on_packet``
-    generator runs through :meth:`Simulator.drive`, and the next packet
-    is taken when it returns.
+    in the MAC FIFO. After the delay the handler's ``on_packet`` runs as
+    a plain call. It returns None when the packet was placed without
+    waiting, and the next packet is taken at once; otherwise it returns
+    its waiting tail, a generator that runs through
+    :meth:`Simulator.drive`, and the next packet is taken when the tail
+    returns.
     """
 
     def __init__(self, sim: Simulator, config: NicConfig, pcie: PcieLink,
@@ -239,7 +254,7 @@ class Nic:
         self.rx_bytes = 0.0
         self.dropped_packets = 0.0
         self.handled_packets = 0.0
-        #: 1 while a packet is inside the handler generator (at most one —
+        #: 1 while a packet is inside the handler (at most one —
         #: a single firmware pipeline); the audit slack for the window
         #: between entering ``on_packet`` and its admit/drop decision.
         self.handler_inflight = 0
@@ -285,7 +300,11 @@ class Nic:
 
     def _fw_handle(self, packet) -> None:
         self.handler_inflight = 1
-        self.sim.drive(self.handler.on_packet(packet), self._fw_done, packet)
+        tail = self.handler.on_packet(packet)
+        if tail is None:
+            self._fw_done(packet)
+        else:
+            self.sim.drive(tail, self._fw_done, packet)
 
     def _fw_done(self, packet) -> None:
         self.handler_inflight = 0

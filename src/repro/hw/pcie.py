@@ -69,17 +69,42 @@ class PcieLink:
 
         A release that would overflow the pool is refused; otherwise the
         waiters at the head are granted while the level covers them."""
-        amount = min(payload, self.config.posted_credits)
+        posted = self.config.posted_credits
+        amount = payload if payload <= posted else posted
         level = self.credits_available + amount
-        if level > self.config.posted_credits:
+        if level > posted:
             return
         waiters = self._credit_waiters
-        while waiters and level >= waiters[0][1]:
-            granted, take = waiters.popleft()
-            level -= take
-            granted.succeed()
+        if waiters:
+            while waiters and level >= waiters[0][1]:
+                granted, take = waiters.popleft()
+                level -= take
+                granted.succeed()
         self.credits_available = level
         self.credits_released += amount
+
+    def try_write(self, payload: int) -> bool:
+        """Take the posted credits and the wire for a ``payload``-byte
+        write now, if both are free without waiting; True when taken.
+
+        The credit test has no side effect, and the wire is looked at
+        only once the credits are known to be free: exactly where
+        :meth:`acquire_write_credits` followed by :meth:`write_issue`
+        would settle the wire bucket, so a False leaves every float as
+        those two would leave it at their first wait (settling the
+        bucket again at the same instant is a no-op)."""
+        posted = self.config.posted_credits
+        amount = payload if payload <= posted else posted
+        if self._credit_waiters or self.credits_available < amount:
+            return False
+        wire = self.config.wire_bytes(payload)
+        if not self._wire.try_take(wire):
+            return False
+        self.credits_available -= amount
+        self.credits_acquired += amount
+        self.bytes_written += payload
+        self.bandwidth_meter.record(self.sim.now, wire)
+        return True
 
     def write_issue(self, payload: int):
         """Process: serialise a posted write onto the wire.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..hw import DmaWrite, Host
@@ -77,17 +78,23 @@ class FlowRx:
         self._acc_upto = -1
         self._acc_set: set = set()
 
-    def is_duplicate(self, seq: int) -> bool:
-        return seq <= self._acc_upto or seq in self._acc_set
-
-    def note_accepted(self, seq: int) -> None:
-        if seq == self._acc_upto + 1:
-            self._acc_upto += 1
-            while self._acc_upto + 1 in self._acc_set:
-                self._acc_upto += 1
-                self._acc_set.discard(self._acc_upto)
-        elif seq > self._acc_upto:
-            self._acc_set.add(seq)
+    def accept(self, seq: int) -> bool:
+        """Note ``seq`` as accepted; False when it already was (a
+        duplicate). The next seq in order is never in the set above the
+        mark, so it is tested first."""
+        upto = self._acc_upto
+        if seq == upto + 1:
+            accepted = self._acc_set
+            upto = seq
+            while upto + 1 in accepted:
+                upto += 1
+                accepted.discard(upto)
+            self._acc_upto = upto
+            return True
+        if seq <= upto or seq in self._acc_set:
+            return False
+        self._acc_set.add(seq)
+        return True
 
     @property
     def descriptors_free(self) -> int:
@@ -168,29 +175,34 @@ class IOArchitecture:
         return self.host.config.nic.rx_ring_entries
 
     # ------------------------------------------------------------------
-    # NIC-side hooks (run inside the firmware pipeline process)
+    # NIC-side hooks (run inside the firmware pipeline)
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet):
-        """Default data path: take a descriptor, DMA with DDIO, deliver."""
+        """Default data path: take a descriptor, DMA with DDIO, deliver.
+
+        A plain call from the NIC firmware: it returns None when the
+        packet was placed (or dropped) without waiting, and otherwise
+        the generator of the part that must wait — its waiting tail —
+        which the firmware drives to completion before the next packet.
+        """
         self.rx_offered += 1
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or rx.descriptors_free <= 0:
             self._drop(packet, rx)
-            return
+            return None
         if self._dedup(packet, rx):
-            return
-        yield from self._dma_to_host(packet, rx, ddio=True)
+            return None
+        return self._dma_to_host(packet, rx, ddio=True)
 
     def _dedup(self, packet: Packet, rx: FlowRx) -> bool:
         """Suppress a spuriously retransmitted packet (already accepted):
         re-ACK it so the sender advances, but do not deliver it twice."""
-        if rx.is_duplicate(packet.seq):
-            rx.duplicates += 1
-            if self.ack is not None:
-                self.ack(packet)
-            return True
-        rx.note_accepted(packet.seq)
-        return False
+        if rx.accept(packet.seq):
+            return False
+        rx.duplicates += 1
+        if self.ack is not None:
+            self.ack(packet)
+        return True
 
     def on_drop(self, packet: Packet) -> None:
         """MAC-buffer tail drop notification (no ACK => sender sees loss)."""
@@ -216,11 +228,13 @@ class IOArchitecture:
         return batch
 
     def recv_burst(self, flow: Flow, max_packets: int):
-        """Process-context receive: identical to :meth:`rx_burst` here, but
-        a generator so architectures with blocking receive semantics (CEIO's
-        synchronous-drain ablation) can stall the calling application."""
+        """Application-side receive: the records of :meth:`rx_burst`
+        here. An architecture whose receive can stall the application
+        (CEIO's synchronous-drain ablation) returns instead a generator
+        that waits and then returns the records; callers run a result
+        that is not a list (``yield from``, or :meth:`Simulator.drive`).
+        """
         return self.rx_burst(flow, max_packets)
-        yield  # pragma: no cover - makes this function a generator
 
     def release(self, records: List[RxRecord]) -> None:
         """Application is done with these buffers: recycle descriptors and
@@ -271,23 +285,18 @@ class IOArchitecture:
         """Issue the DMA write and deliver a record on completion.
 
         Runs in the firmware pipeline: blocking on PCIe posted credits here
-        back-pressures the MAC buffer, as real hardware does.
+        back-pressures the MAC buffer, as real hardware does. Returns
+        None once the write is issued (or dropped), else the waiting
+        tail of :meth:`DmaEngine.write_to_host`.
         """
         rx.in_use += 1
         self.delivery_inflight += 1
         record = RxRecord(packet, next(_buffer_keys), path=path)
         self._accept(packet, extra_mark)
-
-        def deliver(now: float) -> None:
-            self.delivery_inflight -= 1
-            packet.delivered_time = now
-            record.deliver_time = now
-            self._deliver_record(rx, record)
-            rx.delivered += 1
-
-        write = DmaWrite(record.key, packet.size, ddio=ddio, deliver=deliver,
+        write = DmaWrite(record.key, packet.size, ddio=ddio,
+                         deliver=partial(self._delivered, rx, record),
                          flow_id=packet.flow.flow_id)
-        yield from self.host.nic.dma.write_to_host(write)
+        tail = self.host.nic.dma.write_to_host(write)
         if write.dropped:
             # Descriptor-drop fault swallowed the write after admission:
             # the flow loses the packet (it was ACKed, so the sender will
@@ -296,6 +305,15 @@ class IOArchitecture:
             self.delivery_inflight -= 1
             self.dma_write_drops += 1
             rx.dropped += 1
+        return tail
+
+    def _delivered(self, rx: FlowRx, record: RxRecord, now: float) -> None:
+        """The DMA write of ``record`` completed at ``now``."""
+        self.delivery_inflight -= 1
+        record.packet.delivered_time = now
+        record.deliver_time = now
+        self._deliver_record(rx, record)
+        rx.delivered += 1
 
     def _deliver_record(self, rx: FlowRx, record: RxRecord) -> None:
         """Make a completed record visible to host software. Subclasses

@@ -80,17 +80,23 @@ class HostccArch(IOArchitecture):
         rx = self.flows.get(packet.flow.flow_id)
         if rx is None or rx.descriptors_free <= 0:
             self._drop(packet, rx)
-            return
+            return None
         if self._dedup(packet, rx):
-            return
-        # Reactive throttle: pace DMA issue at the controller's rate.
-        yield self._pacer.take(packet.size)
+            return None
+        # Reactive throttle: pace DMA issue at the controller's rate. A
+        # pacer take is an event even when the tokens are there, so an
+        # admitted packet always has a waiting tail.
+        return self._paced(packet, rx, self._pacer.take(packet.size))
+
+    def _paced(self, packet: Packet, rx, paced):
+        yield paced
         # While congested, assert ECN proportionally to IIO fill so DCTCP
         # converges rather than collapsing.
         mark = (self._congested
                 and self._rng.random() < min(1.0,
                                              2 * self.host.iio.fill_fraction))
-        yield from self._dma_to_host(packet, rx, ddio=True, extra_mark=mark)
+        yield from self._dma_to_host(packet, rx, ddio=True,
+                                     extra_mark=mark) or ()
 
     def _control_loop(self):
         cfg = self.config

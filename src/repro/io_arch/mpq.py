@@ -81,9 +81,9 @@ class MpqArch(IOArchitecture):
         rx = self.flows.get(fid)
         if rx is None or rx.descriptors_free <= 0:
             self._drop(packet, rx)
-            return
+            return None
         if self._dedup(packet, rx):
-            return
+            return None
         before = self.priority(fid)
         self._bytes_sent[fid] = self._bytes_sent.get(fid, 0) + packet.size
         if self.priority(fid) > before:
@@ -92,11 +92,11 @@ class MpqArch(IOArchitecture):
             # Highest class: DDIO fast path.
             self._high_in_use += 1
             self.high_packets += 1
-            yield from self._dma_to_host(packet, rx, ddio=True, path="fast")
+            return self._dma_to_host(packet, rx, ddio=True, path="fast")
         else:
             # Decayed (or budget-full): DRAM-bound low-priority path.
             self.low_packets += 1
-            yield from self._dma_to_host(packet, rx, ddio=False, path="low")
+            return self._dma_to_host(packet, rx, ddio=False, path="low")
 
     def release(self, records) -> None:
         for record in records:

@@ -105,15 +105,15 @@ class ShringArch(IOArchitecture):
         if rx is None or self.shared_free <= 0:
             self.ring_full_drops += 1
             self._drop(packet, rx)
-            return
+            return None
         if self._dedup(packet, rx):
-            return
+            return None
         self._shared_in_use += 1
         self.shared_admitted += 1
         guard = self._guard_mark(packet.flow.flow_id)
         if guard:
             self.guard_marks += 1
-        yield from self._dma_to_host(packet, rx, ddio=True, extra_mark=guard)
+        return self._dma_to_host(packet, rx, ddio=True, extra_mark=guard)
 
     def _deliver_record(self, rx, record: RxRecord) -> None:
         self._shared_ring.append(record)

@@ -20,9 +20,9 @@ switch CE marks and any host-side marks the architecture added.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
 from ..sim import Simulator
@@ -91,12 +91,10 @@ class DctcpSender:
         self._acked_in_window = 0
         self._marked_in_window = 0
         self._in_recovery = False
-        # Message completion tracking (sender-side, i.e. all packets ACKed).
-        self._msg_remaining: Dict[int, int] = {}
-        #: message_id -> the ``on_done`` callable of a message someone
-        #: waits on (messages submitted without one have no entry).
-        self._msg_done: Dict[int, Callable[[Message], None]] = {}
-        self._msg_objects: Dict[int, Message] = {}
+        #: Message completion tracking (sender-side, i.e. all packets
+        #: ACKed): message_id -> ``[packets not yet ACKed, message,
+        #: on_done or None]``.
+        self._messages: Dict[int, list] = {}
 
         self.packets_sent = 0.0
         self.packets_acked = 0.0
@@ -115,11 +113,27 @@ class DctcpSender:
         last packet is ACKed (inside that ACK's handling, no calendar
         entry). Pass an event's ``succeed`` to wait on it from a process.
         """
-        message.submit_time = self.sim.now
-        self._msg_remaining[message.message_id] = message.count
-        if on_done is not None:
-            self._msg_done[message.message_id] = on_done
-        self._msg_objects[message.message_id] = message
+        now = self.sim.now
+        message.submit_time = now
+        self._messages[message.message_id] = [message.count, message,
+                                              on_done]
+        if message.count == 1:
+            # One packet: build it here, and send it at once when nothing
+            # is queued ahead and the window admits it (what _pump would
+            # do with it alone in the queue).
+            packet = Packet(self.flow, self.next_seq, message.payload,
+                            message.message_id, True)
+            packet.submit_time = now
+            self.next_seq += 1
+            if self._pending:
+                self._pending.append(packet)
+                self._pump()
+            elif (not self.inflight
+                    or self.inflight_bytes + packet.size <= self.cwnd):
+                self._transmit(packet)
+            else:
+                self._pending.append(packet)
+            return
         for packet in message.packets(self.flow, self.next_seq):
             self._pending.append(packet)
             self.next_seq += 1
@@ -148,15 +162,20 @@ class DctcpSender:
             self._transmit(self._pending.popleft())
 
     def _transmit(self, packet: Packet) -> None:
-        packet.send_time = self.sim.now
+        now = self.sim.now
+        packet.send_time = now
         if packet.first_send_time < 0:
-            packet.first_send_time = self.sim.now
+            packet.first_send_time = now
         packet.ecn_marked = False  # cleared on (re)transmit; set by the path
-        if packet.seq not in self.inflight:
+        seq = packet.seq
+        inflight = self.inflight
+        if seq in inflight:
+            inflight[seq] = (packet, now)
+            inflight.move_to_end(seq)
+        else:
             self.inflight_bytes += packet.size
-            heapq.heappush(self._seq_heap, packet.seq)
-        self.inflight[packet.seq] = (packet, self.sim.now)
-        self.inflight.move_to_end(packet.seq)
+            heappush(self._seq_heap, seq)
+            inflight[seq] = (packet, now)
         self.packets_sent += 1
         self.egress(packet)
 
@@ -178,15 +197,19 @@ class DctcpSender:
     # ACK path (called by the receiver wiring)
     # ------------------------------------------------------------------
     def on_ack(self, seq: int, ecn_marked: bool) -> None:
-        entry = self.inflight.pop(seq, None)
+        inflight = self.inflight
+        entry = inflight.pop(seq, None)
         if entry is None:
             return  # duplicate/stale ACK
         packet, sent_time = entry
-        self.inflight_bytes = max(0, self.inflight_bytes - packet.size)
+        left = self.inflight_bytes - packet.size
+        self.inflight_bytes = left if left > 0 else 0
         self.packets_acked += 1
-        self._dup_counts.pop(seq, None)
+        if self._dup_counts:
+            self._dup_counts.pop(seq, None)
 
-        rtt_sample = self.sim.now - sent_time
+        now = self.sim.now
+        rtt_sample = now - sent_time
         self.rttvar = (0.75 * self.rttvar
                        + 0.25 * abs(rtt_sample - self.srtt))
         self.srtt = 0.875 * self.srtt + 0.125 * rtt_sample
@@ -196,29 +219,41 @@ class DctcpSender:
             self._marked_in_window += 1
 
         # Selective-ACK style loss inference: an ACK for seq implies any
-        # still-inflight packet with a smaller seq was likely lost.
-        self._count_dupacks(seq)
+        # still-inflight packet with a smaller seq was likely lost. The
+        # in-order case (no smaller seq outstanding) ends here.
+        if inflight and self._min_inflight() < seq:
+            self._count_dupacks(seq)
 
-        if self.sim.now - self._window_start >= self.srtt:
+        if now - self._window_start >= self.srtt:
             self._end_window()
 
-        self._complete_message_packet(packet)
-        self._pump()
+        # Message completion: the last packet's ACK completes it.
+        mid = packet.message_id
+        message = self._messages.get(mid)
+        if message is not None:
+            if message[0] > 1:
+                message[0] -= 1
+            else:
+                del self._messages[mid]
+                message[1].complete_time = now
+                if message[2] is not None:
+                    message[2](message[1])
+        if self._pending:
+            self._pump()
 
     def _min_inflight(self) -> int:
         """The smallest in-flight seq (``inflight`` must be non-empty),
         amortised O(log n)."""
         heap = self._seq_heap
-        while heap[0] not in self.inflight:
-            heapq.heappop(heap)
+        inflight = self.inflight
+        while heap[0] not in inflight:
+            heappop(heap)
         return heap[0]
 
     def _count_dupacks(self, acked_seq: int) -> None:
-        if not self.inflight:
-            return
-        # Fast path: in-order delivery (no smaller seq outstanding).
-        if self._min_inflight() >= acked_seq:
-            return
+        """Count a duplicate ACK against every in-flight seq below
+        ``acked_seq`` (:meth:`on_ack` calls this only when there is one)
+        and fast-retransmit those that reach the threshold."""
         to_retx = []
         for seq in self.inflight:
             if seq >= acked_seq:
@@ -254,22 +289,6 @@ class DctcpSender:
         self._marked_in_window = 0
         self._window_start = self.sim.now
         self._in_recovery = False
-
-    def _complete_message_packet(self, packet: Packet) -> None:
-        mid = packet.message_id
-        remaining = self._msg_remaining.get(mid)
-        if remaining is None:
-            return
-        remaining -= 1
-        if remaining > 0:
-            self._msg_remaining[mid] = remaining
-            return
-        del self._msg_remaining[mid]
-        message = self._msg_objects.pop(mid)
-        message.complete_time = self.sim.now
-        on_done = self._msg_done.pop(mid, None)
-        if on_done is not None:
-            on_done(message)
 
     # ------------------------------------------------------------------
     # Timeout fallback

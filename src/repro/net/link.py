@@ -124,7 +124,14 @@ class SwitchPort:
         self.tx_packets += 1
         self.wire_inflight += 1
         self._wire_send(packet)
-        self._next()
+        # _next, inline: serialise the next packet or go idle.
+        queue = self._queue
+        if queue:
+            packet = queue.popleft()
+            self.sim.call_later(packet.size / self.rate, self._tx_done,
+                                packet)
+        else:
+            self._busy = False
 
     def _wire_schedule(self, packet) -> None:
         self.sim.call_later(self.propagation, self._wire_arrive, packet)

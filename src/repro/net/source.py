@@ -32,6 +32,8 @@ class SaturatingSource:
         self.outstanding = outstanding
         self.messages_completed = 0.0
         self._running = False
+        # Bound once: every submission hands it to the sender.
+        self._completed = self._completed  # type: ignore[method-assign]
 
     @property
     def flow(self) -> Flow:
@@ -61,8 +63,9 @@ class SaturatingSource:
 
     def _submit(self) -> None:
         if self._running:
-            self.sender.submit_message(self.flow.make_message(),
-                                       self._completed)
+            sender = self.sender
+            sender.submit_message(sender.flow.make_message(),
+                                  self._completed)
 
     def _completed(self, _message) -> None:
         self.messages_completed += 1

@@ -101,6 +101,7 @@ import os
 from heapq import heappop, heappush
 from itertools import count
 from math import inf, nextafter
+from operator import attrgetter
 from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
@@ -495,10 +496,10 @@ class Simulator:
         #: report the never-terminated ones.
         self._procs: List[Process] = []
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
+    #: Current simulated time in nanoseconds. Read on every model step,
+    #: so its getter is a C-level attribute fetch, not a Python frame.
+    now = property(attrgetter("_now"),
+                   doc="Current simulated time in nanoseconds.")
 
     @property
     def debug(self) -> bool:
@@ -605,8 +606,9 @@ class Simulator:
         """Run ``generator`` now, as a process would, then ``done(*args)``.
 
         For a callback state machine that hands one step of its work to
-        a generator (the NIC firmware running an I/O architecture's
-        ``on_packet``). Nothing is scheduled to start it: it runs inside
+        a generator (the NIC firmware running the waiting tail an I/O
+        architecture's ``on_packet`` returned, or the eRPC server a
+        blocking receive). Nothing is scheduled to start it: it runs inside
         this call until its first suspension, and a generator that never
         suspends costs no calendar entry and no object. A suspension
         costs what it costs a :class:`Process` — one entry per bare

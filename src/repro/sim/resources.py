@@ -91,10 +91,15 @@ class TokenBucket:
         return ev
 
     def try_take(self, amount: float) -> bool:
-        self._settle()
+        # _settle and _serve, inline: this is every posted write's wire.
+        now = self.sim.now
+        if now > self._stamp:
+            self._tokens = min(self.burst,
+                               self._tokens + (now - self._stamp) * self._rate)
+            self._stamp = now
         if self._waiters or self._tokens + self.EPSILON < amount:
             return False
-        self._serve(amount)
+        self._tokens = max(0.0, self._tokens - amount)
         return True
 
     def _serve(self, amount: float) -> None:

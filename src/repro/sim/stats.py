@@ -184,6 +184,9 @@ class RateMeter:
         self._cur_start = 0.0
         self._cur_sum = 0.0
         self._history: Deque[float] = deque(maxlen=keep)
+        #: :meth:`rate`'s average over the retained complete windows,
+        #: cached until the next roll changes them (None: not computed).
+        self._history_rate: Optional[float] = None
         self.total = 0.0
 
     def _roll(self, now: float) -> None:
@@ -208,19 +211,28 @@ class RateMeter:
                 history.extend([0.0] * (gap - 1))
         self._cur_sum = 0.0
         self._cur_start += gap * self.window
+        self._history_rate = None
 
     def record(self, now: float, amount: float = 1.0) -> None:
-        self._roll(now)
+        # ``_roll`` closes windows only once ``now`` has left the current
+        # one; inside it the call is skipped.
+        if now - self._cur_start >= self.window:
+            self._roll(now)
         self._cur_sum += amount
         self.total += amount
 
     def rate(self, now: float) -> float:
         """Average rate per ns over retained complete windows."""
-        self._roll(now)
+        if now - self._cur_start >= self.window:
+            self._roll(now)
         if not self._history:
             elapsed = now - self._cur_start
             return self._cur_sum / elapsed if elapsed > 0 else 0.0
-        return sum(self._history) / (len(self._history) * self.window)
+        cached = self._history_rate
+        if cached is None:
+            cached = self._history_rate = (
+                sum(self._history) / (len(self._history) * self.window))
+        return cached
 
     def mean_rate(self, now: float) -> float:
         return self.total / now if now > 0 else 0.0

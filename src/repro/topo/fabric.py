@@ -184,7 +184,8 @@ class HostEndpoint:
     def install_io_arch(self, io_arch) -> None:
         """Attach the receive-side I/O architecture to this host's NIC."""
         self.io_arch = io_arch
-        io_arch.ack = self.ack
+        # The fabric's ACK path directly: :meth:`ack` only forwards to it.
+        io_arch.ack = self.fabric.ack
         self.host.nic.install_handler(io_arch)
 
     def add_flow(self, flow: Flow, src: Optional[str] = None,

@@ -218,7 +218,7 @@ def issue_one_write(sim, host):
     write = DmaWrite("p0", 2048, ddio=True)
 
     def writer(sim):
-        yield from host.nic.dma.write_to_host(write)
+        yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(writer(sim))
     return write

@@ -99,7 +99,7 @@ def test_pcie_back_to_back_writes_overlap_latency():
         for i in range(2):
             write = DmaWrite(f"p{i}", 2048, ddio=True,
                              deliver=lambda t: delivered.append(t))
-            yield from host.nic.dma.write_to_host(write)
+            yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(proc(sim))
     sim.run()
@@ -178,7 +178,7 @@ def test_dma_write_lands_in_llc_with_ddio():
     def proc(sim):
         write = DmaWrite("pkt0", 2048, ddio=True,
                          deliver=lambda t: delivered.append(t))
-        yield from host.nic.dma.write_to_host(write)
+        yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(proc(sim))
     sim.run()
@@ -192,7 +192,7 @@ def test_dma_write_without_ddio_goes_to_dram():
 
     def proc(sim):
         write = DmaWrite("pkt0", 2048, ddio=False)
-        yield from host.nic.dma.write_to_host(write)
+        yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(proc(sim))
     sim.run()
@@ -208,7 +208,7 @@ def test_ddio_eviction_generates_writeback_traffic():
     def proc(sim):
         for i in range(n_fit + 8):
             write = DmaWrite(f"p{i}", 2048, ddio=True)
-            yield from host.nic.dma.write_to_host(write)
+            yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(proc(sim))
     sim.run()
@@ -248,7 +248,7 @@ def test_iio_full_back_pressure_keeps_order_and_conservation():
             # wire, so landings outrun the memory controller.
             write = DmaWrite(f"p{i}", 2048, ddio=False,
                              deliver=lambda t, i=i: delivered.append(i))
-            yield from host.nic.dma.write_to_host(write)
+            yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(writer(sim))
     sim.run(until=1_000.0)
@@ -278,7 +278,7 @@ def test_posted_write_calendar_cost():
     def writer(sim):
         for i in range(n):
             write = DmaWrite(f"p{i}", 2048, ddio=True)
-            yield from host.nic.dma.write_to_host(write)
+            yield from host.nic.dma.write_to_host(write) or ()
             yield gap
 
     sim.process(writer(sim))
@@ -302,7 +302,8 @@ def test_dram_write_calendar_cost_under_channel_contention():
         for i in range(n):
             host.dram.write(4096, lambda: ends.append(sim.now))
             yield from host.nic.dma.write_to_host(
-                DmaWrite(f"p{i}", 2048, ddio=False, deliver=ends.append))
+                DmaWrite(f"p{i}", 2048, ddio=False,
+                         deliver=ends.append)) or ()
             yield 100.0
 
     sim.process(writer(sim))
@@ -328,7 +329,7 @@ def test_credit_starved_write_calendar_cost():
     def writer(sim):
         for i in range(n):
             yield from host.nic.dma.write_to_host(
-                DmaWrite(f"p{i}", 2048, ddio=True))
+                DmaWrite(f"p{i}", 2048, ddio=True)) or ()
 
     sim.process(writer(sim))
     executed = sim.run_until(n * 1_000.0, inclusive=True)
@@ -517,7 +518,7 @@ class _Dmaing(_CountingHandler):
         seq = packet.seq
         write = DmaWrite(f"p{seq}", packet.size, ddio=seq % 2 == 0,
                          deliver=lambda t: self.delivered.append(seq))
-        yield from self.host.nic.dma.write_to_host(write)
+        return self.host.nic.dma.write_to_host(write)
 
 
 def test_tiny_posted_credits_block_the_handler_in_order():

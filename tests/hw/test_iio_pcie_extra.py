@@ -45,7 +45,8 @@ def test_pcie_credits_cycle_through_memctrl():
     start = host.pcie.credits_available
 
     def producer(sim):
-        yield from host.nic.dma.write_to_host(DmaWrite("a", 4096, ddio=True))
+        yield from host.nic.dma.write_to_host(
+            DmaWrite("a", 4096, ddio=True)) or ()
 
     sim.process(producer(sim))
     sim.run(until=10)  # issued; in flight; credits held
@@ -62,7 +63,7 @@ def test_pcie_utilization_reflects_traffic():
     def producer(sim):
         for i in range(50):
             yield from host.nic.dma.write_to_host(
-                DmaWrite(f"p{i}", 2048, ddio=True))
+                DmaWrite(f"p{i}", 2048, ddio=True)) or ()
 
     sim.process(producer(sim))
     sim.run()
@@ -81,7 +82,7 @@ def test_memctrl_delivery_order_preserved():
         for i in range(10):
             write = DmaWrite(f"p{i}", 1024, ddio=True,
                              deliver=lambda t, i=i: order.append(i))
-            yield from host.nic.dma.write_to_host(write)
+            yield from host.nic.dma.write_to_host(write) or ()
 
     sim.process(producer(sim))
     sim.run()
@@ -98,7 +99,7 @@ def test_writeback_stalls_drain_under_thrash():
     def producer(sim):
         for i in range(200):
             yield from host.nic.dma.write_to_host(
-                DmaWrite(f"p{i}", 2048, ddio=True))
+                DmaWrite(f"p{i}", 2048, ddio=True)) or ()
 
     sim.process(producer(sim))
     sim.run(until=10_000)
